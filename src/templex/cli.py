@@ -4,16 +4,22 @@ Subcommands: validate, tune, wsd, extract, kwic, patterns.  Every run is a
 deterministic function of its input files and flags; the effective semantic
 parameters are echoed into each output's provenance.  Exit codes: 0 success,
 1 diagnostics with errors, 2 usage or I/O errors.
+
+`wsd` and `extract` train the classifier once over the whole corpus; every
+later stage looks at one document at a time, so it runs over contiguous
+document shards, in forked worker processes when `--jobs` > 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 from . import bg_lexicon as bgmod
 from . import extract as exmod
@@ -23,7 +29,7 @@ from . import textpipe
 from . import tuner as tunemod
 from . import workbench
 from . import wsd as wsdmod
-from .errors import CycleError, LexiconError, ParseError
+from .errors import CycleError, LexiconError, ParseError, parse_number
 
 
 @dataclass
@@ -97,9 +103,9 @@ def load_config_file(path: str) -> dict:
                     raise ParseError(f"bad boolean {value!r}", path=path, line=lineno)
                 values[key] = value in ("on", "true")
             elif key in _INT_KEYS:
-                values[key] = int(value)
+                values[key] = parse_number(int, value, path=path, line=lineno)
             elif key in _FLOAT_KEYS:
-                values[key] = float(value)
+                values[key] = parse_number(float, value, path=path, line=lineno)
             else:
                 values[key] = value
     return values
@@ -186,12 +192,69 @@ def _write_out(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    """Document-parallel map with results in input order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def plan_shards(sizes: list[int], jobs: int, cpus: int) -> list[tuple[int, int]]:
+    """Contiguous `(lo, hi)` document ranges with about equal token counts.
+
+    `sizes` holds each document's token count.  There are at most
+    min(jobs, documents, cpus) shards; each is non-empty, and together they
+    cover every document once, in input order.  A cut falls at the document
+    boundary nearest its share of the tokens, so no shard exceeds its share
+    by more than the largest document.
+    """
+    n = min(jobs, len(sizes), cpus)
+    prefix = list(accumulate(sizes, initial=0))
+    cuts = [0]
+    for k in range(1, n):
+        target = prefix[-1] * k / n
+        i = bisect_left(prefix, target)
+        if i > 0 and target - prefix[i - 1] <= prefix[i] - target:
+            i -= 1
+        # leave at least one document for this shard and each one after it
+        cuts.append(min(max(i, cuts[-1] + 1), len(sizes) - (n - k)))
+    cuts.append(len(sizes))
+    return list(zip(cuts, cuts[1:])) if n > 0 else []
+
+
+_worker_job = None  # the shard job of a forked pool worker
+
+
+def _init_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_job(bounds: tuple[int, int]) -> str:
+    return _worker_job(*bounds)
+
+
+def _run_shards(job, sizes: list[int], jobs: int) -> list[str]:
+    """`job(lo, hi)` over the planned shards; the texts in input order.
+
+    More than one shard runs in a "fork" process pool: workers inherit the
+    job and everything it closes over, and exchange only index pairs and
+    output text.  Without fork there is one shard, run inline.  A worker
+    that dies (say, killed for memory) fails the run instead of hanging it.
+    """
+    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    shards = plan_shards(sizes, jobs, cpus)
+    if len(shards) <= 1:
+        return [job(lo, hi) for lo, hi in shards]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    # inherited objects go to the permanent generation, so the workers'
+    # collections neither scan them nor copy their pages
+    gc.freeze()
+    try:
+        # under fork the workers start before any pool thread, and take
+        # initargs unpickled
+        with ProcessPoolExecutor(len(shards), mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker, initargs=(job,)) as pool:
+            return list(pool.map(_run_worker_job, shards))
+    except BrokenProcessPool as exc:
+        raise OSError(f"a shard worker process died: {exc}") from None
+    finally:
+        gc.unfreeze()
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -217,12 +280,11 @@ def _load_background(cfg: RunConfig, onto: ontomod.Ontology):
     """Collapsed background lexicon, or the tuned view when one is given."""
     if cfg.tuned_lexicon:
         tuned = tunemod.load_tuned_lexicon(_read(cfg.tuned_lexicon), cfg.tuned_lexicon)
+        _check_classes(tuned.base, onto, cfg.tuned_lexicon)
         return tunemod.apply_tuning(tuned)
     _require(cfg, "bg_lexicon")
     bg = bgmod.load_bg_lexicon(_read(cfg.bg_lexicon), cfg.bg_lexicon)
-    problems = bgmod.validate_bg(bg, onto)
-    if problems:
-        raise LexiconError("; ".join(problems))
+    _check_classes(bg, onto, cfg.bg_lexicon)
     if cfg.collapse_map:
         cmap = bgmod.load_collapse_map(_read(cfg.collapse_map), cfg.collapse_map)
     else:
@@ -230,16 +292,15 @@ def _load_background(cfg: RunConfig, onto: ontomod.Ontology):
     return bgmod.collapse(bg, cmap, onto)
 
 
-def _tag_corpus(cfg: RunConfig, docs, bg):
-    model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha)
-    tag_dicts = _pmap(lambda d: wsdmod.disambiguate_background(model, [d], bg),
-                      docs, cfg.jobs)
-    tags: dict = {}
-    for td in tag_dicts:
-        tags.update(td)
-    if cfg.ospd:
-        tags = wsdmod.apply_ospd(tags, bg)
-    return model, tags
+def _check_classes(bg: bgmod.BgLexicon, onto: ontomod.Ontology, path: str) -> None:
+    problems = bgmod.validate_bg(bg, onto)
+    if problems:
+        raise LexiconError(f"{path}: " + "; ".join(problems))
+
+
+def _background_tags(cfg: RunConfig, model, docs, bg):
+    tags = wsdmod.disambiguate_background(model, docs, bg)
+    return wsdmod.apply_ospd(tags, bg) if cfg.ospd else tags
 
 
 def _unambiguous_tags(docs, bg):
@@ -260,16 +321,39 @@ def _unambiguous_tags(docs, bg):
 
 
 def _match(cfg: RunConfig, analyses, fg, tags, onto, bg):
-    results = _pmap(
-        lambda a: wsdmod.match_foreground(
-            [a], fg, tags, onto, bg, lang=cfg.lang,
-            passive_lone=cfg.passive_implicature, window=cfg.window),
-        analyses, cfg.jobs)
-    matches, diagnostics = [], []
-    for m, d in results:
-        matches.extend(m)
-        diagnostics.extend(d)
-    return matches, diagnostics
+    matches, _ = wsdmod.match_foreground(
+        analyses, fg, tags, onto, bg, lang=cfg.lang,
+        passive_lone=cfg.passive_implicature, window=cfg.window)
+    return matches
+
+
+def _shard_texts(cfg: RunConfig, docs, onto, bg, fg, render) -> list[str]:
+    """Train once over all documents, then tag, match and render by shard.
+
+    Each shard runs background tagging, OSPD and (given a foreground
+    lexicon) analysis and foreground matching under the configured order:
+    bg-first feeds classifier tags into the matcher; fg-first matches on
+    coarse-unambiguous tags alone, then classifies the rest.  Then
+    `render(shard_docs, analyses, tags, matches)` turns it into text;
+    analyses and matches are None without a foreground lexicon.
+    """
+    model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha)
+
+    def job(lo: int, hi: int) -> str:
+        shard = docs[lo:hi]
+        if fg is None:
+            return render(shard, None, _background_tags(cfg, model, shard, bg), None)
+        analyses = [textpipe.analyze(d) for d in shard]
+        if cfg.order == "fg-first":
+            matches = _match(cfg, analyses, fg, _unambiguous_tags(shard, bg), onto, bg)
+            tags = _background_tags(cfg, model, shard, bg)
+        else:
+            tags = _background_tags(cfg, model, shard, bg)
+            matches = _match(cfg, analyses, fg, tags, onto, bg)
+        return render(shard, analyses, tags, matches)
+
+    sizes = [sum(len(sent) for sent in d.sentences) for d in docs]
+    return _run_shards(job, sizes, cfg.jobs)
 
 
 # ------------------------------------------------------------ subcommands
@@ -301,35 +385,25 @@ def _cmd_tune(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _pipeline(cfg: RunConfig, docs, analyses, fg, onto, bg):
-    """Tags and matches under the configured pipeline order.
-
-    bg-first feeds classifier tags into the matcher; fg-first matches on
-    coarse-unambiguous tags alone, then classifies the rest.
-    """
-    if cfg.order == "fg-first":
-        matches, diags = _match(cfg, analyses, fg, _unambiguous_tags(docs, bg),
-                                onto, bg)
-        _, tags = _tag_corpus(cfg, docs, bg)
-    else:
-        _, tags = _tag_corpus(cfg, docs, bg)
-        matches, diags = _match(cfg, analyses, fg, tags, onto, bg)
-    return tags, matches, diags
-
-
 def _cmd_wsd(cfg: RunConfig, args) -> int:
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
     bg = _load_background(cfg, onto)
     docs = _load_corpus(cfg)
+    fg = None
     if cfg.fg_lexicon:
         fg = fgmod.load_fg_lexicon(_read(cfg.fg_lexicon), cfg.fg_lexicon)
-        analyses = _pmap(textpipe.analyze, docs, cfg.jobs)
-        tags, matches, _ = _pipeline(cfg, docs, analyses, fg, onto, bg)
-        tags = wsdmod.apply_foreground_priority(tags, matches)
-    else:
-        _, tags = _tag_corpus(cfg, docs, bg)
-    _write_out(cfg, wsdmod.dump_tagged_corpus(docs, tags, cfg.echo()))
+
+    def render(shard, analyses, tags, matches):
+        if matches is not None:
+            tags = wsdmod.apply_foreground_priority(tags, matches)
+        return wsdmod.dump_tagged_corpus(shard, tags)
+
+    texts = _shard_texts(cfg, docs, onto, bg, fg, render)
+    # the `#CONFIG` line alone; documents are separated by a blank line,
+    # so shard texts are joined by one too
+    header = wsdmod.dump_tagged_corpus([], {}, cfg.echo())
+    _write_out(cfg, "\n".join([header, *texts]))
     return 0
 
 
@@ -344,11 +418,14 @@ def _cmd_extract(cfg: RunConfig, args) -> int:
         return 1
     bg = _load_background(cfg, onto)
     docs = _load_corpus(cfg)
-    analyses = _pmap(textpipe.analyze, docs, cfg.jobs)
-    tags, matches, _ = _pipeline(cfg, docs, analyses, fg, onto, bg)
-    instances = exmod.fill_templates(matches, tags, analyses, onto, fg, cfg.lang)
+
+    def render(shard, analyses, tags, matches):
+        return exmod.write_output(
+            exmod.fill_templates(matches, tags, analyses, onto, fg, cfg.lang))
+
+    texts = _shard_texts(cfg, docs, onto, bg, fg, render)
     header = json.dumps({"config": cfg.echo()}, ensure_ascii=False)
-    _write_out(cfg, header + "\n" + exmod.write_output(instances))
+    _write_out(cfg, header + "\n" + "".join(texts))
     return 0
 
 
@@ -372,7 +449,7 @@ def _cmd_kwic(cfg: RunConfig, args) -> int:
 
 def _cmd_patterns(cfg: RunConfig, args) -> int:
     docs, tags = _load_query_corpus(cfg, args)
-    analyses = _pmap(textpipe.analyze, docs, cfg.jobs)
+    analyses = [textpipe.analyze(d) for d in docs]
     entries = workbench.pattern_report(analyses, tags, args.target,
                                        window=cfg.window, top=args.top)
     out = (f"# patterns target={args.target} top={args.top} "

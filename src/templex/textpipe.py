@@ -103,6 +103,7 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
         return [_read_raw(text, doc_id)]
 
     docs: list[Document] = []
+    seen_ids: set[str] = set()
     cur_doc: Document | None = None
     cur_sent: list[Token] = []
     offset = 0
@@ -119,11 +120,12 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected `#DOC <id>`", path=path, line=lineno)
-            if any(d.doc_id == parts[1] for d in docs):
+            if parts[1] in seen_ids:
                 raise ParseError(f"duplicate document id {parts[1]}",
                                  path=path, line=lineno)
             cur_doc = Document(parts[1])
             docs.append(cur_doc)
+            seen_ids.add(parts[1])
             offset = 0
             continue
         if line.startswith("#"):
@@ -141,6 +143,7 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
         if cur_doc is None:
             cur_doc = Document(doc_id)
             docs.append(cur_doc)
+            seen_ids.add(cur_doc.doc_id)
         # char spans index a canonical detokenisation: tokens joined by single
         # spaces, sentences by newlines
         start = offset

@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .bg_lexicon import BgLexicon, BgSense
-from .errors import ParseError
+from .errors import ParseError, parse_number
 from .textpipe import Document, lexicon_pos
 from .wsd import (BayesModel, _doc_positions, _window_lemmas, apply_ospd,
                   disambiguate_background, train_bayes)
@@ -189,6 +189,9 @@ def save_tuned_lexicon(tuned: TunedLexicon) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PARAM_TYPES = {"min_occurrences": int, "window": int, "alpha": float, "top_k": int}
+
+
 def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "tunedlex v1":
@@ -205,16 +208,10 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
         elif kind == "params":
             for tok in parts[1:]:
                 k, _, v = tok.partition("=")
-                if k == "min_occurrences":
-                    tuned.params.min_occurrences = int(v)
-                elif k == "window":
-                    tuned.params.window = int(v)
-                elif k == "alpha":
-                    tuned.params.alpha = float(v)
-                elif k == "top_k":
-                    tuned.params.top_k = int(v)
-                else:
+                number = _PARAM_TYPES.get(k)
+                if number is None:
                     raise ParseError(f"unknown param {k!r}", path=path, line=lineno)
+                setattr(tuned.params, k, parse_number(number, v, path=path, line=lineno))
         elif kind == "sense":
             if len(parts) < 5:
                 raise ParseError("expected `sense <lemma> <pos> <id> <CLASS>`",
@@ -236,7 +233,7 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
             pairs = []
             for item in parts[4].split(","):
                 w, _, weight = item.rpartition(":")
-                pairs.append((w, float(weight)))
+                pairs.append((w, parse_number(float, weight, path=path, line=lineno)))
             tuned.discriminators[(parts[1], parts[2], parts[3])] = pairs
         else:
             raise ParseError(f"bad tunedlex line {line!r}", path=path, line=lineno)

@@ -21,7 +21,7 @@ from .bg_lexicon import BgLexicon, BgSense
 from .decisionlist import (DecisionList, DecisionRule, DLInstance, DLParams,
                            apply_decision_list, instance_features,
                            learn_decision_list)
-from .errors import ParseError
+from .errors import ParseError, parse_number
 from .fg_lexicon import Diagnostic, FgLexicon, Realization
 from .ontology import Ontology
 from .textpipe import (DocAnalysis, Document, Token, is_passive_vg,
@@ -482,13 +482,14 @@ def load_bayes_model(text: str, path: str = "<string>") -> BayesModel:
         if not parts:
             continue
         if parts[0] == "window" and len(parts) == 2:
-            model.window = int(parts[1])
+            model.window = parse_number(int, parts[1], path=path, line=lineno)
         elif parts[0] == "alpha" and len(parts) == 2:
-            model.alpha = float(parts[1])
+            model.alpha = parse_number(float, parts[1], path=path, line=lineno)
         elif parts[0] == "prior" and len(parts) == 3:
-            model.class_priors[parts[1]] = float(parts[2])
+            model.class_priors[parts[1]] = parse_number(float, parts[2], path=path, line=lineno)
         elif parts[0] == "weight" and len(parts) == 4:
-            model.weights[(parts[1], parts[2])] = float(parts[3])
+            model.weights[(parts[1], parts[2])] = parse_number(float, parts[3], path=path,
+                                                               line=lineno)
             model.vocab.add(parts[1])
         else:
             raise ParseError(f"bad model line {line!r}", path=path, line=lineno)
@@ -520,6 +521,7 @@ def dump_tagged_corpus(docs: list[Document], tags: dict[TokenKey, SenseTag],
 def load_tagged_corpus(text: str, path: str = "<string>") \
         -> tuple[list[Document], dict[TokenKey, SenseTag]]:
     docs: list[Document] = []
+    seen_ids: set[str] = set()
     tags: dict[TokenKey, SenseTag] = {}
     cur_doc: Document | None = None
     cur_sent: list[Token] = []
@@ -537,11 +539,12 @@ def load_tagged_corpus(text: str, path: str = "<string>") \
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected `#DOC <id>`", path=path, line=lineno)
-            if any(d.doc_id == parts[1] for d in docs):
+            if parts[1] in seen_ids:
                 raise ParseError(f"duplicate document id {parts[1]}",
                                  path=path, line=lineno)
             cur_doc = Document(parts[1])
             docs.append(cur_doc)
+            seen_ids.add(parts[1])
             offset = 0
             continue
         if line.startswith("#"):
@@ -557,6 +560,7 @@ def load_tagged_corpus(text: str, path: str = "<string>") \
         if cur_doc is None:
             cur_doc = Document("d1")
             docs.append(cur_doc)
+            seen_ids.add(cur_doc.doc_id)
         start = offset
         offset += len(surface) + 1
         tok = Token(surface, lemma, pos, cur_doc.doc_id,

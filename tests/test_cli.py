@@ -218,3 +218,50 @@ def test_pipeline_order_is_a_config_point(tmp_path):
     # needs the classifier (the ambiguous "bank"); the default order finds them
     assert fg_first < bg_first
     assert bg_first - fg_first == {("d06", 3), ("d07", 7)}
+
+
+def _extract_with_tuned(tmp_path, text):
+    tuned = tmp_path / "t.tl"
+    tuned.write_text(text)
+    args = ["extract",
+            "--ontology", fixture_path("succession.onto"),
+            "--fg-lexicon", fixture_path("succession.fglex"),
+            "--tuned-lexicon", str(tuned),
+            "--corpus", fixture_path("succession.vrt"),
+            "--output", str(tmp_path / "out.jsonl")]
+    return run(args), str(tuned)
+
+
+def test_config_bad_number_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# run settings\nwindow = x\n")
+    args, _ = base_args(tmp_path, "wsd", "o.vrt", ["--config", str(cfg)])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: bad number 'x'" in err
+
+
+def test_tuned_lexicon_bad_param_exit_two(tmp_path, capsys):
+    rc, path = _extract_with_tuned(
+        tmp_path, "tunedlex v1\ncorpus -\n"
+                  "params min_occurrences=5 window=10 alpha=x top_k=10\n")
+    assert rc == 2
+    assert f"{path}:3: bad number 'x'" in capsys.readouterr().err
+
+
+def test_tuned_lexicon_bad_discriminator_weight_exit_two(tmp_path, capsys):
+    rc, path = _extract_with_tuned(
+        tmp_path, "tunedlex v1\nsense bank noun s1 ORGANISATION\n"
+                  "disc bank noun s1 loan:0.5,rate:high\n")
+    assert rc == 2
+    assert f"{path}:3: bad number 'high'" in capsys.readouterr().err
+
+
+def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):
+    rc, path = _extract_with_tuned(
+        tmp_path, "tunedlex v1\nsense bank noun s1 NOSUCH\n"
+                  "sense school noun s1 ORGANISATION\n")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}: bank/noun/s1: unknown class NOSUCH" in err
+    assert "school" not in err

@@ -6,6 +6,7 @@ import pytest
 
 from templex import (apply_ospd, classify_bayes, disambiguate_background,
                      load_bayes_model, save_bayes_model, train_bayes)
+from templex.errors import ParseError
 from templex.textpipe import lexicon_pos
 from templex.wsd import dump_tagged_corpus, load_tagged_corpus
 from helpers import make_doc, ospd_noisy_tags
@@ -220,3 +221,18 @@ def test_tagged_corpus_roundtrip(corpus, bg):
         assert tags2[key].sense_id == tags[key].sense_id
         assert tags2[key].method == tags[key].method
     assert dump_tagged_corpus(docs2, tags2, {"window": 10}) == text
+
+
+def test_model_file_bad_number_names_path_and_line():
+    text = "bayesmodel v1\nalpha 0.100000\nwindow 3@\n"
+    with pytest.raises(ParseError, match=r"^m\.bm:3: bad number '3@'$"):
+        load_bayes_model(text, "m.bm")
+    for line in ("alpha x", "prior ORG x", "weight loan ORG -"):
+        with pytest.raises(ParseError, match=r"^m\.bm:2: bad number"):
+            load_bayes_model(f"bayesmodel v1\n{line}\n", "m.bm")
+
+
+def test_tagged_corpus_duplicate_document_id_rejected():
+    text = "#DOC a\nx\tx\tNN\t-\n\n#DOC b\ny\ty\tNN\t-\n\n#DOC a\nz\tz\tNN\t-\n"
+    with pytest.raises(ParseError, match=r"^t\.vrt:7: duplicate document id a$"):
+        load_tagged_corpus(text, "t.vrt")
