@@ -46,9 +46,6 @@ class BgLexicon:
     senses_by_key: dict[tuple[str, str], list[BgSense]] = field(default_factory=dict)
     collapsed: bool = False
 
-    def keys(self) -> list[tuple[str, str]]:
-        return list(self.senses_by_key)
-
     def entries(self, lemma: str, pos: str) -> list[BgSense]:
         """Full sense records for the key, in sense-id order; empty if unknown."""
         return list(self.senses_by_key.get((lemma.lower(), pos), ()))
@@ -59,7 +56,7 @@ class BgLexicon:
         Only meaningful on a collapsed lexicon; raises otherwise.
         """
         if not self.collapsed:
-            raise RuntimeError("bg_senses requires a collapsed lexicon")
+            raise RuntimeError("senses requires a collapsed lexicon")
         out = [(s.sense_id, s.coarse_class) for s in self.entries(lemma, pos)]
         return out, len(out) > 1
 
@@ -193,7 +190,6 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
     for key, ss in lex.senses_by_key.items():
         lemma, pos = key
         by_coarse: dict[str, BgSense] = {}
-        order: list[str] = []
         for s in ss:
             coarse = coarse_class_for(s.fine_class, cmap, onto)
             if coarse is None:
@@ -210,10 +206,7 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
                     f"{coarse}, which is not in the verb scheme")
             collapsed = replace(s, coarse_class=coarse)
             kept = by_coarse.get(coarse)
-            if kept is None:
-                by_coarse[coarse] = collapsed
-                order.append(coarse)
-            elif collapsed.sense_id < kept.sense_id:
+            if kept is None or collapsed.sense_id < kept.sense_id:
                 by_coarse[coarse] = collapsed
         merged = sorted(by_coarse.values(), key=lambda s: s.sense_id)
         out.senses_by_key[key] = merged

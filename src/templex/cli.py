@@ -277,7 +277,7 @@ def _load_corpus(cfg: RunConfig) -> list[textpipe.Document]:
 
 
 def _load_background(cfg: RunConfig, onto: ontomod.Ontology):
-    """Collapsed background lexicon, or the tuned view when one is given."""
+    """Collapsed background lexicon, tuned when a tuned lexicon is given."""
     if cfg.tuned_lexicon:
         tuned = tunemod.load_tuned_lexicon(_read(cfg.tuned_lexicon), cfg.tuned_lexicon)
         _check_classes(tuned.base, onto, cfg.tuned_lexicon)
@@ -298,42 +298,13 @@ def _check_classes(bg: bgmod.BgLexicon, onto: ontomod.Ontology, path: str) -> No
         raise LexiconError(f"{path}: " + "; ".join(problems))
 
 
-def _background_tags(cfg: RunConfig, model, docs, bg):
-    tags = wsdmod.disambiguate_background(model, docs, bg)
-    return wsdmod.apply_ospd(tags, bg) if cfg.ospd else tags
-
-
-def _unambiguous_tags(docs, bg):
-    """Tags from coarse-unambiguous lemmas only (the fg-first pipeline order)."""
-    tags: dict = {}
-    for doc in docs:
-        for tok in doc.tokens():
-            pos = textpipe.lexicon_pos(tok.pos)
-            if pos is None:
-                continue
-            entries = bg.entries(tok.lemma, pos)
-            if len(entries) == 1:
-                s = entries[0]
-                tags[(doc.doc_id, tok.sent_idx, tok.tok_idx)] = wsdmod.SenseTag(
-                    doc.doc_id, tok.sent_idx, tok.tok_idx, tok.lemma, pos,
-                    s.sense_id, s.coarse_class, 0.0, "unambiguous")
-    return tags
-
-
-def _match(cfg: RunConfig, analyses, fg, tags, onto, bg):
-    matches, _ = wsdmod.match_foreground(
-        analyses, fg, tags, onto, bg, lang=cfg.lang,
-        passive_lone=cfg.passive_implicature, window=cfg.window)
-    return matches
-
-
 def _shard_texts(cfg: RunConfig, docs, onto, bg, fg, render) -> list[str]:
     """Train once over all documents, then tag, match and render by shard.
 
     Each shard runs background tagging, OSPD and (given a foreground
     lexicon) analysis and foreground matching under the configured order:
-    bg-first feeds classifier tags into the matcher; fg-first matches on
-    coarse-unambiguous tags alone, then classifies the rest.  Then
+    bg-first feeds the final background tags into the matcher; fg-first
+    matches on the coarse-unambiguous tags alone, taken before OSPD.  Then
     `render(shard_docs, analyses, tags, matches)` turns it into text;
     analyses and matches are None without a foreground lexicon.
     """
@@ -341,15 +312,17 @@ def _shard_texts(cfg: RunConfig, docs, onto, bg, fg, render) -> list[str]:
 
     def job(lo: int, hi: int) -> str:
         shard = docs[lo:hi]
+        tags = wsdmod.disambiguate_background(model, shard, bg)
+        anchors = ({k: t for k, t in tags.items() if t.method == "unambiguous"}
+                   if cfg.order == "fg-first" else None)
+        if cfg.ospd:
+            tags = wsdmod.apply_ospd(tags, bg)
         if fg is None:
-            return render(shard, None, _background_tags(cfg, model, shard, bg), None)
+            return render(shard, None, tags, None)
         analyses = [textpipe.analyze(d) for d in shard]
-        if cfg.order == "fg-first":
-            matches = _match(cfg, analyses, fg, _unambiguous_tags(shard, bg), onto, bg)
-            tags = _background_tags(cfg, model, shard, bg)
-        else:
-            tags = _background_tags(cfg, model, shard, bg)
-            matches = _match(cfg, analyses, fg, tags, onto, bg)
+        matches, _ = wsdmod.match_foreground(
+            analyses, fg, tags if anchors is None else anchors, onto, bg, lang=cfg.lang,
+            passive_lone=cfg.passive_implicature, window=cfg.window)
         return render(shard, analyses, tags, matches)
 
     sizes = [sum(len(sent) for sent in d.sentences) for d in docs]

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .decisionlist import DecisionRule
-from .errors import CycleError, LexiconError, ParseError
-from .ontology import Ontology
+from .errors import LexiconError, ParseError
+from .ontology import Ontology, check_acyclic
 
 POS_TAGS = ("verb", "noun", "adj")
 GR_KEYS = ("subj", "dobj", "iobj")  # plus pp:<prep>
@@ -124,9 +124,6 @@ class Realization:
     overrides: RawOverrides = field(default_factory=RawOverrides)
     effective: ConceptNode | None = None
     line: int = 0
-
-    def role_for(self, gr_key: str) -> str | None:
-        return self.complement_map.get(gr_key)
 
 
 @dataclass
@@ -383,23 +380,10 @@ def _build_node(cid: str, merged: dict, line: int) -> ConceptNode:
 
 def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
     """Flatten the hierarchy; resolving an already-flat lexicon is the identity."""
-    # cycle check over concept parents
-    state: dict[str, int] = {}
-    for start in raw.concepts:
-        if state.get(start) == 2:
-            continue
-        walk: list[str] = []
-        cur: str | None = start
-        while cur is not None and state.get(cur) != 2:
-            if state.get(cur) == 1:
-                raise CycleError(walk[walk.index(cur):], what="concept")
-            if cur not in raw.concepts:
-                raise LexiconError(f"unknown parent concept {cur}")
-            state[cur] = 1
-            walk.append(cur)
-            cur = raw.concepts[cur].parent
-        for cid in walk:
-            state[cid] = 2
+    for node in raw.concepts.values():
+        if node.parent is not None and node.parent not in raw.concepts:
+            raise LexiconError(f"unknown parent concept {node.parent}")
+    check_acyclic({cid: node.parent for cid, node in raw.concepts.items()}, "concept")
 
     concepts: dict[str, ConceptNode] = {}
     for cid, node in raw.concepts.items():

@@ -49,9 +49,6 @@ class Ontology:
     classes: dict[str, SemClass] = field(default_factory=dict)
     schemas: dict[str, TemplateSchema] = field(default_factory=dict)
 
-    def has_class(self, cid: str) -> bool:
-        return cid in self.classes
-
     def ancestry(self, cid: str) -> list[str]:
         """The class itself followed by its parent chain up to a root."""
         if cid not in self.classes:
@@ -185,28 +182,32 @@ def _validate(onto: Ontology, path: str, class_lines: dict[str, int]) -> None:
         if cls.parent is not None and cls.parent not in onto.classes:
             raise ParseError(f"class {cls.id}: dangling parent {cls.parent}",
                              path=path, line=class_lines.get(cls.id))
-    # cycle detection: colour walk over the single-parent graph
-    state: dict[str, int] = {}  # 1 = on current walk, 2 = done
-    for start in onto.classes:
-        if state.get(start) == 2:
-            continue
-        walk: list[str] = []
-        cur: str | None = start
-        while cur is not None and state.get(cur) != 2:
-            if state.get(cur) == 1:
-                members = walk[walk.index(cur):]
-                raise CycleError(members)
-            state[cur] = 1
-            walk.append(cur)
-            cur = onto.classes[cur].parent
-        for cid in walk:
-            state[cid] = 2
+    check_acyclic({cid: cls.parent for cid, cls in onto.classes.items()}, "class")
     for schema in onto.schemas.values():
         for s in schema.slots:
             if s.filler_class not in onto.classes:
                 raise ParseError(
                     f"template {schema.name}: slot {s.name} filler class "
                     f"{s.filler_class} is not declared", path=path)
+
+
+def check_acyclic(parents: dict[str, str | None], what: str) -> None:
+    """Raise CycleError if a parent chain loops; every parent must be a key.
+
+    A colour walk over the single-parent graph: each node is visited once.
+    """
+    state: dict[str, int] = {}  # 1 = on current walk, 2 = done
+    for start in parents:
+        walk: list[str] = []
+        cur: str | None = start
+        while cur is not None and state.get(cur) != 2:
+            if state.get(cur) == 1:
+                raise CycleError(walk[walk.index(cur):], what=what)
+            state[cur] = 1
+            walk.append(cur)
+            cur = parents[cur]
+        for node in walk:
+            state[node] = 2
 
 
 def dump_ontology(onto: Ontology) -> str:

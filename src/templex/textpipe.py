@@ -101,8 +101,18 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
     """
     if raw:
         return [_read_raw(text, doc_id)]
+    return _read_vertical(text, 3, doc_id, path)[0]
 
+
+def _read_vertical(text: str, ncols: int, doc_id: str, path: str) \
+        -> tuple[list[Document], list[tuple[Token, str, int]]]:
+    """The one vertical reader: 3 columns, or 4 for the sense-tagged corpus.
+
+    Returns the documents and, with 4 columns, `(token, 4th column, line
+    number)` for every token in input order.
+    """
     docs: list[Document] = []
+    extras: list[tuple[Token, str, int]] = []
     seen_ids: set[str] = set()
     cur_doc: Document | None = None
     cur_sent: list[Token] = []
@@ -134,10 +144,10 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
             end_sentence()
             continue
         cols = line.split("\t")
-        if len(cols) != 3:
-            raise ParseError(f"expected 3 tab-separated columns, got {len(cols)}",
+        if len(cols) != ncols:
+            raise ParseError(f"expected {ncols} tab-separated columns, got {len(cols)}",
                              path=path, line=lineno)
-        surface, lemma, pos = cols
+        surface, lemma, pos = cols[:3]
         if pos not in TAGSET:
             raise ParseError(f"unknown POS tag {pos!r}", path=path, line=lineno)
         if cur_doc is None:
@@ -148,10 +158,13 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
         # spaces, sentences by newlines
         start = offset
         offset += len(surface) + 1
-        cur_sent.append(Token(surface, lemma, pos, cur_doc.doc_id,
-                              len(cur_doc.sentences), len(cur_sent), (start, start + len(surface))))
+        tok = Token(surface, lemma, pos, cur_doc.doc_id,
+                    len(cur_doc.sentences), len(cur_sent), (start, start + len(surface)))
+        cur_sent.append(tok)
+        if ncols == 4:
+            extras.append((tok, cols[3], lineno))
     end_sentence()
-    return docs
+    return docs, extras
 
 
 def _read_raw(text: str, doc_id: str) -> Document:

@@ -42,46 +42,9 @@ class TunedLexicon:
     corpus_id: str = ""
     params: TuneParams = field(default_factory=TuneParams)
 
-
-@dataclass
-class TunedView:
-    """Lookup view of a tuned lexicon: ejected senses invisible, base untouched."""
-
-    tuned: TunedLexicon
-    _filtered: BgLexicon = field(init=False, repr=False)
-
-    def __post_init__(self):
-        filtered = BgLexicon(collapsed=self.tuned.base.collapsed)
-        for key, senses in self.tuned.base.senses_by_key.items():
-            gone = self.tuned.ejected.get(key, set())
-            kept = [s for s in senses if s.sense_id not in gone]
-            if kept:
-                filtered.senses_by_key[key] = kept
-        self._filtered = filtered
-
-    @property
-    def collapsed(self) -> bool:
-        return self._filtered.collapsed
-
-    @property
-    def senses_by_key(self):
-        return self._filtered.senses_by_key
-
-    def keys(self):
-        return self._filtered.keys()
-
-    def entries(self, lemma: str, pos: str) -> list[BgSense]:
-        return self._filtered.entries(lemma, pos)
-
-    def senses(self, lemma: str, pos: str):
-        return self._filtered.senses(lemma, pos)
-
-    def coarse_classes(self) -> list[str]:
-        return self._filtered.coarse_classes()
-
     def discriminators_for(self, lemma: str, pos: str,
                            sense_id: str) -> list[tuple[str, float]]:
-        return list(self.tuned.discriminators.get((lemma.lower(), pos, sense_id), ()))
+        return list(self.discriminators.get((lemma.lower(), pos, sense_id), ()))
 
 
 def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
@@ -157,8 +120,15 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
     return TunedLexicon(bg, ejected, discriminators, corpus_id, params)
 
 
-def apply_tuning(tuned: TunedLexicon) -> TunedView:
-    return TunedView(tuned)
+def apply_tuning(tuned: TunedLexicon) -> BgLexicon:
+    """The base lexicon without its ejected senses; the base is left untouched."""
+    out = BgLexicon(collapsed=tuned.base.collapsed)
+    for key, senses in tuned.base.senses_by_key.items():
+        gone = tuned.ejected.get(key, set())
+        kept = [s for s in senses if s.sense_id not in gone]
+        if kept:
+            out.senses_by_key[key] = kept
+    return out
 
 
 # ---------------------------------------------------------- persistence

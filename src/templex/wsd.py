@@ -18,14 +18,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
 from .bg_lexicon import BgLexicon, BgSense
-from .decisionlist import (DecisionList, DecisionRule, DLInstance, DLParams,
-                           apply_decision_list, instance_features,
-                           learn_decision_list)
+from .decisionlist import (DecisionList, DecisionRule, DLInstance,
+                           apply_decision_list)
 from .errors import ParseError, parse_number
 from .fg_lexicon import Diagnostic, FgLexicon, Realization
 from .ontology import Ontology
-from .textpipe import (DocAnalysis, Document, Token, is_passive_vg,
-                       lexicon_pos)
+from .textpipe import (DocAnalysis, Document, Token, _read_vertical,
+                       is_passive_vg, lexicon_pos)
 
 UNFILLED = "UNFILLED"
 SALIENT = "SALIENT"
@@ -520,60 +519,18 @@ def dump_tagged_corpus(docs: list[Document], tags: dict[TokenKey, SenseTag],
 
 def load_tagged_corpus(text: str, path: str = "<string>") \
         -> tuple[list[Document], dict[TokenKey, SenseTag]]:
-    docs: list[Document] = []
-    seen_ids: set[str] = set()
+    """Read a sense-tagged corpus: the vertical reader plus the 4th column."""
+    docs, extras = _read_vertical(text, 4, "d1", path)
     tags: dict[TokenKey, SenseTag] = {}
-    cur_doc: Document | None = None
-    cur_sent: list[Token] = []
-    offset = 0
-
-    def end_sentence():
-        nonlocal cur_sent
-        if cur_sent and cur_doc is not None:
-            cur_doc.sentences.append(cur_sent)
-        cur_sent = []
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#DOC"):
-            end_sentence()
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("expected `#DOC <id>`", path=path, line=lineno)
-            if parts[1] in seen_ids:
-                raise ParseError(f"duplicate document id {parts[1]}",
-                                 path=path, line=lineno)
-            cur_doc = Document(parts[1])
-            docs.append(cur_doc)
-            seen_ids.add(parts[1])
-            offset = 0
+    for tok, tagcol, lineno in extras:
+        if tagcol == "-":
             continue
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            end_sentence()
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ParseError(f"expected 4 tab-separated columns, got {len(cols)}",
-                             path=path, line=lineno)
-        surface, lemma, pos, tagcol = cols
-        if cur_doc is None:
-            cur_doc = Document("d1")
-            docs.append(cur_doc)
-            seen_ids.add(cur_doc.doc_id)
-        start = offset
-        offset += len(surface) + 1
-        tok = Token(surface, lemma, pos, cur_doc.doc_id,
-                    len(cur_doc.sentences), len(cur_sent), (start, start + len(surface)))
-        cur_sent.append(tok)
-        if tagcol != "-":
-            bits = tagcol.split("/")
-            if len(bits) != 3:
-                raise ParseError(f"bad tag column {tagcol!r}", path=path, line=lineno)
-            tags[(tok.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(
-                tok.doc_id, tok.sent_idx, tok.tok_idx, lemma,
-                lexicon_pos(pos) or "noun", bits[0], bits[1], 0.0, bits[2])
-    end_sentence()
+        bits = tagcol.split("/")
+        if len(bits) != 3:
+            raise ParseError(f"bad tag column {tagcol!r}", path=path, line=lineno)
+        tags[(tok.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(
+            tok.doc_id, tok.sent_idx, tok.tok_idx, tok.lemma,
+            lexicon_pos(tok.pos) or "noun", bits[0], bits[1], 0.0, bits[2])
     return docs, tags
 
 
@@ -583,6 +540,4 @@ __all__ = [
     "match_foreground", "apply_foreground_priority", "surviving_sense_count",
     "save_bayes_model", "load_bayes_model",
     "dump_tagged_corpus", "load_tagged_corpus",
-    "DecisionList", "DecisionRule", "DLInstance", "DLParams",
-    "learn_decision_list", "apply_decision_list", "instance_features",
 ]

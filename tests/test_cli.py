@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from templex.cli import main
 from helpers import fixture_path, fixture_text
 
@@ -23,6 +25,31 @@ def test_extract_matches_golden(tmp_path):
     args, out = base_args(tmp_path, "extract", "out.jsonl")
     assert run(args) == 0
     assert out.read_bytes() == open(fixture_path("succession_gold.jsonl"), "rb").read()
+
+
+def test_extract_fg_first_matches_golden(tmp_path):
+    args, out = base_args(tmp_path, "extract", "out.jsonl", ["--order", "fg-first"])
+    assert run(args) == 0
+    assert out.read_bytes() == Path(fixture_path("succession_fgfirst_gold.jsonl")).read_bytes()
+
+
+def test_tuned_lexicon_runs_match_golden(tmp_path):
+    targs, tuned = base_args(tmp_path, "tune", "t.tl", ["--min-occurrences", "2"])
+    assert run(targs) == 0
+    assert tuned.read_bytes() == Path(fixture_path("succession_min2.tunedlex")).read_bytes()
+    # the 8 ejected senses change background tags but no extracted instance
+    for command, gold, extra in (
+            ("extract", "succession_gold.jsonl",
+             ["--fg-lexicon", fixture_path("succession.fglex")]),
+            ("wsd", "succession_tuned_gold.vrt", [])):
+        out = tmp_path / f"{command}.out"
+        args = [command,
+                "--ontology", fixture_path("succession.onto"),
+                "--tuned-lexicon", str(tuned),
+                "--corpus", fixture_path("succession.vrt"),
+                "--output", str(out), *extra]
+        assert run(args) == 0
+        assert out.read_bytes() == Path(fixture_path(gold)).read_bytes()
 
 
 def test_extract_deterministic_and_jobs_independent(tmp_path):
@@ -116,6 +143,15 @@ def test_kwic_cli(tmp_path):
     text = out.read_text()
     assert text.startswith("# kwic query=")
     assert "matches=7" in text
+
+
+def test_kwic_tagged_unknown_pos_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.vrt"
+    bad.write_text("#DOC d1\nx\tx\tNN\t-\ny\ty\tXX\t-\n")
+    args = ["kwic", "--tagged", str(bad), "--query", "lemma=x",
+            "--output", str(tmp_path / "k.txt")]
+    assert run(args) == 2
+    assert f"{bad}:3: unknown POS tag 'XX'" in capsys.readouterr().err
 
 
 def test_kwic_cli_class_query_needs_tagged_corpus(tmp_path):

@@ -87,8 +87,7 @@ def test_view_without_ejections_equals_base(bg, corpus):
 
 
 def test_discriminators_queryable_and_ranked(tuned):
-    view = apply_tuning(tuned)
-    discs = view.discriminators_for("bank", "noun", "s1")
+    discs = tuned.discriminators_for("bank", "noun", "s1")
     assert discs
     assert len(discs) <= tuned.params.top_k
     weights = [w for _, w in discs]
@@ -104,7 +103,7 @@ def test_discriminators_restricted_to_cooccurring_words(tuned, corpus):
                 for j in range(max(0, i - 10), min(len(flat), i + 10 + 1)):
                     if j != i and flat[j].pos != "PUNCT":
                         cooc.add(flat[j].lemma)
-    for w, _ in apply_tuning(tuned).discriminators_for("bank", "noun", "s1"):
+    for w, _ in tuned.discriminators_for("bank", "noun", "s1"):
         assert w in cooc
 
 

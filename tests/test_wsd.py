@@ -1,13 +1,16 @@
 import math
 import random
+import string
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templex import (apply_ospd, classify_bayes, disambiguate_background,
                      load_bayes_model, save_bayes_model, train_bayes)
 from templex.errors import ParseError
-from templex.textpipe import lexicon_pos
+from templex.textpipe import TAGSET, lexicon_pos, read_corpus
 from templex.wsd import dump_tagged_corpus, load_tagged_corpus
 from helpers import make_doc, ospd_noisy_tags
 
@@ -236,3 +239,72 @@ def test_tagged_corpus_duplicate_document_id_rejected():
     text = "#DOC a\nx\tx\tNN\t-\n\n#DOC b\ny\ty\tNN\t-\n\n#DOC a\nz\tz\tNN\t-\n"
     with pytest.raises(ParseError, match=r"^t\.vrt:7: duplicate document id a$"):
         load_tagged_corpus(text, "t.vrt")
+
+
+def test_tagged_corpus_unknown_pos_rejected():
+    # the tagged corpus is the vertical format plus a column: same tagset
+    text = "#DOC a\nx\tx\tNN\t-\ny\ty\tXX\t-\n"
+    with pytest.raises(ParseError, match=r"^t\.vrt:3: unknown POS tag 'XX'$"):
+        load_tagged_corpus(text, "t.vrt")
+
+
+# ------------------------------------------- properties of the vertical reader
+
+_WORDS = st.text(string.ascii_letters + string.digits + ".,!?'-", min_size=1, max_size=6)
+_TOKEN = st.tuples(_WORDS, _WORDS, st.sampled_from(sorted(TAGSET))).map("\t".join)
+
+
+@st.composite
+def vertical_corpora(draw):
+    """Vertical text: an optional implicit first document, then `#DOC`
+    blocks of sentences split by one or more blank lines, with comments."""
+    lines = []
+    n_docs = draw(st.integers(0, 4))
+    implicit = draw(st.booleans())
+    for d in range(n_docs):
+        if d or not implicit:
+            lines.append(f"#DOC doc{d}")
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                lines.append("# a comment")
+            lines.extend(draw(st.lists(_TOKEN, min_size=1, max_size=5)))
+            lines.extend([""] * draw(st.integers(1, 2)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=vertical_corpora())
+def test_tagged_dump_of_a_corpus_reloads_as_the_corpus(text):
+    docs = read_corpus(text)
+    docs2, tags = load_tagged_corpus(dump_tagged_corpus(docs, {}))
+    # Token equality covers sentence and token indices and char_span
+    assert docs2 == docs
+    assert tags == {}
+
+
+_POS = st.sampled_from(["NN", "VBD", "XX", ""])
+_TAG = st.sampled_from(["-", "s1/C/bayes", "a/b", "a/b/c/d", ""])
+_MUTANT = st.one_of(
+    st.text(" \tab/#-.DOCNXV", max_size=16),
+    st.lists(st.sampled_from(["a", "", "NN", "XX", "-", "s1/C/bayes",
+                              "#DOC", "#DOC doc0", "#DOC a b"]),
+             min_size=1, max_size=5).map("\t".join),
+    st.tuples(_WORDS, _WORDS, _POS).map("\t".join),
+    st.tuples(_WORDS, _WORDS, _POS, _TAG).map("\t".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=vertical_corpora(), tagged=st.booleans(), data=st.data())
+def test_one_line_mutation_loads_or_names_path_and_line(text, tagged, data):
+    if tagged:
+        text = dump_tagged_corpus(read_corpus(text), {})
+    lines = text.splitlines()
+    at = data.draw(st.integers(0, len(lines)))
+    lines[at:at + 1] = [data.draw(_MUTANT)]
+    mutated = "\n".join(lines) + "\n"
+    reader = load_tagged_corpus if tagged else read_corpus
+    try:
+        reader(mutated, path="m.vrt")
+    except ParseError as exc:
+        assert exc.path == "m.vrt"
+        assert 1 <= exc.line <= len(mutated.splitlines())
