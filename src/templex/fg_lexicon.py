@@ -111,6 +111,7 @@ class RawRealization:
 class RawLexicon:
     concepts: dict[str, RawConcept] = field(default_factory=dict)
     realizations: list[RawRealization] = field(default_factory=list)
+    path: str = "<string>"
 
 
 @dataclass
@@ -207,7 +208,7 @@ def _parse_feature(text: str, path: str, lineno: int) -> tuple[str, str]:
 
 def parse_fg_lexicon(text: str, path: str = "<string>") -> RawLexicon:
     """Parse the foreground DSL; inheritance links are kept unresolved."""
-    raw = RawLexicon()
+    raw = RawLexicon(path=path)
     cur: RawConcept | RawRealization | None = None
     seen_keys: set[tuple[str, str, str, str]] = set()
 
@@ -382,7 +383,8 @@ def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
     """Flatten the hierarchy; resolving an already-flat lexicon is the identity."""
     for node in raw.concepts.values():
         if node.parent is not None and node.parent not in raw.concepts:
-            raise LexiconError(f"unknown parent concept {node.parent}")
+            raise ParseError(f"unknown parent concept {node.parent}",
+                             path=raw.path, line=node.line)
     check_acyclic({cid: node.parent for cid, node in raw.concepts.items()}, "concept")
 
     concepts: dict[str, ConceptNode] = {}

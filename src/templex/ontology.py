@@ -92,6 +92,7 @@ def load_ontology(text: str, path: str = "<string>") -> Ontology:
     """
     classes: dict[str, SemClass] = {}
     class_lines: dict[str, int] = {}
+    slot_lines: dict[tuple[str, str], int] = {}  # (template, slot) -> line
     schemas: dict[str, TemplateSchema] = {}
     cur_template: str | None = None
     cur_slots: list[SlotSpec] = []
@@ -169,15 +170,17 @@ def load_ontology(text: str, path: str = "<string>") -> Ontology:
                 raise ParseError(f"duplicate slot {sname} in template {cur_template}",
                                  path=path, line=lineno)
             cur_slots.append(SlotSpec(sname, fclass, required, multiplicity))
+            slot_lines[(cur_template, sname)] = lineno
 
     finish_template()
 
     onto = Ontology(classes, schemas)
-    _validate(onto, path, class_lines)
+    _validate(onto, path, class_lines, slot_lines)
     return onto
 
 
-def _validate(onto: Ontology, path: str, class_lines: dict[str, int]) -> None:
+def _validate(onto: Ontology, path: str, class_lines: dict[str, int],
+              slot_lines: dict[tuple[str, str], int]) -> None:
     for cls in onto.classes.values():
         if cls.parent is not None and cls.parent not in onto.classes:
             raise ParseError(f"class {cls.id}: dangling parent {cls.parent}",
@@ -188,7 +191,8 @@ def _validate(onto: Ontology, path: str, class_lines: dict[str, int]) -> None:
             if s.filler_class not in onto.classes:
                 raise ParseError(
                     f"template {schema.name}: slot {s.name} filler class "
-                    f"{s.filler_class} is not declared", path=path)
+                    f"{s.filler_class} is not declared",
+                    path=path, line=slot_lines.get((schema.name, s.name)))
 
 
 def check_acyclic(parents: dict[str, str | None], what: str) -> None:

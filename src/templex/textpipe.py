@@ -125,9 +125,11 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str) \
         cur_sent = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#DOC"):
-            end_sentence()
+        if line.startswith("#"):
             parts = line.split()
+            if parts[0] != "#DOC":
+                continue  # a comment
+            end_sentence()
             if len(parts) != 2:
                 raise ParseError("expected `#DOC <id>`", path=path, line=lineno)
             if parts[1] in seen_ids:
@@ -137,8 +139,6 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str) \
             docs.append(cur_doc)
             seen_ids.add(parts[1])
             offset = 0
-            continue
-        if line.startswith("#"):
             continue
         if not line.strip():
             end_sentence()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .bg_lexicon import BgLexicon, BgSense
 from .errors import ParseError, parse_number
 from .textpipe import Document, lexicon_pos
-from .wsd import (BayesModel, _doc_positions, _window_lemmas, apply_ospd,
+from .wsd import (BayesModel, _doc_positions, _lemma_row, _window, apply_ospd,
                   disambiguate_background, train_bayes)
 
 
@@ -75,13 +75,14 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
     cooc: dict[tuple[str, str], set[str]] = defaultdict(set)
     for doc in docs:
         flat = _doc_positions(doc)
+        row = _lemma_row(flat)
         for i, tok in enumerate(flat):
             pos = lexicon_pos(tok.pos)
             if pos is None or not bg.entries(tok.lemma, pos):
                 continue
             key = (tok.lemma, pos)
             occurrences[key] += 1
-            cooc[key].update(_window_lemmas(flat, i, params.window))
+            cooc[key].update(_window(row, i, params.window))
             tag = tags.get((doc.doc_id, tok.sent_idx, tok.tok_idx))
             if tag is not None:
                 assigned[(tok.lemma, pos, tag.sense_id)] += 1
@@ -104,16 +105,16 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
         if not occurrences.get(key, 0):
             continue
         gone = ejected.get(key, set())
+        context = sorted(cooc[key])
         for s in senses:
-            if s.sense_id in gone:
+            table = model.by_class.get(s.coarse_class)
+            if s.sense_id in gone or table is None:
                 continue
-            scored = []
-            for w in sorted(cooc[key]):
-                weight = model.weights.get((w, s.coarse_class))
-                if weight is not None:
-                    scored.append((w, weight))
-            scored.sort(key=lambda ws: (-ws[1], ws[0]))
-            top = scored[:params.top_k]
+            lemmas = table.lemmas()
+            # heaviest first, ties by lemma: sorting (-weight, lemma) pairs
+            # needs no key function
+            ranked = sorted([(-table[w], w) for w in context if w in lemmas])
+            top = [(w, -neg) for neg, w in ranked[:params.top_k]]
             if top:
                 discriminators[(key[0], key[1], s.sense_id)] = top
 

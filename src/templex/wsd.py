@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 from .bg_lexicon import BgLexicon, BgSense
@@ -32,13 +33,85 @@ SALIENT = "SALIENT"
 TokenKey = tuple[str, int, int]  # (doc_id, sent_idx, tok_idx)
 
 
-@dataclass
+class _ClassWeights(dict):
+    """lemma -> weight(lemma, c) for one class c.
+
+    A trained model keeps only c's observed context counts `counts`, its
+    context total `n_c` and the unigram probabilities `p` of the
+    vocabulary; each weight is computed on first read and kept.  A model
+    with explicit weights (loaded, or built by hand) stores them all, has
+    no `p`, and a vocabulary lemma without a weight weighs 0.
+    """
+
+    def __init__(self, counts: Counter | None = None, n_c: int = 0,
+                 p: dict[str, float] | None = None, alpha: float = 0.0):
+        super().__init__()
+        self.counts = counts
+        self.n_c = n_c
+        self.p = p
+        self.alpha = alpha
+
+    def lemmas(self):
+        """The lemmas that have a weight for this class."""
+        return self.keys() if self.p is None else self.p.keys()
+
+    def __missing__(self, lemma: str) -> float:
+        if self.p is None:
+            return 0.0
+        alpha = self.alpha
+        weight = self[lemma] = math.log((self.counts.get(lemma, 0) + alpha)
+                                        / (self.n_c * self.p[lemma] + alpha))
+        return weight
+
+
+class _WeightView(Mapping):
+    """Read-only (lemma, class) -> weight over every pair the model has."""
+
+    def __init__(self, by_class: dict[str, _ClassWeights]):
+        self._by_class = by_class
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        lemma, cls = key
+        table = self._by_class.get(cls)
+        if table is None or lemma not in table.lemmas():
+            raise KeyError(key)
+        return table[lemma]
+
+    def __iter__(self):
+        for cls, table in self._by_class.items():
+            for lemma in table.lemmas():
+                yield lemma, cls
+
+    def __len__(self) -> int:
+        return sum(len(table.lemmas()) for table in self._by_class.values())
+
+
 class BayesModel:
-    class_priors: dict[str, float] = field(default_factory=dict)
-    weights: dict[tuple[str, str], float] = field(default_factory=dict)
-    window: int = 10
-    alpha: float = 0.1
-    vocab: set[str] = field(default_factory=set)
+    """Class priors and per-class context weights of the background classifier.
+
+    `by_class` maps each class to its lemma -> weight table; `weights` reads
+    the same tables as a (lemma, class) -> weight mapping.  Explicit
+    `weights` given here fill the tables as they are.
+    """
+
+    def __init__(self, class_priors: dict[str, float] | None = None,
+                 weights: Mapping[tuple[str, str], float] | None = None,
+                 window: int = 10, alpha: float = 0.1,
+                 vocab: set[str] | None = None):
+        self.class_priors = {} if class_priors is None else class_priors
+        self.window = window
+        self.alpha = alpha
+        self.vocab = set() if vocab is None else vocab
+        self.by_class: dict[str, _ClassWeights] = {}
+        for (lemma, cls), weight in (weights or {}).items():
+            table = self.by_class.get(cls)
+            if table is None:
+                table = self.by_class[cls] = _ClassWeights()
+            table[lemma] = weight
+
+    @property
+    def weights(self) -> Mapping[tuple[str, str], float]:
+        return _WeightView(self.by_class)
 
 
 @dataclass(frozen=True)
@@ -74,11 +147,15 @@ def _doc_positions(doc: Document) -> list[Token]:
     return list(doc.tokens())
 
 
-def _window_lemmas(flat: list[Token], i: int, window: int) -> list[str]:
-    lo = max(0, i - window)
-    hi = min(len(flat), i + window + 1)
-    return [flat[j].lemma for j in range(lo, hi)
-            if j != i and flat[j].pos != "PUNCT"]
+def _lemma_row(flat: list[Token]) -> list[str | None]:
+    """Each token's lemma, None for punctuation: the row windows are cut from."""
+    return [None if tok.pos == "PUNCT" else tok.lemma for tok in flat]
+
+
+def _window(row: list[str | None], i: int, window: int) -> list[str]:
+    """The lemmas within +/-window of position i, except i and punctuation."""
+    ctx = row[max(0, i - window):i] + row[i + 1:i + window + 1]
+    return [lemma for lemma in ctx if lemma is not None]
 
 
 def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
@@ -87,24 +164,24 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
 
     weight(w, c) compares how often w appears within +/-window of class-c
     anchors against the count expected under the corpus unigram
-    distribution, with add-alpha smoothing on both sides.
+    distribution, with add-alpha smoothing on both sides.  Only the
+    observed (w, c) counts are stored; weights are computed on first use.
     """
     if not bg.collapsed:
         raise ValueError("train_bayes requires a collapsed background lexicon")
     classes = bg.coarse_classes()
     anchor_counts: Counter = Counter()
-    ctx_counts: Counter = Counter()      # (lemma, class) -> count
+    ctx_counts: dict[str, Counter] = defaultdict(Counter)  # class -> lemma -> count
     class_ctx_total: Counter = Counter()  # class -> total context tokens
     unigram: Counter = Counter()
     total_tokens = 0
-    vocab: set[str] = set()
 
     for doc in docs:
         flat = _doc_positions(doc)
-        for tok in flat:
-            if tok.pos != "PUNCT":
-                unigram[tok.lemma] += 1
-                total_tokens += 1
+        row = _lemma_row(flat)
+        words = [lemma for lemma in row if lemma is not None]
+        unigram.update(words)
+        total_tokens += len(words)
         for i, tok in enumerate(flat):
             pos = lexicon_pos(tok.pos)
             if pos is None:
@@ -114,10 +191,9 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
                 continue
             cls = entries[0].coarse_class
             anchor_counts[cls] += 1
-            for lemma in _window_lemmas(flat, i, window):
-                ctx_counts[(lemma, cls)] += 1
-                class_ctx_total[cls] += 1
-                vocab.add(lemma)
+            ctx = _window(row, i, window)
+            ctx_counts[cls].update(ctx)
+            class_ctx_total[cls] += len(ctx)
 
     if not anchor_counts:
         raise ValueError("no training anchors found (corpus/lexicon mismatch)")
@@ -125,14 +201,13 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
     total_anchors = sum(anchor_counts.values())
     priors = {c: (anchor_counts.get(c, 0) + alpha) / (total_anchors + alpha * len(classes))
               for c in classes}
-    weights: dict[tuple[str, str], float] = {}
-    for w in vocab:
-        p_w = unigram[w] / total_tokens if total_tokens else 0.0
-        for c in classes:
-            expected = class_ctx_total.get(c, 0) * p_w
-            observed = ctx_counts.get((w, c), 0)
-            weights[(w, c)] = math.log((observed + alpha) / (expected + alpha))
-    return BayesModel(priors, weights, window, alpha, vocab)
+    vocab: set[str] = set().union(*ctx_counts.values())
+    p = {w: unigram[w] / total_tokens for w in vocab}
+    model = BayesModel(priors, None, window, alpha, vocab)
+    model.by_class = {c: _ClassWeights(ctx_counts.get(c, Counter()), class_ctx_total.get(c, 0),
+                                       p, alpha)
+                      for c in classes}
+    return model
 
 
 def classify_bayes(model: BayesModel, context: list[str],
@@ -143,14 +218,17 @@ def classify_bayes(model: BayesModel, context: list[str],
     """
     if not candidates:
         raise ValueError("no candidate classes")
+    vocab = model.vocab
+    known = [w for w in context if w in vocab]
     scored = []
     for c in sorted(candidates):
         prior = model.class_priors.get(c, 0.0)
         # classes absent from training still rank, just last
         score = math.log(prior) if prior > 0.0 else math.log(1e-12)
-        for w in context:
-            if w in model.vocab:
-                score += model.weights.get((w, c), 0.0)
+        table = model.by_class.get(c)
+        if table is not None:
+            for w in known:
+                score += table[w]
         scored.append((c, score))
     scored.sort(key=lambda cs: (-cs[1], cs[0]))
     return scored
@@ -169,6 +247,7 @@ def disambiguate_background(model: BayesModel, docs: list[Document],
     tags: dict[TokenKey, SenseTag] = {}
     for doc in docs:
         flat = _doc_positions(doc)
+        row = _lemma_row(flat)
         for i, tok in enumerate(flat):
             pos = lexicon_pos(tok.pos)
             if pos is None:
@@ -184,7 +263,7 @@ def disambiguate_background(model: BayesModel, docs: list[Document],
                                      0.0, "unambiguous")
                 continue
             candidates = {s.coarse_class for s in entries}
-            ranking = classify_bayes(model, _window_lemmas(flat, i, model.window),
+            ranking = classify_bayes(model, _window(row, i, model.window),
                                      candidates)
             win_class, win_score = ranking[0]
             sense = next(s for s in entries if s.coarse_class == win_class)
@@ -466,8 +545,9 @@ def save_bayes_model(model: BayesModel) -> str:
              f"alpha {model.alpha:.6f}"]
     for c in sorted(model.class_priors):
         lines.append(f"prior {c} {model.class_priors[c]:.6f}")
-    for (w, c) in sorted(model.weights):
-        lines.append(f"weight {w} {c} {model.weights[(w, c)]:.6f}")
+    weights = model.weights
+    for (w, c) in sorted(weights):
+        lines.append(f"weight {w} {c} {weights[(w, c)]:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -476,6 +556,7 @@ def load_bayes_model(text: str, path: str = "<string>") -> BayesModel:
     if not lines or lines[0].strip() != "bayesmodel v1":
         raise ParseError("not a bayesmodel v1 file", path=path, line=1)
     model = BayesModel()
+    weights: dict[tuple[str, str], float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
@@ -487,12 +568,12 @@ def load_bayes_model(text: str, path: str = "<string>") -> BayesModel:
         elif parts[0] == "prior" and len(parts) == 3:
             model.class_priors[parts[1]] = parse_number(float, parts[2], path=path, line=lineno)
         elif parts[0] == "weight" and len(parts) == 4:
-            model.weights[(parts[1], parts[2])] = parse_number(float, parts[3], path=path,
-                                                               line=lineno)
-            model.vocab.add(parts[1])
+            weights[(parts[1], parts[2])] = parse_number(float, parts[3], path=path,
+                                                         line=lineno)
         else:
             raise ParseError(f"bad model line {line!r}", path=path, line=lineno)
-    return model
+    return BayesModel(model.class_priors, weights, model.window, model.alpha,
+                      {w for w, _ in weights})
 
 
 # ------------------------------------------------------- tagged corpus io

@@ -10,7 +10,10 @@ from __future__ import annotations
 import os
 import random
 
-from templex import DLInstance, Document, Token
+from hypothesis import strategies as st
+
+from templex import BgLexicon, DLInstance, Document, Token
+from templex.bg_lexicon import BgSense
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -329,3 +332,30 @@ def naive_kwic_count(docs: list[Document], constraints, tags=None) -> int:
                 else:
                     i += 1
     return count
+
+
+# ------------------------------------------- generated classifier inputs
+
+_TRAIN_CLASSES = ("ACT", "LOC", "ORG", "PER")
+_TRAIN_POS = ("NN", "NN", "NNP", "VBD", "DET", "PUNCT")
+
+
+@st.composite
+def training_sets(draw):
+    """(docs, collapsed background lexicon): a few lemmas, each with zero to
+    two noun senses over a few coarse classes, in short documents."""
+    classes = draw(st.lists(st.sampled_from(_TRAIN_CLASSES), min_size=1,
+                            max_size=len(_TRAIN_CLASSES), unique=True))
+    lemmas = draw(st.lists(st.text("abcde", min_size=1, max_size=2), min_size=2,
+                           max_size=10, unique=True))
+    bg = BgLexicon(collapsed=True)
+    for lemma in lemmas:
+        own = draw(st.lists(st.sampled_from(classes), max_size=2, unique=True))
+        if own:
+            bg.senses_by_key[(lemma, "noun")] = [
+                BgSense(lemma, "noun", f"s{i}", cls, cls) for i, cls in enumerate(own, 1)]
+    token = st.tuples(st.sampled_from(lemmas), st.sampled_from(_TRAIN_POS))
+    docs = [make_doc(f"d{d}", draw(st.lists(st.lists(token, min_size=1, max_size=12),
+                                            min_size=1, max_size=3)))
+            for d in range(draw(st.integers(1, 3)))]
+    return docs, bg

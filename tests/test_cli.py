@@ -134,6 +134,15 @@ def test_malformed_corpus_exit_two(tmp_path, capsys):
     assert "bad.vrt:2" in capsys.readouterr().err
 
 
+def test_validate_unknown_parent_concept_exit_two(tmp_path, capsys):
+    bad = tmp_path / "x.fglex"
+    bad.write_text("concept A isa B\n  template T\n")
+    args = ["validate", "--ontology", fixture_path("succession.onto"),
+            "--fg-lexicon", str(bad)]
+    assert run(args) == 2
+    assert f"{bad}:1: unknown parent concept B" in capsys.readouterr().err
+
+
 def test_kwic_cli(tmp_path):
     out = tmp_path / "kwic.txt"
     args = ["kwic", "--corpus", fixture_path("succession.vrt"),

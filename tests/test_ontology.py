@@ -106,6 +106,12 @@ def test_slot_unknown_filler_class_rejected():
         load_ontology("template T\n  slot a : MISSING\n")
 
 
+def test_slot_unknown_filler_class_names_path_and_line():
+    with pytest.raises(ParseError, match=r"^x\.onto:3: template T: slot s filler class "
+                                         r"NOPE is not declared$"):
+        load_ontology("class A\ntemplate T\n  slot s : NOPE\n", "x.onto")
+
+
 def test_duplicate_slot_rejected():
     with pytest.raises(ParseError, match="duplicate slot"):
         load_ontology("class C\ntemplate T\n  slot a : C\n  slot a : C\n")

@@ -38,6 +38,16 @@ def test_duplicate_document_id_rejected():
         read_corpus("#DOC d1\na\ta\tNN\n\n#DOC d1\nb\tb\tNN\n")
 
 
+def test_only_an_exact_doc_field_opens_a_document():
+    # `#DOCUMENTATION` and `#DOC-NOTES` are comments, like every other `#` line
+    text = "#DOCUMENTATION notes\na\ta\tNN\n#DOC-NOTES x\n\n#DOC d2\nb\tb\tNN\n"
+    docs = read_corpus(text)
+    assert [d.doc_id for d in docs] == ["d1", "d2"]
+    assert [[t.lemma for t in s] for s in docs[0].sentences] == [["a"]]
+    with pytest.raises(ParseError, match=r"^c\.vrt:1: expected `#DOC <id>`$"):
+        read_corpus("#DOC\na\ta\tNN\n", path="c.vrt")
+
+
 def test_raw_mode_tokenizes_terminal_period():
     docs = read_corpus("The school dismissed the teacher.", raw=True)
     assert len(docs) == 1

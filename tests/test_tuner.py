@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templex import (TuneParams, apply_tuning, load_tuned_lexicon,
                      save_tuned_lexicon, tune)
+from helpers import training_sets
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +141,26 @@ def test_file_roundtrip_bit_exact(tuned):
     view = apply_tuning(reloaded)
     senses, _ = view.senses("bank", "noun")
     assert senses == [("s1", "ORGANISATION")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=training_sets(),
+       params=st.builds(TuneParams, st.integers(1, 3), st.integers(1, 4),
+                        st.sampled_from([0.1, 0.5, 2.0]), st.integers(1, 4)),
+       corpus_id=st.sampled_from(["", "c.vrt"]))
+def test_generated_tuned_lexicon_roundtrips(data, params, corpus_id):
+    docs, bg = data
+    try:
+        tuned = tune(bg, docs, params, corpus_id=corpus_id)
+    except ValueError as exc:
+        assert "anchors" in str(exc)
+        return
+    text = save_tuned_lexicon(tuned)
+    again = load_tuned_lexicon(text)
+    assert save_tuned_lexicon(again) == text
+    assert again.base.senses_by_key == tuned.base.senses_by_key
+    assert (again.ejected, again.corpus_id, again.params) \
+        == (tuned.ejected, tuned.corpus_id, tuned.params)
+    assert again.discriminators == {
+        key: [(w, float(f"{x:.6f}")) for w, x in pairs]
+        for key, pairs in tuned.discriminators.items()}

@@ -11,8 +11,8 @@ from templex import (apply_ospd, classify_bayes, disambiguate_background,
                      load_bayes_model, save_bayes_model, train_bayes)
 from templex.errors import ParseError
 from templex.textpipe import TAGSET, lexicon_pos, read_corpus
-from templex.wsd import dump_tagged_corpus, load_tagged_corpus
-from helpers import make_doc, ospd_noisy_tags
+from templex.wsd import BayesModel, dump_tagged_corpus, load_tagged_corpus
+from helpers import make_doc, ospd_noisy_tags, training_sets
 
 
 def naive_train(docs, bg, window, alpha):
@@ -153,9 +153,8 @@ def test_disambiguate_skips_unknown_words(corpus, bg):
 def test_disambiguate_matches_score_recompute(banking_corpus, banking_bg):
     m = train_bayes(banking_corpus, banking_bg)
     tags = disambiguate_background(m, banking_corpus, banking_bg)
-    from templex.wsd import _doc_positions, _window_lemmas
     for doc in banking_corpus:
-        flat = _doc_positions(doc)
+        flat = [t for s in doc.sentences for t in s]
         for i, tok in enumerate(flat):
             pos = lexicon_pos(tok.pos)
             if pos is None:
@@ -163,8 +162,10 @@ def test_disambiguate_matches_score_recompute(banking_corpus, banking_bg):
             entries = banking_bg.entries(tok.lemma, pos)
             if len(entries) < 2:
                 continue
-            ranking = classify_bayes(m, _window_lemmas(flat, i, m.window),
-                                     {s.coarse_class for s in entries})
+            context = [flat[j].lemma
+                       for j in range(max(0, i - m.window), min(len(flat), i + m.window + 1))
+                       if j != i and flat[j].pos != "PUNCT"]
+            ranking = classify_bayes(m, context, {s.coarse_class for s in entries})
             tag = tags[(doc.doc_id, tok.sent_idx, tok.tok_idx)]
             assert tag.coarse_class == ranking[0][0]
             assert tag.score == pytest.approx(ranking[0][1])
@@ -241,6 +242,13 @@ def test_tagged_corpus_duplicate_document_id_rejected():
         load_tagged_corpus(text, "t.vrt")
 
 
+def test_tagged_corpus_doc_prefixed_comments():
+    text = "#DOCUMENTATION notes\nx\tx\tNN\t-\n#DOC-NOTES y\n\n#DOC b\ny\ty\tNN\ts1/C/bayes\n"
+    docs, tags = load_tagged_corpus(text, "t.vrt")
+    assert [d.doc_id for d in docs] == ["d1", "b"]
+    assert list(tags) == [("b", 0, 0)]
+
+
 def test_tagged_corpus_unknown_pos_rejected():
     # the tagged corpus is the vertical format plus a column: same tagset
     text = "#DOC a\nx\tx\tNN\t-\ny\ty\tXX\t-\n"
@@ -308,3 +316,97 @@ def test_one_line_mutation_loads_or_names_path_and_line(text, tagged, data):
     except ParseError as exc:
         assert exc.path == "m.vrt"
         assert 1 <= exc.line <= len(mutated.splitlines())
+
+
+# ------------------------------------------ properties of the sparse model
+
+def naive_observed_pairs(docs, bg, window):
+    """(context lemma, anchor class) pairs seen at least once, by plain loops."""
+    pairs = set()
+    for doc in docs:
+        flat = [t for s in doc.sentences for t in s]
+        for i, t in enumerate(flat):
+            pos = lexicon_pos(t.pos)
+            entries = bg.entries(t.lemma, pos) if pos else []
+            if len(entries) != 1:
+                continue
+            for j in range(max(0, i - window), min(len(flat), i + window + 1)):
+                if j != i and flat[j].pos != "PUNCT":
+                    pairs.add((flat[j].lemma, entries[0].coarse_class))
+    return pairs
+
+
+def dense_classify(priors, weights, vocab, context, candidates):
+    """Log prior plus the context's weights, read from a dense pair table."""
+    scored = []
+    for c in sorted(candidates):
+        prior = priors.get(c, 0.0)
+        score = math.log(prior) if prior > 0.0 else math.log(1e-12)
+        for w in context:
+            if w in vocab:
+                score += weights.get((w, c), 0.0)
+        scored.append((c, score))
+    scored.sort(key=lambda cs: (-cs[1], cs[0]))
+    return scored
+
+
+_WINDOW = st.integers(0, 4)
+_ALPHA = st.sampled_from([0.1, 0.5, 2.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=training_sets(), window=_WINDOW, alpha=_ALPHA)
+def test_sparse_training_equals_dense_oracle(data, window, alpha):
+    docs, bg = data
+    if not any(len(bg.entries(t.lemma, lexicon_pos(t.pos) or "")) == 1
+               for d in docs for t in d.tokens()):
+        with pytest.raises(ValueError, match="anchor"):
+            train_bayes(docs, bg, window, alpha)
+        return
+    m = train_bayes(docs, bg, window, alpha)
+    priors, weights = naive_train(docs, bg, window, alpha)
+    # training stores counts of the observed pairs and no weight
+    assert sum(len(table) for table in m.by_class.values()) == 0
+    assert sum(len(table.counts) for table in m.by_class.values()) \
+        == len(naive_observed_pairs(docs, bg, window))
+    assert m.class_priors == pytest.approx(priors, rel=1e-12)
+    assert set(m.weights) == set(weights) and len(m.weights) == len(weights)
+    for key in weights:
+        assert m.weights[key] == pytest.approx(weights[key], rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=training_sets(), window=_WINDOW, alpha=_ALPHA, draw=st.data())
+def test_sparse_ranking_equals_dense_table_ranking(data, window, alpha, draw):
+    docs, bg = data
+    try:
+        m = train_bayes(docs, bg, window, alpha)
+    except ValueError:
+        return
+    priors, weights = naive_train(docs, bg, window, alpha)
+    vocab = {w for w, _ in weights}
+    words = sorted({t.lemma for d in docs for t in d.tokens()} | {"unseen"})
+    classes = bg.coarse_classes() + ["UNTRAINED"]
+    explicit = BayesModel(m.class_priors, weights, window, alpha, vocab)
+    for _ in range(5):
+        context = draw.draw(st.lists(st.sampled_from(words), max_size=8))
+        candidates = draw.draw(st.sets(st.sampled_from(classes), min_size=1))
+        dense = dense_classify(priors, weights, vocab, context, candidates)
+        for model in (m, explicit):
+            ranking = classify_bayes(model, context, candidates)
+            assert [c for c, _ in ranking] == [c for c, _ in dense]
+            assert [s for _, s in ranking] == pytest.approx([s for _, s in dense], rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=training_sets(), window=_WINDOW, alpha=_ALPHA)
+def test_model_file_is_byte_stable(data, window, alpha):
+    docs, bg = data
+    try:
+        m = train_bayes(docs, bg, window, alpha)
+    except ValueError:
+        return
+    text = save_bayes_model(m)
+    again = load_bayes_model(text)
+    assert save_bayes_model(again) == text
+    assert set(again.weights) == set(m.weights)
