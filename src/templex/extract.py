@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fg_lexicon import FgLexicon
 from .ontology import Ontology
@@ -18,8 +19,7 @@ from .textpipe import DocAnalysis
 from .wsd import SALIENT, UNFILLED, FgMatch, SenseTag, TokenKey
 
 
-@dataclass(frozen=True)
-class SlotFiller:
+class SlotFiller(NamedTuple):
     lemma: str | None
     span: str | None
     sem_class: str | None

@@ -10,7 +10,8 @@ acceptance fixtures bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -34,8 +35,7 @@ def lexicon_pos(tag: str) -> str | None:
     return LEXICON_POS.get(tag)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     lemma: str
     pos: str
@@ -55,16 +55,14 @@ class Document:
             yield from sent
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     kind: str  # NP | VG | PP | O
     start: int  # token index, inclusive
     end: int    # token index, exclusive
     head_idx: int
 
 
-@dataclass(frozen=True)
-class GrRelation:
+class GrRelation(NamedTuple):
     verb_idx: int
     relation: str  # subj | dobj | iobj | agent_by | pp:<prep>
     dependent_idx: int
@@ -148,6 +146,9 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str) \
             raise ParseError(f"expected {ncols} tab-separated columns, got {len(cols)}",
                              path=path, line=lineno)
         surface, lemma, pos = cols[:3]
+        if not surface or not lemma:
+            raise ParseError(f"empty {'lemma' if surface else 'surface'} field",
+                             path=path, line=lineno)
         if pos not in TAGSET:
             raise ParseError(f"unknown POS tag {pos!r}", path=path, line=lineno)
         if cur_doc is None:
@@ -259,7 +260,7 @@ def tag_fallback(doc: Document) -> Document:
             tag = _guess_tag(tok.surface, prev_tag, i == 0)
             lemma = tok.surface.lower() if tag in ("NNP", "PRON", "PUNCT") \
                 else strip_suffix(tok.surface)
-            tagged.append(replace(tok, pos=tag, lemma=lemma))
+            tagged.append(tok._replace(pos=tag, lemma=lemma))
             prev_tag = tag
         out.sentences.append(tagged)
     return out
@@ -276,21 +277,22 @@ def chunk(tokens: list[Token]) -> list[Chunk]:
     PP  := single PREP token
     O   := maximal run of anything else              (head: last token)
     """
-    n = len(tokens)
+    tags = [t.pos for t in tokens]
+    n = len(tags)
     chunks: list[Chunk] = []
     i = 0
     while i < n:
-        pos = tokens[i].pos
+        pos = tags[i]
         if pos == "PRON":
             chunks.append(Chunk("NP", i, i + 1, i))
             i += 1
             continue
         if pos in ("DET", "ADJ", "NUM") or pos in NOMINAL:
             j = i + 1 if pos == "DET" else i
-            while j < n and tokens[j].pos in ("ADJ", "NUM"):
+            while j < n and tags[j] in ("ADJ", "NUM"):
                 j += 1
             k = j
-            while k < n and tokens[k].pos in NOMINAL:
+            while k < n and tags[k] in NOMINAL:
                 k += 1
             if k > j:
                 chunks.append(Chunk("NP", i, k, k - 1))
@@ -303,14 +305,14 @@ def chunk(tokens: list[Token]) -> list[Chunk]:
             j = i
             last_verb = i
             while j < n:
-                if tokens[j].pos in VERBAL:
+                if tags[j] in VERBAL:
                     last_verb = j
                     j += 1
-                elif tokens[j].pos == "ADV":
+                elif tags[j] == "ADV":
                     m = j
-                    while m < n and tokens[m].pos == "ADV":
+                    while m < n and tags[m] == "ADV":
                         m += 1
-                    if m < n and tokens[m].pos in VERBAL:
+                    if m < n and tags[m] in VERBAL:
                         j = m
                     else:
                         break

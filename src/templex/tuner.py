@@ -80,12 +80,13 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
             pos = lexicon_pos(tok.pos)
             if pos is None or not bg.entries(tok.lemma, pos):
                 continue
-            key = (tok.lemma, pos)
+            # keyed like bg.senses_by_key, whose lemmas are lowercase
+            key = (tok.lemma.lower(), pos)
             occurrences[key] += 1
             cooc[key].update(_window(row, i, params.window))
             tag = tags.get((doc.doc_id, tok.sent_idx, tok.tok_idx))
             if tag is not None:
-                assigned[(tok.lemma, pos, tag.sense_id)] += 1
+                assigned[(*key, tag.sense_id)] += 1
 
     ejected: dict[tuple[str, str], set[str]] = {}
     for key, senses in bg.senses_by_key.items():

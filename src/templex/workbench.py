@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .textpipe import DocAnalysis, Document, Token
@@ -24,17 +26,6 @@ class TokenConstraint:
     kind: str  # word | lemma | pos | class
     value: str
 
-    def matches(self, tok: Token, tag: SenseTag | None) -> bool:
-        if self.kind == "word":
-            return re.fullmatch(self.value, tok.surface) is not None
-        if self.kind == "lemma":
-            return tok.lemma == self.value
-        if self.kind == "pos":
-            return tok.pos == self.value
-        if self.kind == "class":
-            return tag is not None and tag.coarse_class == self.value
-        raise ValueError(f"bad constraint kind {self.kind}")
-
 
 @dataclass(frozen=True)
 class PatternQuery:
@@ -44,8 +35,7 @@ class PatternQuery:
         return any(c.kind == "class" for c in self.constraints)
 
 
-@dataclass(frozen=True)
-class KwicLine:
+class KwicLine(NamedTuple):
     doc_id: str
     sent_idx: int
     start: int  # token index of first matched token
@@ -90,6 +80,25 @@ def parse_query(text: str) -> PatternQuery:
     return PatternQuery(tuple(constraints))
 
 
+def _token_test(constraint: TokenConstraint,
+                tags: dict[TokenKey, SenseTag] | None) -> Callable[[Token], bool]:
+    """One constraint as a test of one token, built once per query."""
+    kind, value = constraint.kind, constraint.value
+    if kind == "word":
+        fullmatch = re.compile(value).fullmatch
+        return lambda tok: fullmatch(tok.surface) is not None
+    if kind == "lemma":
+        return lambda tok: tok.lemma == value
+    if kind == "pos":
+        return lambda tok: tok.pos == value
+    if kind == "class":
+        def has_class(tok: Token) -> bool:
+            tag = tags.get((tok.doc_id, tok.sent_idx, tok.tok_idx))
+            return tag is not None and tag.coarse_class == value
+        return has_class
+    raise ValueError(f"bad constraint kind {kind}")
+
+
 def kwic(docs: list[Document], tags: dict[TokenKey, SenseTag] | None,
          query: PatternQuery, width: int = 5) -> list[KwicLine]:
     """All leftmost non-overlapping matches in document order.
@@ -99,33 +108,28 @@ def kwic(docs: list[Document], tags: dict[TokenKey, SenseTag] | None,
     """
     if query.needs_tags() and tags is None:
         raise ValueError("query uses class constraints but no tags were supplied")
-    q = query.constraints
+    first, *rest = [_token_test(c, tags) for c in query.constraints]
+    m = 1 + len(rest)
     lines: list[KwicLine] = []
     for doc in docs:
-        flat = list(doc.tokens())
-        flat_pos = {(t.sent_idx, t.tok_idx): i for i, t in enumerate(flat)}
+        surfaces: list[str] | None = None  # the document's, on its first match
+        base = 0  # document position of the sentence's first token
         for sent in doc.sentences:
-            n = len(sent)
-            i = 0
-            while i + len(q) <= n:
-                hit = True
-                for k, constraint in enumerate(q):
-                    tok = sent[i + k]
-                    tag = tags.get((doc.doc_id, tok.sent_idx, tok.tok_idx)) if tags else None
-                    if not constraint.matches(tok, tag):
-                        hit = False
-                        break
-                if not hit:
-                    i += 1
+            free = 0  # the first start not inside an earlier match
+            for i, tok in enumerate(sent[:max(len(sent) - m + 1, 0)]):
+                if i < free or not first(tok) or not all(
+                        test(t) for test, t in zip(rest, sent[i + 1:i + m])):
                     continue
-                fi = flat_pos[(sent[i].sent_idx, sent[i].tok_idx)]
-                fj = fi + len(q)
+                if surfaces is None:
+                    surfaces = [t.surface for s in doc.sentences for t in s]
+                fi = base + i
+                fj = fi + m
                 lines.append(KwicLine(
-                    doc.doc_id, sent[i].sent_idx, i, i + len(q),
-                    tuple(t.surface for t in flat[max(0, fi - width):fi]),
-                    tuple(t.surface for t in flat[fi:fj]),
-                    tuple(t.surface for t in flat[fj:fj + width])))
-                i += len(q)
+                    doc.doc_id, tok.sent_idx, i, i + m,
+                    tuple(surfaces[max(0, fi - width):fi]),
+                    tuple(surfaces[fi:fj]), tuple(surfaces[fj:fj + width])))
+                free = i + m
+            base += len(sent)
     return lines
 
 

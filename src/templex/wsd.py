@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bg_lexicon import BgLexicon, BgSense
 from .decisionlist import (DecisionList, DecisionRule, DLInstance,
@@ -114,8 +115,7 @@ class BayesModel:
         return _WeightView(self.by_class)
 
 
-@dataclass(frozen=True)
-class SenseTag:
+class SenseTag(NamedTuple):
     doc_id: str
     sent_idx: int
     tok_idx: int
@@ -312,8 +312,8 @@ def apply_ospd(tags: dict[TokenKey, SenseTag],
                         break
             if sense_id is None:
                 continue  # lemma has no sense of that class for this pos
-            out[k] = replace(t, sense_id=sense_id, coarse_class=majority,
-                             score=0.0, method="ospd")
+            out[k] = t._replace(sense_id=sense_id, coarse_class=majority,
+                                score=0.0, method="ospd")
     return out
 
 

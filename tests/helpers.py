@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 
 from hypothesis import strategies as st
 
@@ -332,6 +333,109 @@ def naive_kwic_count(docs: list[Document], constraints, tags=None) -> int:
                 else:
                     i += 1
     return count
+
+
+_KWIC_SURFACES = ("a", "ab", "B", "ba", "b")
+_KWIC_LEMMAS = ("a", "b", "c")
+_KWIC_POS = ("NN", "VBD", "DET")
+_KWIC_CLASSES = ("ORG", "LOC")
+
+
+@st.composite
+def tagged_kwic_corpora(draw):
+    """(docs, tags) over a tiny vocabulary: surfaces, lemmas, tags and
+    classes drawn independently, some tokens left untagged."""
+    token = st.tuples(st.sampled_from(_KWIC_SURFACES), st.sampled_from(_KWIC_LEMMAS),
+                      st.sampled_from(_KWIC_POS),
+                      st.sampled_from(_KWIC_CLASSES + (None,)))
+    docs, tags = [], {}
+    for d in range(draw(st.integers(0, 3))):
+        doc = Document(f"d{d}")
+        for si, sent in enumerate(draw(st.lists(st.lists(token, min_size=1, max_size=6),
+                                                max_size=4))):
+            doc.sentences.append([Token(surface, lemma, pos, doc.doc_id, si, ti, (0, 0))
+                                  for ti, (surface, lemma, pos, _) in enumerate(sent)])
+            for ti, (_, lemma, _, cls) in enumerate(sent):
+                if cls is not None:
+                    tags[(doc.doc_id, si, ti)] = SenseTag(doc.doc_id, si, ti, lemma, "noun",
+                                                          "s1", cls, 0.0, "bayes")
+        docs.append(doc)
+    return docs, tags
+
+
+kwic_constraints = st.lists(st.one_of(
+    st.tuples(st.just("word"), st.sampled_from(["a", "b|B", "[ab]+", "a.*", "x"])),
+    st.tuples(st.just("lemma"), st.sampled_from(_KWIC_LEMMAS + ("z",))),
+    st.tuples(st.just("pos"), st.sampled_from(_KWIC_POS + ("PUNCT",))),
+    st.tuples(st.just("class"), st.sampled_from(_KWIC_CLASSES + ("PER",)))),
+    min_size=1, max_size=4)
+
+
+def naive_kwic(docs: list[Document], tags, constraints, width: int) -> list[tuple]:
+    """KWIC lines as plain tuples: for each sentence, a left-to-right scan
+    that jumps past each match; context is cut from the whole document."""
+    def fits(tok, kind, value):
+        if kind == "word":
+            return re.fullmatch(value, tok.surface) is not None
+        if kind == "lemma":
+            return tok.lemma == value
+        if kind == "pos":
+            return tok.pos == value
+        tag = tags.get((tok.doc_id, tok.sent_idx, tok.tok_idx))
+        return tag is not None and tag.coarse_class == value
+
+    out = []
+    m = len(constraints)
+    for doc in docs:
+        places = [(si, ti) for si, sent in enumerate(doc.sentences) for ti in range(len(sent))]
+        words = [tok.surface for sent in doc.sentences for tok in sent]
+        for si, sent in enumerate(doc.sentences):
+            i = 0
+            while i + m <= len(sent):
+                if all(fits(sent[i + k], kind, value)
+                       for k, (kind, value) in enumerate(constraints)):
+                    at = places.index((si, i))
+                    out.append((doc.doc_id, sent[i].sent_idx, i, i + m,
+                                tuple(words[max(0, at - width):at]),
+                                tuple(words[at:at + m]),
+                                tuple(words[at + m:at + m + width])))
+                    i += m
+                else:
+                    i += 1
+    return out
+
+
+# ------------------------------------------------------ loader mutations
+
+_FRAGMENTS = ("->", ":", "=", "isa", "not", "#", "@before", "@after", "p(a", "p()",
+              "a:b", "x=", "subj=", "obj=", "1", "-1", "nan", "1e999", "")
+
+
+@st.composite
+def one_line_mutations(draw, text: str) -> str:
+    """`text` with one line replaced: by a copy of itself with a word
+    replaced, dropped or inserted, by a line of the file's own words and
+    format fragments, or by another line of the file."""
+    lines = text.splitlines()
+    word = st.one_of(st.sampled_from(_FRAGMENTS),
+                     st.sampled_from(sorted({w for line in lines for w in line.split()})))
+    at = draw(st.integers(0, len(lines)))
+    # a replaced word is the edit most likely to reach a field's own check
+    how = draw(st.sampled_from(["replace"] * 3 + ["drop", "insert", "words", "copy"]))
+    old = lines[at] if at < len(lines) else ""
+    toks = old.split()
+    if how in ("replace", "drop") and toks:
+        i = draw(st.integers(0, len(toks) - 1))
+        toks[i:i + 1] = [draw(word)] if how == "replace" else []
+    elif how in ("replace", "drop", "insert"):
+        toks.insert(draw(st.integers(0, len(toks))), draw(word))
+    elif how == "words":
+        old, toks = draw(st.sampled_from(["", "  "])), draw(st.lists(word, max_size=6))
+    else:
+        old, toks = draw(st.sampled_from(lines)), None
+    new = old if toks is None else old[:len(old) - len(old.lstrip())] + " ".join(toks)
+    lines[at:at + 1] = [new]
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------- generated classifier inputs

@@ -134,6 +134,15 @@ def test_malformed_corpus_exit_two(tmp_path, capsys):
     assert "bad.vrt:2" in capsys.readouterr().err
 
 
+def test_extract_empty_lemma_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.vrt"
+    bad.write_text("#DOC d1\nfirm\tfirm\tNN\nx\t\tNN\n")
+    args, _ = base_args(tmp_path, "extract", "out.jsonl")
+    args[args.index("--corpus") + 1] = str(bad)
+    assert run(args) == 2
+    assert "bad.vrt:3: empty lemma field" in capsys.readouterr().err
+
+
 def test_validate_unknown_parent_concept_exit_two(tmp_path, capsys):
     bad = tmp_path / "x.fglex"
     bad.write_text("concept A isa B\n  template T\n")

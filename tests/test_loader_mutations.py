@@ -1,0 +1,51 @@
+"""One-line mutations of every lexicon and model file format.
+
+Each loader either returns or raises a ParseError that names the path and
+a line of the mutated file; a fault found only after parsing (a cycle, a
+concept without a schema) may raise CycleError or LexiconError instead.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from templex import (collapse, load_bg_lexicon, load_collapse_map, load_fg_lexicon,
+                     load_ontology, load_tuned_lexicon, read_corpus, train_bayes)
+from templex.errors import CycleError, LexiconError, ParseError
+from templex.wsd import load_bayes_model, save_bayes_model
+from helpers import fixture_text, one_line_mutations
+
+
+@lru_cache(maxsize=None)
+def bayes_model_text() -> str:
+    onto = load_ontology(fixture_text("succession.onto"))
+    bg = collapse(load_bg_lexicon(fixture_text("succession.bglex")),
+                  load_collapse_map(fixture_text("succession.collapse")), onto)
+    return save_bayes_model(train_bayes(read_corpus(fixture_text("succession.vrt")), bg))
+
+
+LOADERS = {
+    "ontology": (load_ontology, lambda: fixture_text("succession.onto")),
+    "fg_lexicon": (load_fg_lexicon, lambda: fixture_text("succession.fglex")),
+    "bg_lexicon": (load_bg_lexicon, lambda: fixture_text("succession.bglex")),
+    "collapse_map": (load_collapse_map, lambda: fixture_text("succession.collapse")),
+    "tuned_lexicon": (load_tuned_lexicon, lambda: fixture_text("succession_min2.tunedlex")),
+    "bayes_model": (load_bayes_model, bayes_model_text),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_line_mutation_loads_or_names_path_and_line(name, data):
+    loader, source = LOADERS[name]
+    mutated = data.draw(one_line_mutations(source()))
+    try:
+        loader(mutated, "m.txt")
+    except ParseError as exc:
+        assert exc.path == "m.txt"
+        assert exc.line is not None and 1 <= exc.line <= len(mutated.splitlines())
+    except (CycleError, LexiconError):
+        pass

@@ -48,6 +48,14 @@ def test_only_an_exact_doc_field_opens_a_document():
         read_corpus("#DOC\na\ta\tNN\n", path="c.vrt")
 
 
+def test_empty_surface_or_lemma_rejected():
+    # an empty lemma would reach a model file as a weight line no loader reads
+    with pytest.raises(ParseError, match=r"^c\.vrt:2: empty lemma field$"):
+        read_corpus("firm\tfirm\tNN\nx\t\tNN\n", path="c.vrt")
+    with pytest.raises(ParseError, match=r"^c\.vrt:3: empty surface field$"):
+        read_corpus("#DOC d\nfirm\tfirm\tNN\n\tq\tNN\n", path="c.vrt")
+
+
 def test_raw_mode_tokenizes_terminal_period():
     docs = read_corpus("The school dismissed the teacher.", raw=True)
     assert len(docs) == 1

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templex import (TuneParams, apply_tuning, load_tuned_lexicon,
+from templex import (Document, TuneParams, apply_tuning, load_tuned_lexicon,
                      save_tuned_lexicon, tune)
 from helpers import training_sets
 
@@ -164,3 +164,15 @@ def test_generated_tuned_lexicon_roundtrips(data, params, corpus_id):
     assert again.discriminators == {
         key: [(w, float(f"{x:.6f}")) for w, x in pairs]
         for key, pairs in tuned.discriminators.items()}
+
+
+def test_capitalised_lemmas_tune_like_lowercase_ones(bg, corpus):
+    # the lexicon's lemmas are lowercase; the corpus's need not be
+    upper = [Document(d.doc_id, [[t._replace(lemma=t.lemma.upper()) for t in s]
+                                 for s in d.sentences]) for d in corpus]
+    params = TuneParams(min_occurrences=1)
+    lower, capital = tune(bg, corpus, params), tune(bg, upper, params)
+    assert sum(len(gone) for gone in lower.ejected.values()) == 8
+    assert capital.ejected == lower.ejected
+    assert len(lower.discriminators) == 51
+    assert capital.discriminators.keys() == lower.discriminators.keys()

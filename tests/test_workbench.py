@@ -2,11 +2,15 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from templex import (ParseError, apply_ospd, disambiguate_background,
+from templex import (ParseError, PatternQuery, apply_ospd, disambiguate_background,
                      format_kwic, format_report, kwic, log_likelihood_ratio,
                      parse_query, pattern_report, train_bayes)
-from helpers import naive_kwic_count, random_kwic_corpus
+from templex.workbench import TokenConstraint
+from helpers import (kwic_constraints, make_doc, naive_kwic, naive_kwic_count,
+                     random_kwic_corpus, tagged_kwic_corpora)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +62,25 @@ def test_match_counts_equal_naive_scan_on_fixture(corpus, tags):
         q = parse_query(qtext)
         checks = [_as_callable(c) for c in q.constraints]
         assert len(kwic(corpus, tags, q)) == naive_kwic_count(corpus, checks, tags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=tagged_kwic_corpora(), constraints=kwic_constraints,
+       width=st.integers(0, 6))
+def test_kwic_equals_a_naive_scan(data, constraints, width):
+    docs, tags = data
+    query = PatternQuery(tuple(TokenConstraint(k, v) for k, v in constraints))
+    lines = kwic(docs, tags, query, width)
+    assert [tuple(line) for line in lines] == naive_kwic(docs, tags, constraints, width)
+    if query.needs_tags():
+        with pytest.raises(ValueError, match="tags"):
+            kwic(docs, None, query, width)
+
+
+def test_query_longer_than_the_sentence_never_matches():
+    docs = [make_doc("d", [[("a", "NN"), ("a", "NN")], [("a", "NN")] * 4])]
+    lines = kwic(docs, None, parse_query("lemma=a lemma=a lemma=a lemma=a"))
+    assert [(l.sent_idx, l.start, l.end) for l in lines] == [(1, 0, 4)]
 
 
 def test_match_counts_equal_naive_scan_on_generated_corpus():

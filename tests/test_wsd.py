@@ -175,11 +175,10 @@ def test_disambiguate_matches_score_recompute(banking_corpus, banking_bg):
 def test_ospd_majority_reassigns():
     tags, _ = ospd_noisy_tags(random.Random(0), n_docs=1, per_doc=3, noise=0.0)
     # force one dissenting tag
-    from dataclasses import replace
     key = ("n0000", 0, 0)
     other = "LOCATION" if tags[key].coarse_class == "ORGANISATION" else "ORGANISATION"
     sid = "s2" if other == "LOCATION" else "s1"
-    tags[key] = replace(tags[key], coarse_class=other, sense_id=sid)
+    tags[key] = tags[key]._replace(coarse_class=other, sense_id=sid)
     out = apply_ospd(tags)
     assert len({t.coarse_class for t in out.values()}) == 1
     assert out[key].method == "ospd"
@@ -247,6 +246,13 @@ def test_tagged_corpus_doc_prefixed_comments():
     docs, tags = load_tagged_corpus(text, "t.vrt")
     assert [d.doc_id for d in docs] == ["d1", "b"]
     assert list(tags) == [("b", 0, 0)]
+
+
+def test_tagged_corpus_empty_surface_or_lemma_rejected():
+    with pytest.raises(ParseError, match=r"^t\.vrt:3: empty lemma field$"):
+        load_tagged_corpus("#DOC a\nx\tx\tNN\t-\ny\t\tNN\ts1/C/bayes\n", "t.vrt")
+    with pytest.raises(ParseError, match=r"^t\.vrt:2: empty surface field$"):
+        load_tagged_corpus("#DOC a\n\tx\tNN\t-\n", "t.vrt")
 
 
 def test_tagged_corpus_unknown_pos_rejected():
