@@ -10,17 +10,17 @@ class, keeping the lexicographically lowest sense id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError
-from .ontology import Ontology
+
+if TYPE_CHECKING:
+    from .ontology import Ontology
 
 BG_POS = ("noun", "verb", "adj", "other")
 
 
-@dataclass(frozen=True)
-class BgSense:
+class BgSense(NamedTuple):
     lemma: str
     pos: str
     sense_id: str
@@ -31,20 +31,26 @@ class BgSense:
     obj_restriction: str | None = None
 
 
-@dataclass
 class CollapseMap:
-    mapping: dict[str, str] = field(default_factory=dict)
-    noun_classes: tuple[str, ...] = ()
-    verb_classes: tuple[str, ...] = ()
+    __slots__ = ("mapping", "noun_classes", "verb_classes")
+
+    def __init__(self, mapping: dict[str, str] | None = None,
+                 noun_classes: tuple[str, ...] = (), verb_classes: tuple[str, ...] = ()):
+        self.mapping = {} if mapping is None else mapping
+        self.noun_classes = noun_classes
+        self.verb_classes = verb_classes
 
     def scheme(self) -> set[str]:
         return set(self.noun_classes) | set(self.verb_classes)
 
 
-@dataclass
 class BgLexicon:
-    senses_by_key: dict[tuple[str, str], list[BgSense]] = field(default_factory=dict)
-    collapsed: bool = False
+    __slots__ = ("senses_by_key", "collapsed")
+
+    def __init__(self, senses_by_key: dict[tuple[str, str], list[BgSense]] | None = None,
+                 collapsed: bool = False):
+        self.senses_by_key = {} if senses_by_key is None else senses_by_key
+        self.collapsed = collapsed
 
     def entries(self, lemma: str, pos: str) -> list[BgSense]:
         """Full sense records for the key, in sense-id order; empty if unknown."""
@@ -165,6 +171,7 @@ def load_collapse_map(text: str, path: str = "<string>") -> CollapseMap:
 
 def default_collapse_map() -> CollapseMap:
     """The coarse scheme shipped with the package: 25 noun / 15 verb classes."""
+    from importlib import resources
     text = resources.files("templex").joinpath("data/default_scheme.collapse").read_text()
     return load_collapse_map(text, "default_scheme.collapse")
 
@@ -204,7 +211,7 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
                 raise ParseError(
                     f"{lemma}/{pos}/{s.sense_id}: {s.fine_class} collapses to "
                     f"{coarse}, which is not in the verb scheme")
-            collapsed = replace(s, coarse_class=coarse)
+            collapsed = s._replace(coarse_class=coarse)
             kept = by_coarse.get(coarse)
             if kept is None or collapsed.sense_id < kept.sense_id:
                 by_coarse[coarse] = collapsed

@@ -14,43 +14,51 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
-from . import bg_lexicon as bgmod
-from . import extract as exmod
-from . import fg_lexicon as fgmod
-from . import ontology as ontomod
-from . import textpipe
-from . import tuner as tunemod
-from . import workbench
-from . import wsd as wsdmod
 from .errors import CycleError, LexiconError, ParseError, parse_number
 
+if TYPE_CHECKING:
+    from . import bg_lexicon as bgmod
+    from . import ontology as ontomod
+    from . import textpipe
 
-@dataclass
+
 class RunConfig:
-    ontology: str | None = None
-    fg_lexicon: str | None = None
-    bg_lexicon: str | None = None
-    collapse_map: str | None = None
-    corpus: str | None = None
-    tuned_lexicon: str | None = None
-    output: str | None = None
-    window: int = 10
-    alpha: float = 0.1
-    min_occurrences: int = 5
-    top_k: int = 10
-    ospd: bool = True
-    passive_implicature: bool = True
-    order: str = "bg-first"  # or fg-first
-    jobs: int = 1
-    raw: bool = False
-    lang: str = "en"
+    """Effective settings of one run: defaults, then the config file, then flags."""
+
+    __slots__ = ("ontology", "fg_lexicon", "bg_lexicon", "collapse_map", "corpus",
+                 "tuned_lexicon", "output", "window", "alpha", "min_occurrences",
+                 "top_k", "ospd", "passive_implicature", "order", "jobs", "raw", "lang")
+
+    def __init__(self, ontology: str | None = None, fg_lexicon: str | None = None,
+                 bg_lexicon: str | None = None, collapse_map: str | None = None,
+                 corpus: str | None = None, tuned_lexicon: str | None = None,
+                 output: str | None = None, window: int = 10, alpha: float = 0.1,
+                 min_occurrences: int = 5, top_k: int = 10, ospd: bool = True,
+                 passive_implicature: bool = True, order: str = "bg-first",
+                 jobs: int = 1, raw: bool = False, lang: str = "en"):
+        self.ontology = ontology
+        self.fg_lexicon = fg_lexicon
+        self.bg_lexicon = bg_lexicon
+        self.collapse_map = collapse_map
+        self.corpus = corpus
+        self.tuned_lexicon = tuned_lexicon
+        self.output = output
+        self.window = window
+        self.alpha = alpha
+        self.min_occurrences = min_occurrences
+        self.top_k = top_k
+        self.ospd = ospd
+        self.passive_implicature = passive_implicature
+        self.order = order  # bg-first | fg-first
+        self.jobs = jobs
+        self.raw = raw
+        self.lang = lang
 
     def validate(self) -> None:
         for name in ("ontology", "fg_lexicon", "bg_lexicon", "collapse_map",
@@ -85,7 +93,6 @@ _FLOAT_KEYS = {"alpha"}
 def load_config_file(path: str) -> dict:
     """Line-oriented `key = value`; `#` comments; flags override these."""
     values: dict = {}
-    names = {f.name for f in fields(RunConfig)}
     with open(path, encoding="utf-8") as fh:
         for lineno, rawline in enumerate(fh, start=1):
             line = rawline.split("#", 1)[0].strip()
@@ -96,7 +103,7 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in names:
+            if key not in RunConfig.__slots__:
                 raise ParseError(f"unknown config key {key!r}", path=path, line=lineno)
             if key in _BOOL_KEYS:
                 if value not in ("on", "off", "true", "false"):
@@ -167,14 +174,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
+    for name in RunConfig.__slots__:
+        val = getattr(args, name, None)
         if val is None:
             continue
-        if f.name in ("ospd", "passive_implicature"):
-            setattr(cfg, f.name, val == "on")
+        if name in ("ospd", "passive_implicature"):
+            setattr(cfg, name, val == "on")
         else:
-            setattr(cfg, f.name, val)
+            setattr(cfg, name, val)
     cfg.validate()
     return cfg
 
@@ -264,10 +271,12 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _load_ontology(cfg: RunConfig) -> ontomod.Ontology:
+    from . import ontology as ontomod
     return ontomod.load_ontology(_read(cfg.ontology), cfg.ontology)
 
 
 def _load_corpus(cfg: RunConfig) -> list[textpipe.Document]:
+    from . import textpipe
     text = _read(cfg.corpus)
     doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
     docs = textpipe.read_corpus(text, raw=cfg.raw, doc_id=doc_id, path=cfg.corpus)
@@ -278,7 +287,9 @@ def _load_corpus(cfg: RunConfig) -> list[textpipe.Document]:
 
 def _load_background(cfg: RunConfig, onto: ontomod.Ontology):
     """Collapsed background lexicon, tuned when a tuned lexicon is given."""
+    from . import bg_lexicon as bgmod
     if cfg.tuned_lexicon:
+        from . import tuner as tunemod
         tuned = tunemod.load_tuned_lexicon(_read(cfg.tuned_lexicon), cfg.tuned_lexicon)
         _check_classes(tuned.base, onto, cfg.tuned_lexicon)
         return tunemod.apply_tuning(tuned)
@@ -293,6 +304,7 @@ def _load_background(cfg: RunConfig, onto: ontomod.Ontology):
 
 
 def _check_classes(bg: bgmod.BgLexicon, onto: ontomod.Ontology, path: str) -> None:
+    from . import bg_lexicon as bgmod
     problems = bgmod.validate_bg(bg, onto)
     if problems:
         raise LexiconError(f"{path}: " + "; ".join(problems))
@@ -308,6 +320,9 @@ def _shard_texts(cfg: RunConfig, docs, onto, bg, fg, render) -> list[str]:
     `render(shard_docs, analyses, tags, matches)` turns it into text;
     analyses and matches are None without a foreground lexicon.
     """
+    from . import textpipe
+    from . import wsd as wsdmod
+
     model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha)
 
     def job(lo: int, hi: int) -> str:
@@ -332,6 +347,9 @@ def _shard_texts(cfg: RunConfig, docs, onto, bg, fg, render) -> list[str]:
 # ------------------------------------------------------------ subcommands
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
+    from . import bg_lexicon as bgmod
+    from . import fg_lexicon as fgmod
+
     _require(cfg, "ontology", "fg_lexicon")
     onto = _load_ontology(cfg)
     fg = fgmod.load_fg_lexicon(_read(cfg.fg_lexicon), cfg.fg_lexicon)
@@ -347,6 +365,8 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
 
 
 def _cmd_tune(cfg: RunConfig, args) -> int:
+    from . import tuner as tunemod
+
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
     bg = _load_background(cfg, onto)
@@ -359,12 +379,15 @@ def _cmd_tune(cfg: RunConfig, args) -> int:
 
 
 def _cmd_wsd(cfg: RunConfig, args) -> int:
+    from . import wsd as wsdmod
+
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
     bg = _load_background(cfg, onto)
     docs = _load_corpus(cfg)
     fg = None
     if cfg.fg_lexicon:
+        from . import fg_lexicon as fgmod
         fg = fgmod.load_fg_lexicon(_read(cfg.fg_lexicon), cfg.fg_lexicon)
 
     def render(shard, analyses, tags, matches):
@@ -381,6 +404,11 @@ def _cmd_wsd(cfg: RunConfig, args) -> int:
 
 
 def _cmd_extract(cfg: RunConfig, args) -> int:
+    import json
+
+    from . import extract as exmod
+    from . import fg_lexicon as fgmod
+
     _require(cfg, "ontology", "fg_lexicon", "corpus")
     onto = _load_ontology(cfg)
     fg = fgmod.load_fg_lexicon(_read(cfg.fg_lexicon), cfg.fg_lexicon)
@@ -404,6 +432,7 @@ def _cmd_extract(cfg: RunConfig, args) -> int:
 
 def _load_query_corpus(cfg: RunConfig, args):
     if getattr(args, "tagged", None):
+        from . import wsd as wsdmod
         docs, tags = wsdmod.load_tagged_corpus(_read(args.tagged), args.tagged)
         return docs, tags
     _require(cfg, "corpus")
@@ -411,6 +440,8 @@ def _load_query_corpus(cfg: RunConfig, args):
 
 
 def _cmd_kwic(cfg: RunConfig, args) -> int:
+    from . import workbench
+
     docs, tags = _load_query_corpus(cfg, args)
     query = workbench.parse_query(args.query)
     lines = workbench.kwic(docs, tags, query, args.width)
@@ -421,6 +452,8 @@ def _cmd_kwic(cfg: RunConfig, args) -> int:
 
 
 def _cmd_patterns(cfg: RunConfig, args) -> int:
+    from . import textpipe, workbench
+
     docs, tags = _load_query_corpus(cfg, args)
     analyses = [textpipe.analyze(d) for d in docs]
     entries = workbench.pattern_report(analyses, tags, args.target,

@@ -11,27 +11,28 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 FEATURE_KINDS = ("word_left", "word_right", "word_in_window")
 
 
-@dataclass(frozen=True)
-class DecisionRule:
+class DecisionRule(NamedTuple):
     kind: str  # word_left | word_right | word_in_window
     value: str
     sense_id: str
     score: float
 
 
-@dataclass
 class DecisionList:
-    rules: list[DecisionRule] = field(default_factory=list)
-    default_sense: str | None = None
+    __slots__ = ("rules", "default_sense")
+
+    def __init__(self, rules: list[DecisionRule] | None = None,
+                 default_sense: str | None = None):
+        self.rules = [] if rules is None else rules
+        self.default_sense = default_sense
 
 
-@dataclass(frozen=True)
-class DLInstance:
+class DLInstance(NamedTuple):
     """One occurrence of the target word: sentence lemmas plus its position."""
 
     lemmas: tuple[str, ...]
@@ -39,8 +40,7 @@ class DLInstance:
     doc_id: str = "d1"
 
 
-@dataclass
-class DLParams:
+class DLParams(NamedTuple):
     alpha: float = 0.1
     max_iters: int = 10
     min_score: float = 0.0

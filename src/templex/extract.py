@@ -10,7 +10,6 @@ suppressed.  State assertions are instantiated with the filler lemmas.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .fg_lexicon import FgLexicon
@@ -26,16 +25,22 @@ class SlotFiller(NamedTuple):
     source: str  # direct | salient | unfilled
 
 
-@dataclass
 class TemplateInstance:
-    schema: str
-    fillers: dict[str, SlotFiller] = field(default_factory=dict)
-    assertions: list[dict] = field(default_factory=list)
-    instigator_slot: str | None = None
-    doc_id: str = ""
-    sent_idx: int = 0
-    trigger_lemma: str = ""
-    trigger_sense: str = ""
+    __slots__ = ("schema", "fillers", "assertions", "instigator_slot", "doc_id",
+                 "sent_idx", "trigger_lemma", "trigger_sense")
+
+    def __init__(self, schema: str, fillers: dict[str, SlotFiller] | None = None,
+                 assertions: list[dict] | None = None, instigator_slot: str | None = None,
+                 doc_id: str = "", sent_idx: int = 0, trigger_lemma: str = "",
+                 trigger_sense: str = ""):
+        self.schema = schema
+        self.fillers = {} if fillers is None else fillers
+        self.assertions = [] if assertions is None else assertions
+        self.instigator_slot = instigator_slot
+        self.doc_id = doc_id
+        self.sent_idx = sent_idx
+        self.trigger_lemma = trigger_lemma
+        self.trigger_sense = trigger_sense
 
 
 def _np_span(analysis: DocAnalysis, sent_idx: int, head_idx: int) -> str:

@@ -10,7 +10,7 @@ again, privately, without touching the shared concept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .decisionlist import DecisionRule
 from .errors import LexiconError, ParseError
@@ -22,24 +22,21 @@ GR_KEYS = ("subj", "dobj", "iobj")  # plus pp:<prep>
 _FIELD_NAMES = ("schema", "args", "assertions", "instigator", "discriminators")
 
 
-@dataclass(frozen=True)
-class ArgSpec:
+class ArgSpec(NamedTuple):
     role: str
     restriction: str
     slot_binding: tuple[str, str] | None = None  # (schema, slot)
     required: bool = True
 
 
-@dataclass(frozen=True)
-class StateAssertion:
+class StateAssertion(NamedTuple):
     predicate: str
     role_args: tuple[str, ...]
     polarity: bool = True
     phase: str = "after"  # before | after
 
 
-@dataclass
-class ConceptNode:
+class ConceptNode(NamedTuple):
     """A fully resolved concept: no inheritance links remain."""
 
     id: str
@@ -60,87 +57,119 @@ class ConceptNode:
         return {a.role for a in self.args}
 
 
-@dataclass
 class RawArg:
-    role: str
-    restriction: str | None
-    slot: str | None = None
-    required: bool = True
+    __slots__ = ("role", "restriction", "slot", "required")
+
+    def __init__(self, role: str, restriction: str | None, slot: str | None = None,
+                 required: bool = True):
+        self.role = role
+        self.restriction = restriction
+        self.slot = slot
+        self.required = required
 
 
-@dataclass
 class RawOverrides:
     """Fields a realization restates; None means inherited unchanged."""
 
-    schema: str | None = None
-    args: list[RawArg] | None = None
-    assertions: list[StateAssertion] | None = None
-    instigator: str | None = None
-    discriminators: list[tuple[str, str, str]] | None = None  # (sense, kind, value)
+    __slots__ = ("schema", "args", "assertions", "instigator", "discriminators")
+
+    def __init__(self, schema: str | None = None, args: list[RawArg] | None = None,
+                 assertions: list[StateAssertion] | None = None,
+                 instigator: str | None = None,
+                 discriminators: list[tuple[str, str, str]] | None = None):
+        self.schema = schema
+        self.args = args
+        self.assertions = assertions
+        self.instigator = instigator
+        self.discriminators = discriminators  # (sense, kind, value)
 
     def empty(self) -> bool:
         return (self.schema is None and self.args is None and self.assertions is None
                 and self.instigator is None and self.discriminators is None)
 
 
-@dataclass
 class RawConcept:
-    id: str
-    parent: str | None = None
-    schema: str | None = None
-    args: list[RawArg] = field(default_factory=list)
-    assertions: list[StateAssertion] = field(default_factory=list)
-    instigator: str | None = None
-    discriminators: list[tuple[str, str, str]] = field(default_factory=list)
-    line: int = 0
+    __slots__ = ("id", "parent", "schema", "args", "assertions", "instigator",
+                 "discriminators", "line")
+
+    def __init__(self, id: str, parent: str | None = None, schema: str | None = None,
+                 args: list[RawArg] | None = None,
+                 assertions: list[StateAssertion] | None = None,
+                 instigator: str | None = None,
+                 discriminators: list[tuple[str, str, str]] | None = None, line: int = 0):
+        self.id = id
+        self.parent = parent
+        self.schema = schema
+        self.args = [] if args is None else args
+        self.assertions = [] if assertions is None else assertions
+        self.instigator = instigator
+        self.discriminators = [] if discriminators is None else discriminators
+        self.line = line
 
 
-@dataclass
 class RawRealization:
-    lemma: str
-    pos: str
-    lang: str
-    sense_id: str
-    concept: str
-    complement_map: dict[str, str] = field(default_factory=dict)
-    overrides: RawOverrides = field(default_factory=RawOverrides)
-    line: int = 0
+    __slots__ = ("lemma", "pos", "lang", "sense_id", "concept", "complement_map",
+                 "overrides", "line")
+
+    def __init__(self, lemma: str, pos: str, lang: str, sense_id: str, concept: str,
+                 complement_map: dict[str, str] | None = None,
+                 overrides: RawOverrides | None = None, line: int = 0):
+        self.lemma = lemma
+        self.pos = pos
+        self.lang = lang
+        self.sense_id = sense_id
+        self.concept = concept
+        self.complement_map = {} if complement_map is None else complement_map
+        self.overrides = RawOverrides() if overrides is None else overrides
+        self.line = line
 
 
-@dataclass
 class RawLexicon:
-    concepts: dict[str, RawConcept] = field(default_factory=dict)
-    realizations: list[RawRealization] = field(default_factory=list)
-    path: str = "<string>"
+    __slots__ = ("concepts", "realizations", "path")
+
+    def __init__(self, concepts: dict[str, RawConcept] | None = None,
+                 realizations: list[RawRealization] | None = None,
+                 path: str = "<string>"):
+        self.concepts = {} if concepts is None else concepts
+        self.realizations = [] if realizations is None else realizations
+        self.path = path
 
 
-@dataclass
 class Realization:
-    lemma: str
-    pos: str
-    lang: str
-    sense_id: str
-    concept: str
-    complement_map: dict[str, str] = field(default_factory=dict)
-    overrides: RawOverrides = field(default_factory=RawOverrides)
-    effective: ConceptNode | None = None
-    line: int = 0
+    __slots__ = ("lemma", "pos", "lang", "sense_id", "concept", "complement_map",
+                 "overrides", "effective", "line")
+
+    def __init__(self, lemma: str, pos: str, lang: str, sense_id: str, concept: str,
+                 complement_map: dict[str, str] | None = None,
+                 overrides: RawOverrides | None = None,
+                 effective: ConceptNode | None = None, line: int = 0):
+        self.lemma = lemma
+        self.pos = pos
+        self.lang = lang
+        self.sense_id = sense_id
+        self.concept = concept
+        self.complement_map = {} if complement_map is None else complement_map
+        self.overrides = RawOverrides() if overrides is None else overrides
+        self.effective = effective
+        self.line = line
 
 
-@dataclass
 class FgLexicon:
     """Inheritance-resolved foreground lexicon, indexed by (lemma, pos, lang)."""
 
-    concepts: dict[str, ConceptNode] = field(default_factory=dict)
-    realizations: dict[tuple[str, str, str], list[Realization]] = field(default_factory=dict)
+    __slots__ = ("concepts", "realizations")
+
+    def __init__(self, concepts: dict[str, ConceptNode] | None = None,
+                 realizations: dict[tuple[str, str, str], list[Realization]] | None = None):
+        self.concepts = {} if concepts is None else concepts
+        self.realizations = {} if realizations is None else realizations
 
     def senses(self, lemma: str, pos: str, lang: str = "en") -> list[Realization]:
         """All realizations for the key, in declaration order; empty if unknown."""
         return list(self.realizations.get((lemma.lower(), pos, lang), ()))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # error | warning
     location: str
     message: str
@@ -426,7 +455,7 @@ def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
                 if ov.schema is not None:
                     # rebind inherited slots to the overridden schema
                     args = tuple(
-                        replace(a, slot_binding=(schema, a.slot_binding[1]))
+                        a._replace(slot_binding=(schema, a.slot_binding[1]))
                         if a.slot_binding else a
                         for a in args)
             discs = (_discriminator_rules(ov.discriminators)

@@ -8,30 +8,27 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CycleError, ParseError
 
 CATEGORIES = ("noun", "verb", "any")
 
 
-@dataclass(frozen=True)
-class SemClass:
+class SemClass(NamedTuple):
     id: str
     parent: str | None = None
     lexical_category: str = "any"
 
 
-@dataclass(frozen=True)
-class SlotSpec:
+class SlotSpec(NamedTuple):
     name: str
     filler_class: str
     required: bool = False
     multiplicity: str = "one"  # one | many
 
 
-@dataclass(frozen=True)
-class TemplateSchema:
+class TemplateSchema(NamedTuple):
     name: str
     slots: tuple[SlotSpec, ...] = ()
 
@@ -42,12 +39,15 @@ class TemplateSchema:
         return None
 
 
-@dataclass
 class Ontology:
     """Validated class forest and schema set; closed under parent references."""
 
-    classes: dict[str, SemClass] = field(default_factory=dict)
-    schemas: dict[str, TemplateSchema] = field(default_factory=dict)
+    __slots__ = ("classes", "schemas")
+
+    def __init__(self, classes: dict[str, SemClass] | None = None,
+                 schemas: dict[str, TemplateSchema] | None = None):
+        self.classes = {} if classes is None else classes
+        self.schemas = {} if schemas is None else schemas
 
     def ancestry(self, cid: str) -> list[str]:
         """The class itself followed by its parent chain up to a root."""

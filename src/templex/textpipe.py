@@ -10,7 +10,6 @@ acceptance fixtures bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -45,10 +44,17 @@ class Token(NamedTuple):
     char_span: tuple[int, int]
 
 
-@dataclass
 class Document:
-    doc_id: str
-    sentences: list[list[Token]] = field(default_factory=list)
+    __slots__ = ("doc_id", "sentences")
+
+    def __init__(self, doc_id: str, sentences: list[list[Token]] | None = None):
+        self.doc_id = doc_id
+        self.sentences = [] if sentences is None else sentences
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.doc_id == other.doc_id and self.sentences == other.sentences
 
     def tokens(self):
         for sent in self.sentences:
@@ -69,17 +75,22 @@ class GrRelation(NamedTuple):
     voice: str  # active | passive
 
 
-@dataclass
 class SentenceAnalysis:
-    tokens: list[Token]
-    chunks: list[Chunk]
-    relations: list[GrRelation]
+    __slots__ = ("tokens", "chunks", "relations")
+
+    def __init__(self, tokens: list[Token], chunks: list[Chunk],
+                 relations: list[GrRelation]):
+        self.tokens = tokens
+        self.chunks = chunks
+        self.relations = relations
 
 
-@dataclass
 class DocAnalysis:
-    doc: Document
-    sentences: list[SentenceAnalysis]
+    __slots__ = ("doc", "sentences")
+
+    def __init__(self, doc: Document, sentences: list[SentenceAnalysis]):
+        self.doc = doc
+        self.sentences = sentences
 
 
 # ------------------------------------------------------------ corpus input
@@ -146,9 +157,9 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str) \
             raise ParseError(f"expected {ncols} tab-separated columns, got {len(cols)}",
                              path=path, line=lineno)
         surface, lemma, pos = cols[:3]
-        if not surface or not lemma:
-            raise ParseError(f"empty {'lemma' if surface else 'surface'} field",
-                             path=path, line=lineno)
+        if not (surface.isalnum() and lemma.isalnum()):
+            _check_field("surface", surface, path, lineno)
+            _check_field("lemma", lemma, path, lineno)
         if pos not in TAGSET:
             raise ParseError(f"unknown POS tag {pos!r}", path=path, line=lineno)
         if cur_doc is None:
@@ -166,6 +177,15 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str) \
             extras.append((tok, cols[3], lineno))
     end_sentence()
     return docs, extras
+
+
+def _check_field(name: str, value: str, path: str, lineno: int) -> None:
+    # the model and lexicon files split their lines at any whitespace, so a
+    # field that is empty or holds whitespace would not read back
+    if not value:
+        raise ParseError(f"empty {name} field", path=path, line=lineno)
+    if value.split() != [value]:
+        raise ParseError(f"whitespace in {name} field {value!r}", path=path, line=lineno)
 
 
 def _read_raw(text: str, doc_id: str) -> Document:

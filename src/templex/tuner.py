@@ -10,17 +10,21 @@ with the lemma.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from . import wsd
 from .bg_lexicon import BgLexicon, BgSense
 from .errors import ParseError, parse_number
 from .textpipe import Document, lexicon_pos
-from .wsd import (BayesModel, _doc_positions, _lemma_row, _window, apply_ospd,
-                  disambiguate_background, train_bayes)
+from .wsd import BayesModel, _doc_positions, _lemma_row, _window
+# `tune` calls the classifier through the `wsd` module, as `cli` does, so it
+# calls what `wsd` holds at the time, even a function replaced there before
+# this module was imported.  `perfbench/tracing.py` still patches these
+# names here.
+from .wsd import apply_ospd, disambiguate_background, train_bayes  # noqa: F401
 
 
-@dataclass
-class TuneParams:
+class TuneParams(NamedTuple):
     min_occurrences: int = 5
     window: int = 10
     alpha: float = 0.1
@@ -34,13 +38,19 @@ class TuneParams:
             raise ValueError("alpha must be positive")
 
 
-@dataclass
 class TunedLexicon:
-    base: BgLexicon
-    ejected: dict[tuple[str, str], set[str]] = field(default_factory=dict)
-    discriminators: dict[tuple[str, str, str], list[tuple[str, float]]] = field(default_factory=dict)
-    corpus_id: str = ""
-    params: TuneParams = field(default_factory=TuneParams)
+    __slots__ = ("base", "ejected", "discriminators", "corpus_id", "params")
+
+    def __init__(self, base: BgLexicon,
+                 ejected: dict[tuple[str, str], set[str]] | None = None,
+                 discriminators: dict[tuple[str, str, str], list[tuple[str, float]]]
+                 | None = None,
+                 corpus_id: str = "", params: TuneParams = TuneParams()):
+        self.base = base
+        self.ejected = {} if ejected is None else ejected
+        self.discriminators = {} if discriminators is None else discriminators
+        self.corpus_id = corpus_id
+        self.params = params
 
     def discriminators_for(self, lemma: str, pos: str,
                            sense_id: str) -> list[tuple[str, float]]:
@@ -65,10 +75,10 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
         raise ValueError("empty corpus")
 
     if model is None:
-        model = train_bayes(docs, bg, params.window, params.alpha)
-    tags = disambiguate_background(model, docs, bg)
+        model = wsd.train_bayes(docs, bg, params.window, params.alpha)
+    tags = wsd.disambiguate_background(model, docs, bg)
     if use_ospd:
-        tags = apply_ospd(tags, bg)
+        tags = wsd.apply_ospd(tags, bg)
 
     occurrences: Counter = Counter()          # (lemma, pos) -> corpus count
     assigned: Counter = Counter()             # (lemma, pos, sense_id) -> count
@@ -183,7 +193,8 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
                 number = _PARAM_TYPES.get(k)
                 if number is None:
                     raise ParseError(f"unknown param {k!r}", path=path, line=lineno)
-                setattr(tuned.params, k, parse_number(number, v, path=path, line=lineno))
+                tuned.params = tuned.params._replace(
+                    **{k: parse_number(number, v, path=path, line=lineno)})
         elif kind == "sense":
             if len(parts) < 5:
                 raise ParseError("expected `sense <lemma> <pos> <id> <CLASS>`",

@@ -12,23 +12,23 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError
-from .textpipe import DocAnalysis, Document, Token
-from .wsd import SenseTag, TokenKey
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    from .textpipe import DocAnalysis, Document, Token
+    from .wsd import SenseTag, TokenKey
 
 
-@dataclass(frozen=True)
-class TokenConstraint:
+class TokenConstraint(NamedTuple):
     kind: str  # word | lemma | pos | class
     value: str
 
 
-@dataclass(frozen=True)
-class PatternQuery:
+class PatternQuery(NamedTuple):
     constraints: tuple[TokenConstraint, ...]
 
     def needs_tags(self) -> bool:
@@ -45,8 +45,7 @@ class KwicLine(NamedTuple):
     right: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PatternReportEntry:
+class PatternReportEntry(NamedTuple):
     kind: str  # collocate | pos_trigram | relation
     value: str
     frequency: int

@@ -16,17 +16,17 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bg_lexicon import BgLexicon, BgSense
-from .decisionlist import (DecisionList, DecisionRule, DLInstance,
-                           apply_decision_list)
 from .errors import ParseError, parse_number
-from .fg_lexicon import Diagnostic, FgLexicon, Realization
-from .ontology import Ontology
 from .textpipe import (DocAnalysis, Document, Token, _read_vertical,
                        is_passive_vg, lexicon_pos)
+
+if TYPE_CHECKING:
+    from .bg_lexicon import BgLexicon, BgSense
+    from .decisionlist import DecisionRule
+    from .fg_lexicon import Diagnostic, FgLexicon, Realization
+    from .ontology import Ontology
 
 UNFILLED = "UNFILLED"
 SALIENT = "SALIENT"
@@ -127,18 +127,26 @@ class SenseTag(NamedTuple):
     method: str  # unambiguous | bayes | ospd | foreground | decision_list
 
 
-@dataclass
 class FgMatch:
-    doc_id: str
-    sent_idx: int
-    verb_idx: int
-    concept: str
-    sense_id: str
-    bindings: dict[str, int | str] = field(default_factory=dict)
-    passive_implicature: bool = False
-    competitors: int = 0  # other foreground senses that also fit
-    survivors: int = 1    # all senses (foreground + general) passing the filter
-    trigger_lemma: str = ""
+    __slots__ = ("doc_id", "sent_idx", "verb_idx", "concept", "sense_id", "bindings",
+                 "passive_implicature", "competitors", "survivors", "trigger_lemma")
+
+    def __init__(self, doc_id: str, sent_idx: int, verb_idx: int, concept: str,
+                 sense_id: str, bindings: dict[str, int | str] | None = None,
+                 passive_implicature: bool = False, competitors: int = 0,
+                 survivors: int = 1, trigger_lemma: str = ""):
+        self.doc_id = doc_id
+        self.sent_idx = sent_idx
+        self.verb_idx = verb_idx
+        self.concept = concept
+        self.sense_id = sense_id
+        self.bindings = {} if bindings is None else bindings
+        self.passive_implicature = passive_implicature
+        # other foreground senses that also fit
+        self.competitors = competitors
+        # all senses (foreground + general) passing the filter
+        self.survivors = survivors
+        self.trigger_lemma = trigger_lemma
 
 
 # ------------------------------------------------------------ training
@@ -384,6 +392,8 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
     Exactly one fit emits a match; several fits consult the concept's
     discriminator rules; a remaining tie abstains with a diagnostic.
     """
+    from .fg_lexicon import Diagnostic
+
     matches: list[FgMatch] = []
     diagnostics: list[Diagnostic] = []
 
@@ -462,6 +472,8 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
 
 
 def _discriminate(fits, flat, flat_pos, verb_key, window):
+    from .decisionlist import DecisionList, DLInstance, apply_decision_list
+
     fit_senses = {real.sense_id for real, _, _ in fits}
     rules: list[DecisionRule] = []
     seen = set()

@@ -128,9 +128,8 @@ def test_dump_reload_roundtrip(bg):
 def collapse_like(lex):
     # a dumped collapsed lexicon reloads with the coarse class in the fine
     # column; mark it collapsed with coarse = fine for comparison purposes
-    from dataclasses import replace
     out_lex = type(lex)(collapsed=True)
     for key, ss in lex.senses_by_key.items():
-        out_lex.senses_by_key[key] = [replace(s, coarse_class=s.fine_class)
+        out_lex.senses_by_key[key] = [s._replace(coarse_class=s.fine_class)
                                       for s in ss]
     return out_lex

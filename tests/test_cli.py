@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import templex
 from templex.cli import main
 from helpers import fixture_path, fixture_text
 
@@ -319,3 +324,68 @@ def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}: bank/noun/s1: unknown class NOSUCH" in err
     assert "school" not in err
+
+
+# ------------------------------------------------- what each command imports
+
+# Runs `main(argv)` in a fresh interpreter and prints the templex modules,
+# and `dataclasses`, loaded at the end and when each process pool is built.
+_PROBE = """
+import concurrent.futures, json, os, sys
+from templex.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("templex"))
+
+at_pool = []
+
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        at_pool.append(loaded())
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = CountingPool
+os.cpu_count = lambda: 2
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "end": loaded(), "at_pool": at_pool}))
+"""
+
+
+def _modules(argv):
+    src = os.path.dirname(os.path.dirname(templex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    return report
+
+
+def test_validate_imports_no_pipeline_module_and_no_dataclasses(tmp_path):
+    end = _modules(["validate",
+                    "--ontology", fixture_path("succession.onto"),
+                    "--fg-lexicon", fixture_path("succession.fglex"),
+                    "--bg-lexicon", fixture_path("succession.bglex"),
+                    "--output", str(tmp_path / "out.txt")])["end"]
+    assert "templex.fg_lexicon" in end and "templex.bg_lexicon" in end
+    assert "dataclasses" not in end
+    for name in ("textpipe", "wsd", "tuner", "workbench", "extract"):
+        assert f"templex.{name}" not in end
+
+
+def test_tagged_kwic_imports_no_lexicon_module(tmp_path):
+    end = _modules(["kwic", "--tagged", fixture_path("succession_tuned_gold.vrt"),
+                    "--query", "class=ORGANISATION",
+                    "--output", str(tmp_path / "out.txt")])["end"]
+    assert "templex.workbench" in end and "templex.wsd" in end
+    for name in ("fg_lexicon", "decisionlist", "tuner", "extract", "ontology"):
+        assert f"templex.{name}" not in end
+
+
+def test_shard_workers_import_nothing_the_parent_did_not(tmp_path):
+    args, _ = base_args(tmp_path, "extract", "out.jsonl")
+    serial = _modules([*args, "--jobs", "1"])
+    forked = _modules([*args, "--jobs", "2"])
+    assert serial["at_pool"] == [] and len(forked["at_pool"]) == 1
+    # the forked workers inherit every module a one-process run ever loads
+    assert set(serial["end"]) <= set(forked["at_pool"][0])

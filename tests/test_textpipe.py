@@ -54,6 +54,11 @@ def test_empty_surface_or_lemma_rejected():
         read_corpus("firm\tfirm\tNN\nx\t\tNN\n", path="c.vrt")
     with pytest.raises(ParseError, match=r"^c\.vrt:3: empty surface field$"):
         read_corpus("#DOC d\nfirm\tfirm\tNN\n\tq\tNN\n", path="c.vrt")
+    # the model file splits at any whitespace, also within a field
+    with pytest.raises(ParseError, match=r"^c\.vrt:2: whitespace in lemma field 'the firm'$"):
+        read_corpus("firm\tfirm\tNN\nthe\tthe firm\tNN\n", path="c.vrt")
+    with pytest.raises(ParseError, match=r"^c\.vrt:1: whitespace in surface field 'a\\xa0b'$"):
+        read_corpus("a\xa0b\tab\tNN\n", path="c.vrt")
 
 
 def test_raw_mode_tokenizes_terminal_period():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templex import (Document, TuneParams, apply_tuning, load_tuned_lexicon,
-                     save_tuned_lexicon, tune)
+                     save_tuned_lexicon, tune, wsd)
 from helpers import training_sets
 
 
@@ -176,3 +176,16 @@ def test_capitalised_lemmas_tune_like_lowercase_ones(bg, corpus):
     assert capital.ejected == lower.ejected
     assert len(lower.discriminators) == 51
     assert capital.discriminators.keys() == lower.discriminators.keys()
+
+
+def test_tune_calls_the_classifier_through_wsd(bg, corpus, monkeypatch):
+    # a function replaced on `wsd` is the one `tune` calls, whenever `tuner`
+    # was imported: the layer tracer of the benchmark replaces them there
+    calls = []
+    for name in ("train_bayes", "disambiguate_background", "apply_ospd"):
+        def counted(*args, _original=getattr(wsd, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(wsd, name, counted)
+    tune(bg, corpus, TuneParams())
+    assert calls == ["train_bayes", "disambiguate_background", "apply_ospd"]

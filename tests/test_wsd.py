@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templex import (apply_ospd, classify_bayes, disambiguate_background,
-                     load_bayes_model, save_bayes_model, train_bayes)
+from templex import (BgLexicon, BgSense, apply_ospd, classify_bayes,
+                     disambiguate_background, load_bayes_model, save_bayes_model,
+                     train_bayes)
 from templex.errors import ParseError
 from templex.textpipe import TAGSET, lexicon_pos, read_corpus
 from templex.wsd import BayesModel, dump_tagged_corpus, load_tagged_corpus
@@ -322,6 +323,38 @@ def test_one_line_mutation_loads_or_names_path_and_line(text, tagged, data):
     except ParseError as exc:
         assert exc.path == "m.vrt"
         assert 1 <= exc.line <= len(mutated.splitlines())
+
+
+# every str.split() whitespace that survives splitlines() and the tab split
+_FIELD = st.one_of(st.text("ab", min_size=1, max_size=3),
+                   st.text("ab #.\x1f\xa0\u2003\u3000", max_size=4))
+
+
+@st.composite
+def readable_training_texts(draw):
+    """Vertical text around an anchor lemma, with drawn surface and lemma
+    fields that may be empty or hold any kind of whitespace."""
+    lines = ["firm\tfirm\tNN", "bank\tbank\tNN"]
+    for _ in range(draw(st.integers(1, 6))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     f"{draw(_FIELD)}\t{draw(_FIELD)}\t{draw(st.sampled_from(['NN', 'VBD']))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=readable_training_texts())
+def test_every_readable_corpus_trains_a_model_that_reloads(text):
+    bg = BgLexicon(collapsed=True)
+    bg.senses_by_key[("firm", "noun")] = [BgSense("firm", "noun", "s1", "ORG", "ORG")]
+    bg.senses_by_key[("bank", "noun")] = [BgSense("bank", "noun", "s1", "LOC", "LOC"),
+                                          BgSense("bank", "noun", "s2", "ORG", "ORG")]
+    try:
+        docs = read_corpus(text, path="c.vrt")
+    except ParseError as exc:
+        assert exc.line is not None
+        return
+    dump = save_bayes_model(train_bayes(docs, bg, window=3))
+    assert save_bayes_model(load_bayes_model(dump)) == dump
 
 
 # ------------------------------------------ properties of the sparse model
