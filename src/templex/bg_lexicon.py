@@ -73,10 +73,51 @@ class BgLexicon:
         return sorted(seen)
 
 
+def add_sense_line(lex: BgLexicon, parts: list[str], path: str, lineno: int,
+                   gloss: str | None = None) -> None:
+    """Add a split `<lemma> <pos> <sense_id> <CLASS> [subj=C] [obj=C]` line to lex.
+
+    A repeated (lemma, pos, sense_id) is rejected.  On a collapsed lexicon
+    the class is the coarse class too.
+    """
+    if len(parts) < 4:
+        raise ParseError("expected `<lemma> <pos> <sense_id> <CLASS>`",
+                         path=path, line=lineno)
+    lemma, pos, sense_id, cls = parts[0].lower(), parts[1], parts[2], parts[3].upper()
+    if pos not in BG_POS:
+        raise ParseError(f"bad pos {pos!r}", path=path, line=lineno)
+    subj_r = obj_r = None
+    for tok in parts[4:]:
+        if tok.startswith("subj="):
+            subj_r = tok[5:].upper()
+        elif tok.startswith("obj="):
+            obj_r = tok[4:].upper()
+        else:
+            raise ParseError(f"unexpected token {tok!r}", path=path, line=lineno)
+    senses = lex.senses_by_key.setdefault((lemma, pos), [])
+    if any(s.sense_id == sense_id for s in senses):
+        raise ParseError(f"duplicate sense {lemma}/{pos}/{sense_id}",
+                         path=path, line=lineno)
+    coarse = cls if lex.collapsed else None
+    senses.append(BgSense(lemma, pos, sense_id, cls, coarse, gloss, subj_r, obj_r))
+
+
+def sense_line(s: BgSense, collapsed: bool) -> str:
+    """The sense in the `add_sense_line` grammar, without a gloss.
+
+    The class column holds the coarse class when collapsed.
+    """
+    line = f"{s.lemma} {s.pos} {s.sense_id} {s.coarse_class if collapsed else s.fine_class}"
+    if s.subj_restriction:
+        line += f" subj={s.subj_restriction}"
+    if s.obj_restriction:
+        line += f" obj={s.obj_restriction}"
+    return line
+
+
 def load_bg_lexicon(text: str, path: str = "<string>") -> BgLexicon:
     """Parse `<lemma> <pos> <sense_id> <FINE_CLASS> [subj=C] [obj=C] [# gloss]`."""
     lex = BgLexicon()
-    seen: set[tuple[str, str, str]] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         gloss = None
         line = rawline
@@ -86,29 +127,8 @@ def load_bg_lexicon(text: str, path: str = "<string>") -> BgLexicon:
             if comment and line.strip():
                 gloss = comment
         parts = line.split()
-        if not parts:
-            continue
-        if len(parts) < 4:
-            raise ParseError("expected `<lemma> <pos> <sense_id> <FINE_CLASS>`",
-                             path=path, line=lineno)
-        lemma, pos, sense_id, fine = parts[0].lower(), parts[1], parts[2], parts[3].upper()
-        if pos not in BG_POS:
-            raise ParseError(f"bad pos {pos!r}", path=path, line=lineno)
-        subj_r = obj_r = None
-        for tok in parts[4:]:
-            if tok.startswith("subj="):
-                subj_r = tok[5:].upper()
-            elif tok.startswith("obj="):
-                obj_r = tok[4:].upper()
-            else:
-                raise ParseError(f"unexpected token {tok!r}", path=path, line=lineno)
-        key3 = (lemma, pos, sense_id)
-        if key3 in seen:
-            raise ParseError(f"duplicate sense {lemma}/{pos}/{sense_id}",
-                             path=path, line=lineno)
-        seen.add(key3)
-        sense = BgSense(lemma, pos, sense_id, fine, None, gloss, subj_r, obj_r)
-        lex.senses_by_key.setdefault((lemma, pos), []).append(sense)
+        if parts:
+            add_sense_line(lex, parts, path, lineno, gloss)
     for ss in lex.senses_by_key.values():
         ss.sort(key=lambda s: s.sense_id)
     return lex
@@ -229,13 +249,6 @@ def dump_bg_lexicon(lex: BgLexicon) -> str:
     lines = []
     for key in sorted(lex.senses_by_key):
         for s in lex.senses_by_key[key]:
-            cls = s.coarse_class if lex.collapsed else s.fine_class
-            line = f"{s.lemma} {s.pos} {s.sense_id} {cls}"
-            if s.subj_restriction:
-                line += f" subj={s.subj_restriction}"
-            if s.obj_restriction:
-                line += f" obj={s.obj_restriction}"
-            if s.gloss:
-                line += f" # {s.gloss}"
-            lines.append(line)
+            line = sense_line(s, lex.collapsed)
+            lines.append(f"{line} # {s.gloss}" if s.gloss else line)
     return "\n".join(lines) + ("\n" if lines else "")

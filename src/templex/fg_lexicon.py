@@ -4,8 +4,9 @@ Concepts form a single-parent default-inheritance hierarchy.  Resolution
 flattens it field by field: a concept's effective value for schema / args /
 assertions / instigator / discriminators is the nearest value set on its own
 node or up the parent chain.  Assertions are replaced wholesale when
-overridden, never merged.  Word realizations may override the same fields
-again, privately, without touching the shared concept.
+overridden, never merged.  A word's overrides restate the same fields as
+the nearest link of its concept's chain, privately, without touching the
+shared concept.
 """
 
 from __future__ import annotations
@@ -235,6 +236,37 @@ def _parse_feature(text: str, path: str, lineno: int) -> tuple[str, str]:
     return kinds[kind], value.lower()
 
 
+def _parse_field(node: RawConcept | RawOverrides, parts: list[str], path: str,
+                 lineno: int, prefix: str = "") -> None:
+    """Set one inheritable field on a concept or a word's overrides.
+
+    `parts` is a concept-block line, or the rest of an `override` line,
+    whose messages then carry the prefix "override ".
+    """
+    head, rest = parts[0], parts[1:]
+    if head == "template" and len(rest) == 1:
+        node.schema = rest[0]
+        return
+    if head == "instigator" and len(rest) == 1:
+        node.instigator = rest[0]
+        return
+    if head == "arg":
+        name, item = "args", _parse_arg(rest, path, lineno)
+    elif head == "assert":
+        name, item = "assertions", _parse_assert(rest, path, lineno)
+    elif head == "discriminate":
+        if len(rest) != 3 or rest[1] != "when":
+            raise ParseError(f"expected `{prefix}discriminate <sense_id> when <feature>`",
+                             path=path, line=lineno)
+        name, item = "discriminators", (rest[0], *_parse_feature(rest[2], path, lineno))
+    else:
+        what = "override field" if prefix else "concept directive"
+        raise ParseError(f"unknown {what} {head!r}", path=path, line=lineno)
+    if getattr(node, name) is None:  # an overrides field not yet restated
+        setattr(node, name, [])
+    getattr(node, name).append(item)
+
+
 def parse_fg_lexicon(text: str, path: str = "<string>") -> RawLexicon:
     """Parse the foreground DSL; inheritance links are kept unresolved."""
     raw = RawLexicon(path=path)
@@ -295,67 +327,26 @@ def parse_fg_lexicon(text: str, path: str = "<string>") -> RawLexicon:
             raise ParseError("indented line outside a block", path=path, line=lineno)
 
         if isinstance(cur, RawConcept):
-            if parts[0] == "template" and len(parts) == 2:
-                cur.schema = parts[1]
-            elif parts[0] == "arg":
-                cur.args.append(_parse_arg(parts[1:], path, lineno))
-            elif parts[0] == "assert":
-                cur.assertions.append(_parse_assert(parts[1:], path, lineno))
-            elif parts[0] == "instigator" and len(parts) == 2:
-                cur.instigator = parts[1]
-            elif parts[0] == "discriminate":
-                if len(parts) != 4 or parts[2] != "when":
-                    raise ParseError("expected `discriminate <sense_id> when <feature>`",
-                                     path=path, line=lineno)
-                kind, value = _parse_feature(parts[3], path, lineno)
-                cur.discriminators.append((parts[1], kind, value))
-            else:
-                raise ParseError(f"unknown concept directive {parts[0]!r}",
+            _parse_field(cur, parts, path, lineno)
+        elif parts[0] == "map":
+            # map subj|dobj|iobj|pp:<prep> -> <role>
+            if len(parts) != 4 or parts[2] != "->":
+                raise ParseError("expected `map <relation> -> <role>`",
                                  path=path, line=lineno)
+            gr = parts[1]
+            if gr not in GR_KEYS and not gr.startswith("pp:"):
+                raise ParseError(f"bad grammatical relation {gr!r}",
+                                 path=path, line=lineno)
+            if gr in cur.complement_map:
+                raise ParseError(f"duplicate map for {gr!r}", path=path, line=lineno)
+            cur.complement_map[gr] = parts[3]
+        elif parts[0] == "override":
+            if len(parts) == 1:
+                raise ParseError("empty override", path=path, line=lineno)
+            _parse_field(cur.overrides, parts[1:], path, lineno, "override ")
         else:
-            if parts[0] == "map":
-                # map subj|dobj|iobj|pp:<prep> -> <role>
-                if len(parts) != 4 or parts[2] != "->":
-                    raise ParseError("expected `map <relation> -> <role>`",
-                                     path=path, line=lineno)
-                gr = parts[1]
-                if gr not in GR_KEYS and not gr.startswith("pp:"):
-                    raise ParseError(f"bad grammatical relation {gr!r}",
-                                     path=path, line=lineno)
-                if gr in cur.complement_map:
-                    raise ParseError(f"duplicate map for {gr!r}", path=path, line=lineno)
-                cur.complement_map[gr] = parts[3]
-            elif parts[0] == "override":
-                ov = cur.overrides
-                sub = parts[1:]
-                if not sub:
-                    raise ParseError("empty override", path=path, line=lineno)
-                if sub[0] == "template" and len(sub) == 2:
-                    ov.schema = sub[1]
-                elif sub[0] == "arg":
-                    if ov.args is None:
-                        ov.args = []
-                    ov.args.append(_parse_arg(sub[1:], path, lineno))
-                elif sub[0] == "assert":
-                    if ov.assertions is None:
-                        ov.assertions = []
-                    ov.assertions.append(_parse_assert(sub[1:], path, lineno))
-                elif sub[0] == "instigator" and len(sub) == 2:
-                    ov.instigator = sub[1]
-                elif sub[0] == "discriminate":
-                    if len(sub) != 4 or sub[2] != "when":
-                        raise ParseError("expected `override discriminate <sense_id> "
-                                         "when <feature>`", path=path, line=lineno)
-                    kind, value = _parse_feature(sub[3], path, lineno)
-                    if ov.discriminators is None:
-                        ov.discriminators = []
-                    ov.discriminators.append((sub[1], kind, value))
-                else:
-                    raise ParseError(f"unknown override field {sub[0]!r}",
-                                     path=path, line=lineno)
-            else:
-                raise ParseError(f"unknown word directive {parts[0]!r}",
-                                 path=path, line=lineno)
+            raise ParseError(f"unknown word directive {parts[0]!r}",
+                             path=path, line=lineno)
 
     for r in raw.realizations:
         if r.concept not in raw.concepts:
@@ -371,7 +362,7 @@ def _discriminator_rules(specs: list[tuple[str, str, str]]) -> tuple[DecisionRul
     return tuple(DecisionRule(kind, value, sense, 1.0) for sense, kind, value in specs)
 
 
-def _merge_chain(chain: list[RawConcept]) -> dict:
+def _merge_chain(chain: list[RawConcept | RawOverrides]) -> dict:
     """Nearest-set-value field merge, self first then up the parent chain."""
     merged: dict = {name: None for name in _FIELD_NAMES}
     for node in chain:
@@ -388,13 +379,13 @@ def _merge_chain(chain: list[RawConcept]) -> dict:
     return merged
 
 
-def _build_node(cid: str, merged: dict, line: int) -> ConceptNode:
+def _build_node(cid: str, merged: dict, line: int, label: str) -> ConceptNode:
     if merged["schema"] is None:
-        raise LexiconError(f"concept {cid}: no schema after resolution")
+        raise LexiconError(f"{label}: no schema after resolution")
     args = []
     for ra in merged["args"] or []:
         if ra.restriction is None:
-            raise LexiconError(f"concept {cid}: arg {ra.role} has no restriction")
+            raise LexiconError(f"{label}: arg {ra.role} has no restriction")
         binding = (merged["schema"], ra.slot) if ra.slot is not None else None
         args.append(ArgSpec(ra.role, ra.restriction, binding, ra.required))
     return ConceptNode(
@@ -417,58 +408,23 @@ def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
     check_acyclic({cid: node.parent for cid, node in raw.concepts.items()}, "concept")
 
     concepts: dict[str, ConceptNode] = {}
+    chains: dict[str, list[RawConcept]] = {}
     for cid, node in raw.concepts.items():
-        chain = [node]
+        chain = chains[cid] = [node]
         cur = node.parent
         while cur is not None:
             chain.append(raw.concepts[cur])
             cur = raw.concepts[cur].parent
-        concepts[cid] = _build_node(cid, _merge_chain(chain), node.line)
+        concepts[cid] = _build_node(cid, _merge_chain(chain), node.line, f"concept {cid}")
 
     lex = FgLexicon(concepts=concepts)
     for rr in raw.realizations:
-        base = concepts[rr.concept]
-        effective = base
+        effective = concepts[rr.concept]
         if not rr.overrides.empty():
-            ov = rr.overrides
-            merged = {
-                "schema": ov.schema if ov.schema is not None else base.schema,
-                "args": ov.args,  # handled below
-                "assertions": list(ov.assertions) if ov.assertions is not None
-                              else list(base.assertions),
-                "instigator": ov.instigator if ov.instigator is not None
-                              else base.instigator,
-                "discriminators": None,
-            }
-            schema = merged["schema"]
-            if ov.args is not None:
-                argspecs = []
-                for ra in ov.args:
-                    if ra.restriction is None:
-                        raise LexiconError(
-                            f"word {rr.lemma}/{rr.pos}: arg {ra.role} has no restriction")
-                    binding = (schema, ra.slot) if ra.slot is not None else None
-                    argspecs.append(ArgSpec(ra.role, ra.restriction, binding, ra.required))
-                args = tuple(argspecs)
-            else:
-                args = base.args
-                if ov.schema is not None:
-                    # rebind inherited slots to the overridden schema
-                    args = tuple(
-                        a._replace(slot_binding=(schema, a.slot_binding[1]))
-                        if a.slot_binding else a
-                        for a in args)
-            discs = (_discriminator_rules(ov.discriminators)
-                     if ov.discriminators is not None else base.discriminators)
-            effective = ConceptNode(
-                id=base.id,
-                schema=schema,
-                args=args,
-                assertions=tuple(merged["assertions"]),
-                instigator=merged["instigator"],
-                discriminators=discs,
-                line=base.line,
-            )
+            # the word's overrides are the nearest link of the concept's chain
+            effective = _build_node(rr.concept,
+                                    _merge_chain([rr.overrides, *chains[rr.concept]]),
+                                    effective.line, f"word {rr.lemma}/{rr.pos}")
         for gr, role in rr.complement_map.items():
             if role not in effective.roles():
                 raise LexiconError(

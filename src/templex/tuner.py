@@ -13,9 +13,9 @@ from collections import Counter, defaultdict
 from typing import NamedTuple
 
 from . import wsd
-from .bg_lexicon import BgLexicon, BgSense
+from .bg_lexicon import BgLexicon, add_sense_line, sense_line
 from .errors import ParseError, parse_number
-from .textpipe import Document, lexicon_pos
+from .textpipe import Document
 from .wsd import BayesModel, _doc_positions, _lemma_row, _window
 # `tune` calls the classifier through the `wsd` module, as `cli` does, so it
 # calls what `wsd` holds at the time, even a function replaced there before
@@ -83,20 +83,20 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
     occurrences: Counter = Counter()          # (lemma, pos) -> corpus count
     assigned: Counter = Counter()             # (lemma, pos, sense_id) -> count
     cooc: dict[tuple[str, str], set[str]] = defaultdict(set)
+    # the background pass tags exactly the tokens whose lexicon pos has
+    # senses, and OSPD keeps every key: the tags are the occurrences
     for doc in docs:
         flat = _doc_positions(doc)
         row = _lemma_row(flat)
         for i, tok in enumerate(flat):
-            pos = lexicon_pos(tok.pos)
-            if pos is None or not bg.entries(tok.lemma, pos):
+            tag = tags.get((doc.doc_id, tok.sent_idx, tok.tok_idx))
+            if tag is None:
                 continue
             # keyed like bg.senses_by_key, whose lemmas are lowercase
-            key = (tok.lemma.lower(), pos)
+            key = (tag.lemma.lower(), tag.pos)
             occurrences[key] += 1
             cooc[key].update(_window(row, i, params.window))
-            tag = tags.get((doc.doc_id, tok.sent_idx, tok.tok_idx))
-            if tag is not None:
-                assigned[(*key, tag.sense_id)] += 1
+            assigned[(*key, tag.sense_id)] += 1
 
     ejected: dict[tuple[str, str], set[str]] = {}
     for key, senses in bg.senses_by_key.items():
@@ -153,14 +153,8 @@ def save_tuned_lexicon(tuned: TunedLexicon) -> str:
              f"params min_occurrences={p.min_occurrences} window={p.window} "
              f"alpha={p.alpha:.6f} top_k={p.top_k}"]
     for key in sorted(tuned.base.senses_by_key):
-        for s in tuned.base.senses_by_key[key]:
-            cls = s.coarse_class if tuned.base.collapsed else s.fine_class
-            line = f"sense {s.lemma} {s.pos} {s.sense_id} {cls}"
-            if s.subj_restriction:
-                line += f" subj={s.subj_restriction}"
-            if s.obj_restriction:
-                line += f" obj={s.obj_restriction}"
-            lines.append(line)
+        lines.extend("sense " + sense_line(s, tuned.base.collapsed)
+                     for s in tuned.base.senses_by_key[key])
     for key in sorted(tuned.ejected):
         for sid in sorted(tuned.ejected[key]):
             lines.append(f"eject {key[0]} {key[1]} {sid}")
@@ -196,28 +190,16 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
                 tuned.params = tuned.params._replace(
                     **{k: parse_number(number, v, path=path, line=lineno)})
         elif kind == "sense":
-            if len(parts) < 5:
-                raise ParseError("expected `sense <lemma> <pos> <id> <CLASS>`",
-                                 path=path, line=lineno)
-            lemma, pos, sid, cls = parts[1], parts[2], parts[3], parts[4]
-            subj_r = obj_r = None
-            for tok in parts[5:]:
-                if tok.startswith("subj="):
-                    subj_r = tok[5:]
-                elif tok.startswith("obj="):
-                    obj_r = tok[4:]
-                else:
-                    raise ParseError(f"unexpected token {tok!r}", path=path, line=lineno)
-            sense = BgSense(lemma, pos, sid, cls, cls, None, subj_r, obj_r)
-            base.senses_by_key.setdefault((lemma, pos), []).append(sense)
+            add_sense_line(base, parts[1:], path, lineno)
         elif kind == "eject" and len(parts) == 4:
-            tuned.ejected.setdefault((parts[1], parts[2]), set()).add(parts[3])
+            # keyed like the sense lines, whose lemmas are lowercased
+            tuned.ejected.setdefault((parts[1].lower(), parts[2]), set()).add(parts[3])
         elif kind == "disc" and len(parts) == 5:
             pairs = []
             for item in parts[4].split(","):
                 w, _, weight = item.rpartition(":")
                 pairs.append((w, parse_number(float, weight, path=path, line=lineno)))
-            tuned.discriminators[(parts[1], parts[2], parts[3])] = pairs
+            tuned.discriminators[(parts[1].lower(), parts[2], parts[3])] = pairs
         else:
             raise ParseError(f"bad tunedlex line {line!r}", path=path, line=lineno)
     for senses in base.senses_by_key.values():

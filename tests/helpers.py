@@ -28,7 +28,7 @@ def fixture_text(name: str) -> str:
         return fh.read()
 from templex.decisionlist import DecisionRule
 from templex.fg_lexicon import (ArgSpec, ConceptNode, RawArg, RawConcept,
-                                RawLexicon, StateAssertion)
+                                RawLexicon, RawOverrides, StateAssertion)
 from templex.ontology import Ontology, SemClass
 from templex.wsd import SenseTag
 
@@ -140,6 +140,11 @@ def _attach_realizations(rng: random.Random, raw: RawLexicon) -> None:
                 real.overrides.assertions = _random_assertions(rng, list(_ROLES))
             if rng.random() < 0.3:
                 real.overrides.schema = rng.choice(_SCHEMAS)
+            if rng.random() < 0.2:
+                real.overrides.instigator = rng.choice(_ROLES)
+            if rng.random() < 0.2:
+                real.overrides.discriminators = [(f"fg{w}", "word_left",
+                                                  f"w{rng.randrange(20)}")]
         if real.overrides.args is not None:
             roles = [a.role for a in real.overrides.args]
         else:
@@ -149,14 +154,21 @@ def _attach_realizations(rng: random.Random, raw: RawLexicon) -> None:
         raw.realizations.append(real)
 
 
-def merge_oracle(raw: RawLexicon, cid: str) -> ConceptNode:
-    """Brute-force root-to-leaf field merge, independent of the resolver."""
+def merge_oracle(raw: RawLexicon, cid: str, overrides: RawOverrides | None = None) \
+        -> ConceptNode:
+    """Brute-force root-to-leaf field merge, independent of the resolver.
+
+    A word's override block, when given, is the leaf of the chain: its
+    fields replace the concept's, and a new template rebinds every slot.
+    """
     chain = []
     cur: str | None = cid
     while cur is not None:
         chain.append(raw.concepts[cur])
         cur = raw.concepts[cur].parent
     chain.reverse()  # root first
+    if overrides is not None:
+        chain.append(overrides)
     schema = args = assertions = None
     instigator = None
     discriminators = None

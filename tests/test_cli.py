@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import templex
 from templex.cli import main
 from helpers import fixture_path, fixture_text
@@ -314,6 +316,16 @@ def test_tuned_lexicon_bad_discriminator_weight_exit_two(tmp_path, capsys):
                   "disc bank noun s1 loan:0.5,rate:high\n")
     assert rc == 2
     assert f"{path}:3: bad number 'high'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("senses, message", [
+    ("sense bank noun b1 ORGANISATION\n" * 2, "3: duplicate sense bank/noun/b1"),
+    ("sense bank xyz b1 ORGANISATION\n", "2: bad pos 'xyz'"),
+])
+def test_tuned_lexicon_bad_sense_line_exit_two(tmp_path, capsys, senses, message):
+    rc, path = _extract_with_tuned(tmp_path, "tunedlex v1\n" + senses)
+    assert rc == 2
+    assert f"{path}:{message}" in capsys.readouterr().err
 
 
 def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):

@@ -152,6 +152,15 @@ def test_override_unknown_role_rejected():
         load_fg_lexicon(bad)
 
 
+def test_override_arg_without_restriction_names_the_word():
+    # only a hand-built RawArg can lack a restriction
+    from templex.fg_lexicon import RawArg
+    raw = parse_fg_lexicon(MINI)
+    raw.realizations[0].overrides.args = [RawArg("org", None)]
+    with pytest.raises(LexiconError, match="^word sack/verb: arg org has no restriction$"):
+        resolve_inheritance(raw)
+
+
 def test_resolution_idempotent_on_flat_lexicon():
     rng = random.Random(3)
     raw = random_hierarchy(rng, 40)
@@ -224,4 +233,6 @@ def test_complement_roles_exist_on_random_lexicons():
                     assert role in r.effective.roles()
                 # shared concept untouched by realization overrides
                 assert lex.concepts[r.concept] == merge_oracle(raw, r.concept)
+                # the override block resolves as the leaf of the concept's chain
+                assert r.effective == merge_oracle(raw, r.concept, r.overrides)
     assert seen_realizations > 50 and seen_overrides > 10

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templex import (Document, TuneParams, apply_tuning, load_tuned_lexicon,
-                     save_tuned_lexicon, tune, wsd)
-from helpers import training_sets
+from templex import (Document, ParseError, TuneParams, apply_tuning,
+                     load_tuned_lexicon, save_tuned_lexicon, tune, wsd)
+from helpers import fixture_text, training_sets
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,31 @@ def test_file_roundtrip_bit_exact(tuned):
     view = apply_tuning(reloaded)
     senses, _ = view.senses("bank", "noun")
     assert senses == [("s1", "ORGANISATION")]
+
+
+def test_golden_tuned_lexicon_resaves_byte_identically():
+    text = fixture_text("succession_min2.tunedlex")
+    assert save_tuned_lexicon(load_tuned_lexicon(text, "g.tl")) == text
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["sense bank noun b1 ORGANISATION", "sense bank noun b1 ORGANISATION"],
+     "x.tl:3: duplicate sense bank/noun/b1"),
+    (["sense bank xyz b1 ORGANISATION"], "x.tl:2: bad pos 'xyz'"),
+])
+def test_tuned_sense_lines_checked_like_background_lines(lines, message):
+    with pytest.raises(ParseError) as info:
+        load_tuned_lexicon("\n".join(["tunedlex v1", *lines]) + "\n", "x.tl")
+    assert str(info.value) == message
+
+
+def test_tuned_sense_lines_use_background_case():
+    tuned = load_tuned_lexicon("tunedlex v1\nsense Bank noun s1 organisation obj=person\n"
+                               "eject Bank noun s2\n")
+    [sense] = tuned.base.entries("bank", "noun")
+    assert (sense.lemma, sense.fine_class, sense.coarse_class, sense.obj_restriction) \
+        == ("bank", "ORGANISATION", "ORGANISATION", "PERSON")
+    assert tuned.ejected == {("bank", "noun"): {"s2"}}
 
 
 @settings(max_examples=100, deadline=None)
