@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from bisect import bisect_left
@@ -28,66 +29,35 @@ if TYPE_CHECKING:
     from . import textpipe
 
 
-class RunConfig:
-    """Effective settings of one run: defaults, then the config file, then flags."""
+_ON_OFF = ("on", "off")
 
-    __slots__ = ("ontology", "fg_lexicon", "bg_lexicon", "collapse_map", "corpus",
-                 "tuned_lexicon", "output", "window", "alpha", "min_occurrences",
-                 "top_k", "ospd", "passive_implicature", "order", "jobs", "raw", "lang")
-
-    def __init__(self, ontology: str | None = None, fg_lexicon: str | None = None,
-                 bg_lexicon: str | None = None, collapse_map: str | None = None,
-                 corpus: str | None = None, tuned_lexicon: str | None = None,
-                 output: str | None = None, window: int = 10, alpha: float = 0.1,
-                 min_occurrences: int = 5, top_k: int = 10, ospd: bool = True,
-                 passive_implicature: bool = True, order: str = "bg-first",
-                 jobs: int = 1, raw: bool = False, lang: str = "en"):
-        self.ontology = ontology
-        self.fg_lexicon = fg_lexicon
-        self.bg_lexicon = bg_lexicon
-        self.collapse_map = collapse_map
-        self.corpus = corpus
-        self.tuned_lexicon = tuned_lexicon
-        self.output = output
-        self.window = window
-        self.alpha = alpha
-        self.min_occurrences = min_occurrences
-        self.top_k = top_k
-        self.ospd = ospd
-        self.passive_implicature = passive_implicature
-        self.order = order  # bg-first | fg-first
-        self.jobs = jobs
-        self.raw = raw
-        self.lang = lang
-
-    def validate(self) -> None:
-        for name in ("ontology", "fg_lexicon", "bg_lexicon", "collapse_map",
-                     "corpus", "tuned_lexicon"):
-            path = getattr(self, name)
-            if path is not None and not os.path.exists(path):
-                raise OSError(f"{name.replace('_', '-')} file not found: {path}")
-        if self.window <= 0 or self.alpha <= 0 or self.min_occurrences <= 0 \
-                or self.top_k <= 0 or self.jobs <= 0:
-            raise ValueError("window, alpha, min-occurrences, top-k and jobs "
-                             "must be positive")
-        if self.order not in ("bg-first", "fg-first"):
-            raise ValueError(f"bad pipeline order {self.order!r}")
-
-    def echo(self) -> dict:
-        # parameters that shape the result; deliberately excludes jobs,
-        # which must never change any output byte
-        return {
-            "window": self.window, "alpha": self.alpha,
-            "min_occurrences": self.min_occurrences, "top_k": self.top_k,
-            "ospd": str(self.ospd).lower(),
-            "passive_implicature": str(self.passive_implicature).lower(),
-            "order": self.order, "lang": self.lang,
-        }
-
-
-_BOOL_KEYS = {"ospd", "passive_implicature", "raw"}
-_INT_KEYS = {"window", "min_occurrences", "top_k", "jobs"}
-_FLOAT_KEYS = {"alpha"}
+# Every run setting: name -> (type, default, role, help).  The flags, the
+# config-file keys, the defaults, the layering and the checks all come from
+# here, in this order.  A bool that defaults to off is a bare switch; one
+# that defaults to on takes `on|off`.  A tuple type lists the choices of a
+# str.  Role "input" names a file that must exist; the "echo" settings shape
+# the output, which echoes them in table order.  `jobs` is never echoed: it
+# may not change an output byte.
+_SETTINGS = {
+    "ontology": (str, None, "input", None),
+    "fg_lexicon": (str, None, "input", None),
+    "bg_lexicon": (str, None, "input", None),
+    "collapse_map": (str, None, "input", None),
+    "tuned_lexicon": (str, None, "input", None),
+    "corpus": (str, None, "input", None),
+    "raw": (bool, False, None, "corpus is raw text, not vertical format"),
+    "output": (str, None, None, "output path (default: stdout)"),
+    "window": (int, 10, "echo", None),
+    "alpha": (float, 0.1, "echo", None),
+    "min_occurrences": (int, 5, "echo", None),
+    "top_k": (int, 10, "echo", None),
+    "ospd": (bool, True, "echo", None),
+    "passive_implicature": (bool, True, "echo", None),
+    "order": (("bg-first", "fg-first"), "bg-first", "echo", None),
+    "jobs": (int, 1, None, None),
+    "lang": (str, "en", "echo", None),
+}
+_BOOLEANS = {"on": True, "true": True, "off": False, "false": False}
 
 
 def load_config_file(path: str) -> dict:
@@ -103,16 +73,15 @@ def load_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in RunConfig.__slots__:
+            if key not in _SETTINGS:
                 raise ParseError(f"unknown config key {key!r}", path=path, line=lineno)
-            if key in _BOOL_KEYS:
-                if value not in ("on", "off", "true", "false"):
+            kind = _SETTINGS[key][0]
+            if kind is bool:
+                if value not in _BOOLEANS:
                     raise ParseError(f"bad boolean {value!r}", path=path, line=lineno)
-                values[key] = value in ("on", "true")
-            elif key in _INT_KEYS:
-                values[key] = parse_number(int, value, path=path, line=lineno)
-            elif key in _FLOAT_KEYS:
-                values[key] = parse_number(float, value, path=path, line=lineno)
+                values[key] = _BOOLEANS[value]
+            elif kind in (int, float):
+                values[key] = parse_number(kind, value, path=path, line=lineno)
             else:
                 values[key] = value
     return values
@@ -123,67 +92,69 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="templex",
         description="Two-tier-lexicon template extraction and lexicographer tooling.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, needs_corpus: bool = True):
+    for name, summary, func in (
+            ("validate", "check ontology and lexicons", _cmd_validate),
+            ("tune", "emit a corpus-tuned background lexicon", _cmd_tune),
+            ("wsd", "emit a sense-tagged corpus", _cmd_wsd),
+            ("extract", "run the full pipeline to JSON-Lines", _cmd_extract),
+            ("kwic", "keyword-in-context concordance", _cmd_kwic),
+            ("patterns", "pattern-frequency report for a lemma", _cmd_patterns)):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--ontology")
-        p.add_argument("--fg-lexicon", dest="fg_lexicon")
-        p.add_argument("--bg-lexicon", dest="bg_lexicon")
-        p.add_argument("--collapse-map", dest="collapse_map")
-        p.add_argument("--tuned-lexicon", dest="tuned_lexicon")
-        if needs_corpus:
-            p.add_argument("--corpus")
-            p.add_argument("--raw", action="store_true", default=None,
-                           help="corpus is raw text, not vertical format")
-        p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--window", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--min-occurrences", dest="min_occurrences", type=int)
-        p.add_argument("--top-k", dest="top_k", type=int)
-        p.add_argument("--ospd", choices=("on", "off"))
-        p.add_argument("--passive-implicature", dest="passive_implicature",
-                       choices=("on", "off"))
-        p.add_argument("--order", choices=("bg-first", "fg-first"))
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--lang")
+        for key, (kind, default, _, text) in _SETTINGS.items():
+            if name == "validate" and key in ("corpus", "raw"):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if kind is bool and not default:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            elif kind is bool:
+                p.add_argument(flag, choices=_ON_OFF, help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=text)
+            else:
+                p.add_argument(flag, type=None if kind is str else kind, help=text)
 
-    common(sub.add_parser("validate", help="check ontology and lexicons"),
-           needs_corpus=False)
-    common(sub.add_parser("tune", help="emit a corpus-tuned background lexicon"))
-    common(sub.add_parser("wsd", help="emit a sense-tagged corpus"))
-    common(sub.add_parser("extract", help="run the full pipeline to JSON-Lines"))
-
-    k = sub.add_parser("kwic", help="keyword-in-context concordance")
-    common(k)
-    k.add_argument("--query", required=True)
-    k.add_argument("--width", type=int, default=5)
-    k.add_argument("--tagged", help="sense-tagged corpus (4-column vertical)")
-    k.add_argument("--tsv", action="store_true")
-
-    pr = sub.add_parser("patterns", help="pattern-frequency report for a lemma")
-    common(pr)
-    pr.add_argument("--target", required=True)
-    pr.add_argument("--top", type=int, default=20)
-    pr.add_argument("--tagged", help="sense-tagged corpus (4-column vertical)")
-    pr.add_argument("--tsv", action="store_true")
+    # the query flags of the two workbench commands, which no config key sets
+    for name, target, number, default in (("kwic", "--query", "--width", 5),
+                                          ("patterns", "--target", "--top", 20)):
+        p = sub.choices[name]
+        p.add_argument(target, required=True)
+        p.add_argument(number, type=int, default=default)
+        p.add_argument("--tagged", help="sense-tagged corpus (4-column vertical)")
+        p.add_argument("--tsv", action="store_true")
     return parser
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for name in RunConfig.__slots__:
-        val = getattr(args, name, None)
-        if val is None:
-            continue
-        if name in ("ospd", "passive_implicature"):
-            setattr(cfg, name, val == "on")
-        else:
-            setattr(cfg, name, val)
-    cfg.validate()
-    return cfg
+def _configure(cfg: argparse.Namespace) -> None:
+    """Set every setting in `cfg`: its flag, else the config file, else its default."""
+    given = load_config_file(cfg.config) if cfg.config else {}
+    for name, (kind, default, role, _) in _SETTINGS.items():
+        value = getattr(cfg, name, None)
+        if value is None:
+            value = given.get(name, default)
+        elif kind is bool and value in _ON_OFF:
+            value = _BOOLEANS[value]
+        if role == "input" and value is not None and not os.path.exists(value):
+            raise OSError(f"{name.replace('_', '-')} file not found: {value}")
+        if kind in (int, float) and not 0 < value < math.inf:
+            numbers = [n.replace("_", "-") for n, row in _SETTINGS.items()
+                       if row[0] in (int, float)]
+            raise ValueError(f"{', '.join(numbers[:-1])} and {numbers[-1]} must be "
+                             + ("positive" if value <= 0 else "finite"))
+        setattr(cfg, name, value)
+    if cfg.order not in _SETTINGS["order"][0]:
+        raise ValueError(f"bad pipeline order {cfg.order!r}")
+
+
+def _echo(cfg: argparse.Namespace) -> dict:
+    """The settings that shape the output, as `wsd` and `extract` echo them."""
+    echo = {}
+    for name, (kind, _, role, _) in _SETTINGS.items():
+        if role == "echo":
+            value = getattr(cfg, name)
+            echo[name] = str(value).lower() if kind is bool else value
+    return echo
 
 
 def _read(path: str) -> str:
@@ -191,7 +162,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write_out(cfg: RunConfig, text: str) -> None:
+def _write_out(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -264,18 +235,18 @@ def _run_shards(job, sizes: list[int], jobs: int) -> list[str]:
         gc.unfreeze()
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
+def _require(cfg: argparse.Namespace, *names: str) -> None:
     missing = [n.replace("_", "-") for n in names if getattr(cfg, n) is None]
     if missing:
         raise OSError(f"missing required input(s): {', '.join('--' + m for m in missing)}")
 
 
-def _load_ontology(cfg: RunConfig) -> ontomod.Ontology:
+def _load_ontology(cfg: argparse.Namespace) -> ontomod.Ontology:
     from . import ontology as ontomod
     return ontomod.load_ontology(_read(cfg.ontology), cfg.ontology)
 
 
-def _load_corpus(cfg: RunConfig) -> list[textpipe.Document]:
+def _load_corpus(cfg: argparse.Namespace) -> list[textpipe.Document]:
     from . import textpipe
     text = _read(cfg.corpus)
     doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
@@ -285,7 +256,7 @@ def _load_corpus(cfg: RunConfig) -> list[textpipe.Document]:
     return docs
 
 
-def _load_background(cfg: RunConfig, onto: ontomod.Ontology):
+def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology):
     """Collapsed background lexicon, tuned when a tuned lexicon is given."""
     from . import bg_lexicon as bgmod
     if cfg.tuned_lexicon:
@@ -310,7 +281,7 @@ def _check_classes(bg: bgmod.BgLexicon, onto: ontomod.Ontology, path: str) -> No
         raise LexiconError(f"{path}: " + "; ".join(problems))
 
 
-def _shard_texts(cfg: RunConfig, docs, onto, bg, fg, render) -> list[str]:
+def _shard_texts(cfg: argparse.Namespace, docs, onto, bg, fg, render) -> list[str]:
     """Train once over all documents, then tag, match and render by shard.
 
     Each shard runs background tagging, OSPD and (given a foreground
@@ -346,7 +317,7 @@ def _shard_texts(cfg: RunConfig, docs, onto, bg, fg, render) -> list[str]:
 
 # ------------------------------------------------------------ subcommands
 
-def _cmd_validate(cfg: RunConfig, args) -> int:
+def _cmd_validate(cfg: argparse.Namespace) -> int:
     from . import bg_lexicon as bgmod
     from . import fg_lexicon as fgmod
 
@@ -364,7 +335,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     return 1 if any(d.severity == "error" for d in diags) else 0
 
 
-def _cmd_tune(cfg: RunConfig, args) -> int:
+def _cmd_tune(cfg: argparse.Namespace) -> int:
     from . import tuner as tunemod
 
     _require(cfg, "ontology", "corpus")
@@ -378,7 +349,7 @@ def _cmd_tune(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_wsd(cfg: RunConfig, args) -> int:
+def _cmd_wsd(cfg: argparse.Namespace) -> int:
     from . import wsd as wsdmod
 
     _require(cfg, "ontology", "corpus")
@@ -398,12 +369,12 @@ def _cmd_wsd(cfg: RunConfig, args) -> int:
     texts = _shard_texts(cfg, docs, onto, bg, fg, render)
     # the `#CONFIG` line alone; documents are separated by a blank line,
     # so shard texts are joined by one too
-    header = wsdmod.dump_tagged_corpus([], {}, cfg.echo())
+    header = wsdmod.dump_tagged_corpus([], {}, _echo(cfg))
     _write_out(cfg, "\n".join([header, *texts]))
     return 0
 
 
-def _cmd_extract(cfg: RunConfig, args) -> int:
+def _cmd_extract(cfg: argparse.Namespace) -> int:
     import json
 
     from . import extract as exmod
@@ -425,61 +396,50 @@ def _cmd_extract(cfg: RunConfig, args) -> int:
             exmod.fill_templates(matches, tags, analyses, onto, fg, cfg.lang))
 
     texts = _shard_texts(cfg, docs, onto, bg, fg, render)
-    header = json.dumps({"config": cfg.echo()}, ensure_ascii=False)
+    header = json.dumps({"config": _echo(cfg)}, ensure_ascii=False)
     _write_out(cfg, header + "\n" + "".join(texts))
     return 0
 
 
-def _load_query_corpus(cfg: RunConfig, args):
-    if getattr(args, "tagged", None):
+def _load_query_corpus(cfg: argparse.Namespace):
+    if cfg.tagged:
         from . import wsd as wsdmod
-        docs, tags = wsdmod.load_tagged_corpus(_read(args.tagged), args.tagged)
-        return docs, tags
+        return wsdmod.load_tagged_corpus(_read(cfg.tagged), cfg.tagged)
     _require(cfg, "corpus")
     return _load_corpus(cfg), None
 
 
-def _cmd_kwic(cfg: RunConfig, args) -> int:
+def _cmd_kwic(cfg: argparse.Namespace) -> int:
     from . import workbench
 
-    docs, tags = _load_query_corpus(cfg, args)
-    query = workbench.parse_query(args.query)
-    lines = workbench.kwic(docs, tags, query, args.width)
-    out = f"# kwic query={args.query!r} width={args.width} matches={len(lines)}\n"
-    out += workbench.format_kwic(lines, tsv=args.tsv)
+    docs, tags = _load_query_corpus(cfg)
+    query = workbench.parse_query(cfg.query)
+    lines = workbench.kwic(docs, tags, query, cfg.width)
+    out = f"# kwic query={cfg.query!r} width={cfg.width} matches={len(lines)}\n"
+    out += workbench.format_kwic(lines, tsv=cfg.tsv)
     _write_out(cfg, out)
     return 0
 
 
-def _cmd_patterns(cfg: RunConfig, args) -> int:
+def _cmd_patterns(cfg: argparse.Namespace) -> int:
     from . import textpipe, workbench
 
-    docs, tags = _load_query_corpus(cfg, args)
+    docs, tags = _load_query_corpus(cfg)
     analyses = [textpipe.analyze(d) for d in docs]
-    entries = workbench.pattern_report(analyses, tags, args.target,
-                                       window=cfg.window, top=args.top)
-    out = (f"# patterns target={args.target} top={args.top} "
+    entries = workbench.pattern_report(analyses, tags, cfg.target,
+                                       window=cfg.window, top=cfg.top)
+    out = (f"# patterns target={cfg.target} top={cfg.top} "
            f"window={cfg.window}\n")
-    out += workbench.format_report(entries, tsv=args.tsv)
+    out += workbench.format_report(entries, tsv=cfg.tsv)
     _write_out(cfg, out)
     return 0
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "tune": _cmd_tune,
-    "wsd": _cmd_wsd,
-    "extract": _cmd_extract,
-    "kwic": _cmd_kwic,
-    "patterns": _cmd_patterns,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    cfg = _build_parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        _configure(cfg)
+        return cfg.func(cfg)
     except (ParseError, CycleError, LexiconError, ValueError, KeyError, OSError) as exc:
         print(f"templex: error: {exc}", file=sys.stderr)
         return 2

@@ -9,11 +9,12 @@ with the lemma.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from typing import NamedTuple
 
 from . import wsd
-from .bg_lexicon import BgLexicon, add_sense_line, sense_line
+from .bg_lexicon import BG_POS, BgLexicon, add_sense_line, sense_line
 from .errors import ParseError, parse_number
 from .textpipe import Document
 from .wsd import BayesModel, _doc_positions, _lemma_row, _window
@@ -34,8 +35,8 @@ class TuneParams(NamedTuple):
         for name in ("min_occurrences", "window", "top_k"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be {'positive' if self.alpha <= 0 else 'finite'}")
 
 
 class TunedLexicon:
@@ -174,6 +175,7 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
         raise ParseError("not a tunedlex v1 file", path=path, line=1)
     base = BgLexicon(collapsed=True)
     tuned = TunedLexicon(base)
+    refs = []  # ((lemma, pos, sense_id), line) of each eject and disc line
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
@@ -191,17 +193,28 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
                     **{k: parse_number(number, v, path=path, line=lineno)})
         elif kind == "sense":
             add_sense_line(base, parts[1:], path, lineno)
-        elif kind == "eject" and len(parts) == 4:
+        elif (kind, len(parts)) in (("eject", 4), ("disc", 5)):
             # keyed like the sense lines, whose lemmas are lowercased
-            tuned.ejected.setdefault((parts[1].lower(), parts[2]), set()).add(parts[3])
-        elif kind == "disc" and len(parts) == 5:
-            pairs = []
-            for item in parts[4].split(","):
-                w, _, weight = item.rpartition(":")
-                pairs.append((w, parse_number(float, weight, path=path, line=lineno)))
-            tuned.discriminators[(parts[1].lower(), parts[2], parts[3])] = pairs
+            ref = (parts[1].lower(), parts[2], parts[3])
+            if ref[1] not in BG_POS:
+                raise ParseError(f"bad pos {ref[1]!r}", path=path, line=lineno)
+            refs.append((ref, lineno))
+            if kind == "eject":
+                tuned.ejected.setdefault(ref[:2], set()).add(ref[2])
+            else:
+                pairs = []
+                for item in parts[4].split(","):
+                    w, _, weight = item.rpartition(":")
+                    pairs.append((w, parse_number(float, weight, path=path, line=lineno)))
+                tuned.discriminators[ref] = pairs
         else:
             raise ParseError(f"bad tunedlex line {line!r}", path=path, line=lineno)
+    # an ejection or a discriminator list must name a sense some line declares
+    declared = {(s.lemma, s.pos, s.sense_id)
+                for senses in base.senses_by_key.values() for s in senses}
+    for ref, lineno in refs:
+        if ref not in declared:
+            raise ParseError(f"undeclared sense {'/'.join(ref)}", path=path, line=lineno)
     for senses in base.senses_by_key.values():
         senses.sort(key=lambda s: s.sense_id)
     return tuned

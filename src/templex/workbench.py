@@ -105,6 +105,8 @@ def kwic(docs: list[Document], tags: dict[TokenKey, SenseTag] | None,
     Context comes from the surrounding document token stream and may cross
     sentence boundaries; class constraints require tags.
     """
+    if width < 0:
+        raise ValueError(f"width must be >= 0, not {width}")
     if query.needs_tags() and tags is None:
         raise ValueError("query uses class constraints but no tags were supplied")
     first, *rest = [_token_test(c, tags) for c in query.constraints]
@@ -161,6 +163,8 @@ def pattern_report(analyses: list[DocAnalysis],
     scores use the same contingency construction over their own populations.
     Raises ValueError when the target does not occur.
     """
+    if top < 1:
+        raise ValueError(f"top must be >= 1, not {top}")
     colloc: Counter = Counter()
     corpus_freq: Counter = Counter()
     window_total = 0

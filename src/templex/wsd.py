@@ -166,6 +166,15 @@ def _window(row: list[str | None], i: int, window: int) -> list[str]:
     return [lemma for lemma in ctx if lemma is not None]
 
 
+def _check_unique_ids(docs: list[Document]) -> None:
+    """Tags are keyed by document id, so two documents may not share one."""
+    seen: set[str] = set()
+    for doc in docs:
+        if doc.doc_id in seen:
+            raise ValueError(f"duplicate document id {doc.doc_id}")
+        seen.add(doc.doc_id)
+
+
 def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
                 alpha: float = 0.1) -> BayesModel:
     """Train from coarse-unambiguous anchor tokens; no annotation needed.
@@ -177,6 +186,7 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
     """
     if not bg.collapsed:
         raise ValueError("train_bayes requires a collapsed background lexicon")
+    _check_unique_ids(docs)
     classes = bg.coarse_classes()
     anchor_counts: Counter = Counter()
     ctx_counts: dict[str, Counter] = defaultdict(Counter)  # class -> lemma -> count
@@ -252,6 +262,7 @@ def disambiguate_background(model: BayesModel, docs: list[Document],
     classifier's argmax over their own candidate classes; unknown lemmas are
     left untagged.
     """
+    _check_unique_ids(docs)
     tags: dict[TokenKey, SenseTag] = {}
     for doc in docs:
         flat = _doc_positions(doc)

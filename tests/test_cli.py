@@ -321,6 +321,11 @@ def test_tuned_lexicon_bad_discriminator_weight_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("senses, message", [
     ("sense bank noun b1 ORGANISATION\n" * 2, "3: duplicate sense bank/noun/b1"),
     ("sense bank xyz b1 ORGANISATION\n", "2: bad pos 'xyz'"),
+    ("sense bank noun b1 ORGANISATION\neject bank xyz b1\n", "3: bad pos 'xyz'"),
+    ("eject bank noun s9\nsense bank noun b1 ORGANISATION\n",
+     "2: undeclared sense bank/noun/s9"),
+    ("sense bank noun b1 ORGANISATION\ndisc bank noun s7 loan:0.5\n",
+     "3: undeclared sense bank/noun/s7"),
 ])
 def test_tuned_lexicon_bad_sense_line_exit_two(tmp_path, capsys, senses, message):
     rc, path = _extract_with_tuned(tmp_path, "tunedlex v1\n" + senses)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,13 +161,42 @@ def test_tuned_sense_lines_checked_like_background_lines(lines, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("line, message", [
+    ("eject bank xyz s1", "x.tl:3: bad pos 'xyz'"),
+    ("eject bank noun s9", "x.tl:3: undeclared sense bank/noun/s9"),
+    ("eject bank verb s1", "x.tl:3: undeclared sense bank/verb/s1"),
+    ("disc bank noun s7 loan:0.5", "x.tl:3: undeclared sense bank/noun/s7"),
+    ("disc bank nouns s1 loan:0.5", "x.tl:3: bad pos 'nouns'"),
+])
+def test_tuned_eject_and_disc_lines_name_declared_senses(line, message):
+    for lines in (["sense bank noun s1 ORGANISATION", line, "sense firm noun s1 GROUP"],
+                  [line, "sense bank noun s1 ORGANISATION"]):
+        with pytest.raises(ParseError) as info:
+            load_tuned_lexicon("\n".join(["tunedlex v1", *lines]) + "\n", "x.tl")
+        assert str(info.value) == message.replace(":3:", f":{lines.index(line) + 2}:")
+    # a sense declared after the line that names it counts
+    tuned = load_tuned_lexicon("tunedlex v1\ndisc Bank noun s1 loan:0.5\n"
+                               "eject bank noun s2\nsense bank noun s2 LOCATION\n"
+                               "sense bank noun s1 ORGANISATION\n")
+    assert tuned.ejected == {("bank", "noun"): {"s2"}}
+    assert tuned.discriminators == {("bank", "noun", "s1"): [("loan", 0.5)]}
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (0.0, "alpha must be positive"), (-math.inf, "alpha must be positive"),
+    (math.inf, "alpha must be finite"), (math.nan, "alpha must be finite")])
+def test_tune_params_reject_non_positive_or_non_finite_alpha(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        TuneParams(alpha=alpha).validate()
+
+
 def test_tuned_sense_lines_use_background_case():
     tuned = load_tuned_lexicon("tunedlex v1\nsense Bank noun s1 organisation obj=person\n"
-                               "eject Bank noun s2\n")
+                               "eject Bank noun s1\n")
     [sense] = tuned.base.entries("bank", "noun")
     assert (sense.lemma, sense.fine_class, sense.coarse_class, sense.obj_restriction) \
         == ("bank", "ORGANISATION", "ORGANISATION", "PERSON")
-    assert tuned.ejected == {("bank", "noun"): {"s2"}}
+    assert tuned.ejected == {("bank", "noun"): {"s1"}}
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templex import (BgLexicon, BgSense, apply_ospd, classify_bayes,
-                     disambiguate_background, load_bayes_model, save_bayes_model,
-                     train_bayes)
+from templex import (BgLexicon, BgSense, Document, TuneParams, apply_ospd,
+                     classify_bayes, disambiguate_background, load_bayes_model,
+                     save_bayes_model, train_bayes, tune)
 from templex.errors import ParseError
 from templex.textpipe import TAGSET, lexicon_pos, read_corpus
 from templex.wsd import BayesModel, dump_tagged_corpus, load_tagged_corpus
@@ -142,6 +142,22 @@ def test_disambiguate_tags_unambiguous_school(corpus, bg):
     tags = disambiguate_background(m, corpus, bg)
     t = tags[("d01", 0, 1)]  # "school"
     assert t.coarse_class == "ORGANISATION" and t.method == "unambiguous"
+
+
+def test_duplicate_document_ids_rejected(corpus, bg):
+    # tags are keyed by document id: a twin would overwrite the first
+    # document's tags, and `tune` would count it at the first one's positions
+    d = corpus[0]
+    twin = Document(d.doc_id, d.sentences)
+    m = train_bayes(corpus, bg)
+    assert len(disambiguate_background(m, [d], bg)) == 10
+    with pytest.raises(ValueError, match="duplicate document id d01"):
+        disambiguate_background(m, [d, twin], bg)
+    with pytest.raises(ValueError, match="duplicate document id d01"):
+        train_bayes([*corpus, twin], bg)
+    for model in (None, m):
+        with pytest.raises(ValueError, match="duplicate document id d01"):
+            tune(bg, [*corpus, twin], TuneParams(), model=model)
 
 
 def test_disambiguate_skips_unknown_words(corpus, bg):
