@@ -26,18 +26,18 @@ _EXPORTS = {
                    "parse_fg_lexicon", "resolve_inheritance", "validate"),
     "ontology": ("Ontology", "SemClass", "SlotSpec", "TemplateSchema",
                  "dump_ontology", "load_ontology"),
-    "textpipe": ("Chunk", "DocAnalysis", "Document", "GrRelation", "Token",
+    "textpipe": ("Chunk", "DocAnalysis", "Document", "GrRelation", "SenseTag", "Token",
                  "analyze", "analyze_corpus", "chunk", "grammatical_relations",
-                 "read_corpus", "tag_fallback"),
+                 "load_tagged_corpus", "read_corpus", "tag_fallback"),
     "tuner": ("TunedLexicon", "TuneParams", "apply_tuning", "load_tuned_lexicon",
               "save_tuned_lexicon", "tune"),
     "workbench": ("KwicLine", "PatternQuery", "PatternReportEntry", "format_kwic",
                   "format_report", "kwic", "log_likelihood_ratio", "parse_query",
                   "pattern_report"),
-    "wsd": ("BayesModel", "FgMatch", "SALIENT", "SenseTag", "UNFILLED",
+    "wsd": ("BayesModel", "FgMatch", "SALIENT", "UNFILLED",
             "apply_foreground_priority", "apply_ospd", "classify_bayes",
             "disambiguate_background", "dump_tagged_corpus", "load_bayes_model",
-            "load_tagged_corpus", "match_foreground", "save_bayes_model",
+            "match_foreground", "save_bayes_model",
             "surviving_sense_count", "train_bayes"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -220,9 +220,6 @@ def _run_shards(job, sizes: list[int], jobs: int) -> list[str]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-    # inherited objects go to the permanent generation, so the workers'
-    # collections neither scan them nor copy their pages
-    gc.freeze()
     try:
         # under fork the workers start before any pool thread, and take
         # initargs unpickled
@@ -231,8 +228,6 @@ def _run_shards(job, sizes: list[int], jobs: int) -> list[str]:
             return list(pool.map(_run_worker_job, shards))
     except BrokenProcessPool as exc:
         raise OSError(f"a shard worker process died: {exc}") from None
-    finally:
-        gc.unfreeze()
 
 
 def _require(cfg: argparse.Namespace, *names: str) -> None:
@@ -401,10 +396,11 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _load_query_corpus(cfg: argparse.Namespace):
+def _load_query_corpus(cfg: argparse.Namespace, with_tags: bool = True):
     if cfg.tagged:
-        from . import wsd as wsdmod
-        return wsdmod.load_tagged_corpus(_read(cfg.tagged), cfg.tagged)
+        from . import textpipe
+        return textpipe.load_tagged_corpus(_read(cfg.tagged), cfg.tagged,
+                                           with_tags=with_tags)
     _require(cfg, "corpus")
     return _load_corpus(cfg), None
 
@@ -412,8 +408,8 @@ def _load_query_corpus(cfg: argparse.Namespace):
 def _cmd_kwic(cfg: argparse.Namespace) -> int:
     from . import workbench
 
-    docs, tags = _load_query_corpus(cfg)
     query = workbench.parse_query(cfg.query)
+    docs, tags = _load_query_corpus(cfg, with_tags=query.needs_tags())
     lines = workbench.kwic(docs, tags, query, cfg.width)
     out = f"# kwic query={cfg.query!r} width={cfg.width} matches={len(lines)}\n"
     out += workbench.format_kwic(lines, tsv=cfg.tsv)
@@ -437,12 +433,19 @@ def _cmd_patterns(cfg: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     cfg = _build_parser().parse_args(argv)
+    # no garbage cycle grows with the input, so the cyclic collector would only
+    # rescan the records a run builds; forked shard workers inherit it off
+    gc_was_on = gc.isenabled()
+    gc.disable()
     try:
         _configure(cfg)
         return cfg.func(cfg)
     except (ParseError, CycleError, LexiconError, ValueError, KeyError, OSError) as exc:
         print(f"templex: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 if __name__ == "__main__":

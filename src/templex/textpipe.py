@@ -44,6 +44,21 @@ class Token(NamedTuple):
     char_span: tuple[int, int]
 
 
+TokenKey = tuple[str, int, int]  # (doc_id, sent_idx, tok_idx)
+
+
+class SenseTag(NamedTuple):
+    doc_id: str
+    sent_idx: int
+    tok_idx: int
+    lemma: str
+    pos: str  # lexicon pos: noun | verb | adj
+    sense_id: str
+    coarse_class: str
+    score: float
+    method: str  # unambiguous | bayes | ospd | foreground | decision_list
+
+
 class Document:
     __slots__ = ("doc_id", "sentences")
 
@@ -110,73 +125,76 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
     """
     if raw:
         return [_read_raw(text, doc_id)]
-    return _read_vertical(text, 3, doc_id, path)[0]
+    return _read_vertical(text, 3, doc_id, path, None)
 
 
-def _read_vertical(text: str, ncols: int, doc_id: str, path: str) \
-        -> tuple[list[Document], list[tuple[Token, str, int]]]:
-    """The one vertical reader: 3 columns, or 4 for the sense-tagged corpus.
+def load_tagged_corpus(text: str, path: str = "<string>", *, with_tags: bool = True) \
+        -> tuple[list[Document], dict[TokenKey, SenseTag] | None]:
+    """Read a sense-tagged corpus.  Every tag column is checked; the tags
+    are None without `with_tags`, which builds no SenseTag."""
+    tags: dict[TokenKey, SenseTag] | None = {} if with_tags else None
+    return _read_vertical(text, 4, "d1", path, tags), tags
 
-    Returns the documents and, with 4 columns, `(token, 4th column, line
-    number)` for every token in input order.
-    """
-    docs: list[Document] = []
-    extras: list[tuple[Token, str, int]] = []
-    seen_ids: set[str] = set()
+
+def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
+                   tags: dict[TokenKey, SenseTag] | None) -> list[Document]:
+    """The one vertical reader: 3 columns, or 4 for the sense-tagged corpus,
+    whose tag columns are checked and, given a `tags` dict, decoded into it."""
+    docs: dict[str, Document] = {}  # by id, in input order
     cur_doc: Document | None = None
-    cur_sent: list[Token] = []
-    offset = 0
-
-    def end_sentence():
-        nonlocal cur_sent
-        if cur_sent and cur_doc is not None:
-            cur_doc.sentences.append(cur_sent)
-        cur_sent = []
+    cur_sent: list[Token] = []  # joins cur_doc.sentences at its first token
+    sent_idx = offset = 0
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             parts = line.split()
             if parts[0] != "#DOC":
                 continue  # a comment
-            end_sentence()
             if len(parts) != 2:
                 raise ParseError("expected `#DOC <id>`", path=path, line=lineno)
-            if parts[1] in seen_ids:
-                raise ParseError(f"duplicate document id {parts[1]}",
-                                 path=path, line=lineno)
-            cur_doc = Document(parts[1])
-            docs.append(cur_doc)
-            seen_ids.add(parts[1])
+            doc_id = parts[1]
+            if doc_id in docs:
+                raise ParseError(f"duplicate document id {doc_id}", path=path, line=lineno)
+            cur_doc = docs[doc_id] = Document(doc_id)
+            cur_sent = []
             offset = 0
             continue
         if not line.strip():
-            end_sentence()
+            cur_sent = []
             continue
         cols = line.split("\t")
         if len(cols) != ncols:
             raise ParseError(f"expected {ncols} tab-separated columns, got {len(cols)}",
                              path=path, line=lineno)
-        surface, lemma, pos = cols[:3]
+        surface, lemma, pos = cols[0], cols[1], cols[2]
         if not (surface.isalnum() and lemma.isalnum()):
             _check_field("surface", surface, path, lineno)
             _check_field("lemma", lemma, path, lineno)
         if pos not in TAGSET:
             raise ParseError(f"unknown POS tag {pos!r}", path=path, line=lineno)
-        if cur_doc is None:
-            cur_doc = Document(doc_id)
-            docs.append(cur_doc)
-            seen_ids.add(cur_doc.doc_id)
+        if not cur_sent:
+            if cur_doc is None:
+                cur_doc = docs[doc_id] = Document(doc_id)
+            sent_idx = len(cur_doc.sentences)
+            cur_doc.sentences.append(cur_sent)
         # char spans index a canonical detokenisation: tokens joined by single
         # spaces, sentences by newlines
-        start = offset
-        offset += len(surface) + 1
-        tok = Token(surface, lemma, pos, cur_doc.doc_id,
-                    len(cur_doc.sentences), len(cur_sent), (start, start + len(surface)))
-        cur_sent.append(tok)
-        if ncols == 4:
-            extras.append((tok, cols[3], lineno))
-    end_sentence()
-    return docs, extras
+        end = offset + len(surface)
+        tok_idx = len(cur_sent)
+        # tuple.__new__ skips the named tuples' Python-level __new__
+        cur_sent.append(tuple.__new__(Token, (surface, lemma, pos, doc_id, sent_idx,
+                                              tok_idx, (offset, end))))
+        offset = end + 1
+        if ncols == 4 and cols[3] != "-":
+            tagcol = cols[3]
+            if tagcol.count("/") != 2:
+                raise ParseError(f"bad tag column {tagcol!r}", path=path, line=lineno)
+            if tags is not None:
+                sense_id, cls, method = tagcol.split("/")
+                tags[(doc_id, sent_idx, tok_idx)] = tuple.__new__(SenseTag, (
+                    doc_id, sent_idx, tok_idx, lemma, LEXICON_POS.get(pos, "noun"),
+                    sense_id, cls, 0.0, method))
+    return list(docs.values())
 
 
 def _check_field(name: str, value: str, path: str, lineno: int) -> None:

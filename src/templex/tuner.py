@@ -176,12 +176,16 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
     base = BgLexicon(collapsed=True)
     tuned = TunedLexicon(base)
     refs = []  # ((lemma, pos, sense_id), line) of each eject and disc line
+    given = set()  # "corpus" and each param key read so far: each is read once
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
             continue
         kind = parts[0]
         if kind == "corpus" and len(parts) == 2:
+            if kind in given:
+                raise ParseError("second corpus line", path=path, line=lineno)
+            given.add(kind)
             tuned.corpus_id = "" if parts[1] == "-" else parts[1]
         elif kind == "params":
             for tok in parts[1:]:
@@ -189,8 +193,15 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
                 number = _PARAM_TYPES.get(k)
                 if number is None:
                     raise ParseError(f"unknown param {k!r}", path=path, line=lineno)
+                if k in given:
+                    raise ParseError(f"param {k!r} given twice", path=path, line=lineno)
+                given.add(k)
                 tuned.params = tuned.params._replace(
                     **{k: parse_number(number, v, path=path, line=lineno)})
+            try:
+                tuned.params.validate()
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from None
         elif kind == "sense":
             add_sense_line(base, parts[1:], path, lineno)
         elif (kind, len(parts)) in (("eject", 4), ("disc", 5)):
@@ -206,6 +217,9 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
                 for item in parts[4].split(","):
                     w, _, weight = item.rpartition(":")
                     pairs.append((w, parse_number(float, weight, path=path, line=lineno)))
+                if ref in tuned.discriminators:
+                    raise ParseError(f"second disc line for {'/'.join(ref)}",
+                                     path=path, line=lineno)
                 tuned.discriminators[ref] = pairs
         else:
             raise ParseError(f"bad tunedlex line {line!r}", path=path, line=lineno)

@@ -19,8 +19,7 @@ from .errors import ParseError
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from .textpipe import DocAnalysis, Document, Token
-    from .wsd import SenseTag, TokenKey
+    from .textpipe import DocAnalysis, Document, SenseTag, Token, TokenKey
 
 
 class TokenConstraint(NamedTuple):
@@ -176,35 +175,25 @@ def pattern_report(analyses: list[DocAnalysis],
     occurrences = 0
 
     for analysis in analyses:
-        doc = analysis.doc
-        flat = list(doc.tokens())
-        target_flat = set()
-        for i, tok in enumerate(flat):
-            if tok.pos != "PUNCT":
-                corpus_freq[tok.lemma] += 1
-                corpus_total += 1
-            if tok.lemma == target:
-                target_flat.add(i)
-                occurrences += 1
-        for i in target_flat:
-            lo, hi = max(0, i - window), min(len(flat), i + window + 1)
-            for j in range(lo, hi):
-                if j != i and flat[j].pos != "PUNCT":
-                    colloc[flat[j].lemma] += 1
-                    window_total += 1
+        # each token's lemma and POS read once, per sentence and per document
+        lemmas: list[str] = []
+        poss: list[str] = []
         for sa in analysis.sentences:
-            poss = [t.pos for t in sa.tokens]
-            target_idx = {t.tok_idx for t in sa.tokens if t.lemma == target}
-            for s in range(len(poss) - 2):
-                gram = " ".join(poss[s:s + 3])
-                if target_idx & {s, s + 1, s + 2}:
-                    trigram[gram] += 1
-                else:
-                    trigram_rest[gram] += 1
+            s_lemmas = [t.lemma for t in sa.tokens]
+            s_poss = [t.pos for t in sa.tokens]
+            grams = [f"{a} {b} {c}" for a, b, c in zip(s_poss, s_poss[1:], s_poss[2:])]
+            if target in s_lemmas:
+                # the trigrams that start up to two tokens before a target
+                near = {i - k for i, lemma in enumerate(s_lemmas) if lemma == target
+                        for k in range(3)}
+                trigram.update(g for s, g in enumerate(grams) if s in near)
+                trigram_rest.update(g for s, g in enumerate(grams) if s not in near)
+            else:
+                trigram_rest.update(grams)
             for rel in sa.relations:
                 verb = sa.tokens[rel.verb_idx]
                 dep = sa.tokens[rel.dependent_idx]
-                dep_tag = tags.get((doc.doc_id, dep.sent_idx, dep.tok_idx)) if tags else None
+                dep_tag = tags.get((dep.doc_id, dep.sent_idx, dep.tok_idx)) if tags else None
                 dep_label = dep_tag.coarse_class if dep_tag else dep.lemma
                 if verb.lemma == target:
                     relation[f"{rel.relation}:{dep_label}"] += 1
@@ -212,6 +201,18 @@ def pattern_report(analyses: list[DocAnalysis],
                     relation[f"{rel.relation}~{verb.lemma}"] += 1
                 else:
                     relation_rest[f"{rel.relation}:{dep_label}"] += 1
+            lemmas += s_lemmas
+            poss += s_poss
+        content = [lemma for lemma, pos in zip(lemmas, poss) if pos != "PUNCT"]
+        corpus_freq.update(content)
+        corpus_total += len(content)
+        hits = [i for i, lemma in enumerate(lemmas) if lemma == target]
+        occurrences += len(hits)
+        for i in hits:
+            for j in range(max(0, i - window), min(len(lemmas), i + window + 1)):
+                if j != i and poss[j] != "PUNCT":
+                    colloc[lemmas[j]] += 1
+                    window_total += 1
 
     if not occurrences:
         raise ValueError(f"target lemma {target!r} does not occur in the corpus")
@@ -223,24 +224,16 @@ def pattern_report(analyses: list[DocAnalysis],
         d = corpus_total - corpus_freq[w] - c
         colloc_scores[w] = log_likelihood_ratio(a, max(b, 0), max(c, 0), max(d, 0))
 
-    tri_total = sum(trigram.values())
-    tri_rest_total = sum(trigram_rest.values())
-    tri_scores = {g: log_likelihood_ratio(a, trigram_rest.get(g, 0),
-                                          tri_total - a,
-                                          tri_rest_total - trigram_rest.get(g, 0))
-                  for g, a in trigram.items()}
-    rel_total = sum(relation.values())
-    rel_rest_total = sum(relation_rest.values())
-    rel_scores = {r: log_likelihood_ratio(a, relation_rest.get(r, 0),
-                                          rel_total - a,
-                                          rel_rest_total - relation_rest.get(r, 0))
-                  for r, a in relation.items()}
+    return (_sorted_entries("collocate", colloc, colloc_scores)[:top]
+            + _sorted_entries("pos_trigram", trigram, _contrast(trigram, trigram_rest))[:top]
+            + _sorted_entries("relation", relation, _contrast(relation, relation_rest))[:top])
 
-    out: list[PatternReportEntry] = []
-    out.extend(_sorted_entries("collocate", colloc, colloc_scores)[:top])
-    out.extend(_sorted_entries("pos_trigram", trigram, tri_scores)[:top])
-    out.extend(_sorted_entries("relation", relation, rel_scores)[:top])
-    return out
+
+def _contrast(inside: Counter, rest: Counter) -> dict[str, float]:
+    """Each value's G2 score: its count inside against its count in the rest."""
+    total, rest_total = sum(inside.values()), sum(rest.values())
+    return {v: log_likelihood_ratio(a, rest[v], total - a, rest_total - rest[v])
+            for v, a in inside.items()}
 
 
 # ------------------------------------------------------------- rendering

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, parse_number
-from .textpipe import (DocAnalysis, Document, Token, _read_vertical,
-                       is_passive_vg, lexicon_pos)
+# load_tagged_corpus is re-exported: it reads the tagged corpus in textpipe
+from .textpipe import (DocAnalysis, Document, SenseTag, Token, TokenKey,
+                       is_passive_vg, lexicon_pos, load_tagged_corpus)
 
 if TYPE_CHECKING:
     from .bg_lexicon import BgLexicon, BgSense
@@ -30,8 +31,6 @@ if TYPE_CHECKING:
 
 UNFILLED = "UNFILLED"
 SALIENT = "SALIENT"
-
-TokenKey = tuple[str, int, int]  # (doc_id, sent_idx, tok_idx)
 
 
 class _ClassWeights(dict):
@@ -113,18 +112,6 @@ class BayesModel:
     @property
     def weights(self) -> Mapping[tuple[str, str], float]:
         return _WeightView(self.by_class)
-
-
-class SenseTag(NamedTuple):
-    doc_id: str
-    sent_idx: int
-    tok_idx: int
-    lemma: str
-    pos: str  # lexicon pos: noun | verb | adj
-    sense_id: str
-    coarse_class: str
-    score: float
-    method: str  # unambiguous | bayes | ospd | foreground | decision_list
 
 
 class FgMatch:
@@ -619,23 +606,6 @@ def dump_tagged_corpus(docs: list[Document], tags: dict[TokenKey, SenseTag],
                 lines.append(f"{tok.surface}\t{tok.lemma}\t{tok.pos}\t{col}")
         lines.append("")
     return "\n".join(lines)
-
-
-def load_tagged_corpus(text: str, path: str = "<string>") \
-        -> tuple[list[Document], dict[TokenKey, SenseTag]]:
-    """Read a sense-tagged corpus: the vertical reader plus the 4th column."""
-    docs, extras = _read_vertical(text, 4, "d1", path)
-    tags: dict[TokenKey, SenseTag] = {}
-    for tok, tagcol, lineno in extras:
-        if tagcol == "-":
-            continue
-        bits = tagcol.split("/")
-        if len(bits) != 3:
-            raise ParseError(f"bad tag column {tagcol!r}", path=path, line=lineno)
-        tags[(tok.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(
-            tok.doc_id, tok.sent_idx, tok.tok_idx, tok.lemma,
-            lexicon_pos(tok.pos) or "noun", bits[0], bits[1], 0.0, bits[2])
-    return docs, tags
 
 
 __all__ = [

@@ -13,7 +13,7 @@ import re
 
 from hypothesis import strategies as st
 
-from templex import BgLexicon, DLInstance, Document, Token
+from templex import BgLexicon, DLInstance, Document, Token, read_corpus
 from templex.bg_lexicon import BgSense
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -30,6 +30,7 @@ from templex.decisionlist import DecisionRule
 from templex.fg_lexicon import (ArgSpec, ConceptNode, RawArg, RawConcept,
                                 RawLexicon, RawOverrides, StateAssertion)
 from templex.ontology import Ontology, SemClass
+from templex.textpipe import lexicon_pos
 from templex.wsd import SenseTag
 
 
@@ -415,6 +416,59 @@ def naive_kwic(docs: list[Document], tags, constraints, width: int) -> list[tupl
                 else:
                     i += 1
     return out
+
+
+# ------------------------------------------------ sense-tagged corpora
+
+_TAG_COLUMNS = ("-", "-", "s1/ORG/bayes", "s2/LOC/ospd", "fg1/EV/foreground",
+                "s1/PER/unambiguous")
+_TAGGED_POS = ("NN", "NNP", "PRON", "VBD", "ADJ", "DET", "PUNCT")
+
+
+@st.composite
+def tagged_vertical_corpora(draw):
+    """4-column vertical text: an optional implicit first document, then
+    `#DOC` blocks of sentences split by one or more blank lines, with
+    comments; tag columns drawn from valid ones and `-`."""
+    token = st.tuples(st.text("abXY1.", min_size=1, max_size=4),
+                      st.text("ab", min_size=1, max_size=3),
+                      st.sampled_from(_TAGGED_POS), st.sampled_from(_TAG_COLUMNS))
+    lines = []
+    implicit = draw(st.booleans())
+    for d in range(draw(st.integers(0, 4))):
+        if d or not implicit:
+            lines.append(f"#DOC doc{d}")
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                lines.append("# a comment")
+            lines.extend("\t".join(t) for t in draw(st.lists(token, min_size=1, max_size=5)))
+            lines.extend([""] * draw(st.integers(1, 2)))
+    return "\n".join(lines) + "\n"
+
+
+def two_pass_tagged_read(text: str):
+    """The tagged-corpus reader as it was, in two passes: the 3-column
+    reader over the text without its tag columns, then each token's tag
+    column decoded in input order.  For well-formed input only."""
+    three, columns = [], []
+    for line in text.splitlines():
+        if line.startswith("#") or not line.strip():
+            three.append(line)
+        else:
+            head, _, column = line.rpartition("\t")
+            three.append(head)
+            columns.append(column)
+    docs = read_corpus("\n".join(three))
+    tokens = [tok for doc in docs for sent in doc.sentences for tok in sent]
+    assert len(tokens) == len(columns)
+    tags = {}
+    for tok, column in zip(tokens, columns):
+        if column != "-":
+            sense_id, cls, method = column.split("/")
+            tags[(tok.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(
+                tok.doc_id, tok.sent_idx, tok.tok_idx, tok.lemma,
+                lexicon_pos(tok.pos) or "noun", sense_id, cls, 0.0, method)
+    return docs, tags
 
 
 # ------------------------------------------------------ loader mutations

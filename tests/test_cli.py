@@ -333,6 +333,21 @@ def test_tuned_lexicon_bad_sense_line_exit_two(tmp_path, capsys, senses, message
     assert f"{path}:{message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("corpus a.vrt\ncorpus b.vrt\n", "3: second corpus line"),
+    ("params window=3\nparams window=7\n", "3: param 'window' given twice"),
+    ("sense bank noun b1 ORGANISATION\ndisc bank noun b1 loan:0.5\n"
+     "disc bank noun b1 rate:0.9\n", "4: second disc line for bank/noun/b1"),
+    ("params alpha=nan\n", "2: alpha must be finite"),
+    ("params alpha=inf\n", "2: alpha must be finite"),
+])
+def test_tuned_lexicon_repeated_or_non_finite_setting_exit_two(tmp_path, capsys,
+                                                               lines, message):
+    rc, path = _extract_with_tuned(tmp_path, "tunedlex v1\n" + lines)
+    assert rc == 2
+    assert f"{path}:{message}" in capsys.readouterr().err
+
+
 def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):
     rc, path = _extract_with_tuned(
         tmp_path, "tunedlex v1\nsense bank noun s1 NOSUCH\n"
@@ -391,12 +406,12 @@ def test_validate_imports_no_pipeline_module_and_no_dataclasses(tmp_path):
 
 
 def test_tagged_kwic_imports_no_lexicon_module(tmp_path):
-    end = _modules(["kwic", "--tagged", fixture_path("succession_tuned_gold.vrt"),
-                    "--query", "class=ORGANISATION",
-                    "--output", str(tmp_path / "out.txt")])["end"]
-    assert "templex.workbench" in end and "templex.wsd" in end
-    for name in ("fg_lexicon", "decisionlist", "tuner", "extract", "ontology"):
-        assert f"templex.{name}" not in end
+    # the tagged-corpus reader lives in textpipe, with or without tags
+    for query in ("lemma=bank", "class=ORGANISATION"):
+        end = _modules(["kwic", "--tagged", fixture_path("succession_tuned_gold.vrt"),
+                        "--query", query, "--output", str(tmp_path / "out.txt")])["end"]
+        assert end == ["templex", "templex.cli", "templex.errors", "templex.textpipe",
+                       "templex.workbench"]
 
 
 def test_shard_workers_import_nothing_the_parent_did_not(tmp_path):

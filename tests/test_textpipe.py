@@ -3,11 +3,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
 
-from templex import ParseError, chunk, grammatical_relations, read_corpus
+from templex import (ParseError, chunk, grammatical_relations, load_tagged_corpus,
+                     read_corpus)
 from templex.textpipe import (Token, analyze, is_passive_vg, strip_suffix,
                               tag_fallback)
-from helpers import make_doc
+from helpers import make_doc, tagged_vertical_corpora, two_pass_tagged_read
 
 
 def toks(*pairs):
@@ -234,3 +236,13 @@ def test_analyze_bundles_consistent_counts(corpus):
 def test_make_doc_helper_roundtrip():
     doc = make_doc("x", [[("a", "DET"), ("b", "NN")]])
     assert [t.lemma for t in doc.tokens()] == ["a", "b"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=tagged_vertical_corpora())
+def test_tagged_read_with_and_without_tags_equals_the_two_pass_read(text):
+    docs, tags = load_tagged_corpus(text, "t.vrt")
+    bare, no_tags = load_tagged_corpus(text, "t.vrt", with_tags=False)
+    assert no_tags is None
+    assert bare == docs
+    assert (docs, tags) == two_pass_tagged_read(text)

@@ -182,6 +182,29 @@ def test_tuned_eject_and_disc_lines_name_declared_senses(line, message):
     assert tuned.discriminators == {("bank", "noun", "s1"): [("loan", 0.5)]}
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["corpus a.vrt", "corpus b.vrt"], "x.tl:3: second corpus line"),
+    (["params window=3", "params window=7"], "x.tl:3: param 'window' given twice"),
+    (["params window=3 top_k=4 window=3"], "x.tl:2: param 'window' given twice"),
+    (["sense bank noun s1 ORGANISATION", "disc bank noun s1 loan:0.5",
+      "disc Bank noun s1 rate:0.9"], "x.tl:4: second disc line for bank/noun/s1"),
+    (["params alpha=nan"], "x.tl:2: alpha must be finite"),
+    (["params alpha=inf"], "x.tl:2: alpha must be finite"),
+    (["params alpha=-1"], "x.tl:2: alpha must be positive"),
+    (["corpus -", "params window=0"], "x.tl:3: window must be positive"),
+])
+def test_tuned_lexicon_reads_each_setting_once(lines, message):
+    with pytest.raises(ParseError) as info:
+        load_tuned_lexicon("\n".join(["tunedlex v1", *lines]) + "\n", "x.tl")
+    assert str(info.value) == message
+
+
+def test_tuned_lexicon_params_may_span_lines():
+    tuned = load_tuned_lexicon("tunedlex v1\ncorpus a.vrt\nparams window=3\n"
+                               "params top_k=4 alpha=0.5\n")
+    assert (tuned.corpus_id, tuned.params) == ("a.vrt", TuneParams(5, 3, 0.5, 4))
+
+
 @pytest.mark.parametrize("alpha, message", [
     (0.0, "alpha must be positive"), (-math.inf, "alpha must be positive"),
     (math.inf, "alpha must be finite"), (math.nan, "alpha must be finite")])
