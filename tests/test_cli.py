@@ -59,6 +59,15 @@ def test_tuned_lexicon_runs_match_golden(tmp_path):
         assert out.read_bytes() == Path(fixture_path(gold)).read_bytes()
 
 
+def test_wsd_fg_lexicon_matches_golden(tmp_path):
+    # every matched verb carries the tag its foreground match wrote
+    args, out = base_args(tmp_path, "wsd", "out.vrt")
+    assert run(args) == 0
+    gold = Path(fixture_path("succession_wsd_fg_gold.vrt")).read_bytes()
+    assert out.read_bytes() == gold
+    assert gold.count(b"/foreground\n") == 11
+
+
 def test_extract_deterministic_and_jobs_independent(tmp_path):
     args1, out1 = base_args(tmp_path, "extract", "a.jsonl")
     args2, out2 = base_args(tmp_path, "extract", "b.jsonl", ["--jobs", "8"])
