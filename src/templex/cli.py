@@ -388,7 +388,7 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
 
     def render(shard, analyses, tags, matches):
         return exmod.write_output(
-            exmod.fill_templates(matches, tags, analyses, onto, fg, cfg.lang))
+            exmod.fill_templates(matches, tags, analyses, onto))
 
     texts = _shard_texts(cfg, docs, onto, bg, fg, render)
     header = json.dumps({"config": _echo(cfg)}, ensure_ascii=False)
@@ -432,12 +432,15 @@ def _cmd_patterns(cfg: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = _build_parser().parse_args(argv)
     # no garbage cycle grows with the input, so the cyclic collector would only
-    # rescan the records a run builds; forked shard workers inherit it off
+    # rescan the records a run builds; forked shard workers inherit it off.
+    # The argument parser is one cycle: built with the collector off, it stays
+    # in the young generations, which a cheap collection frees before the run
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
+        cfg = _build_parser().parse_args(argv)
+        gc.collect(1)
         _configure(cfg)
         return cfg.func(cfg)
     except (ParseError, CycleError, LexiconError, ValueError, KeyError, OSError) as exc:

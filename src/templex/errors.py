@@ -52,3 +52,9 @@ def parse_number(kind: type, text: str, *, path: str | None, line: int):
         return kind(text)
     except ValueError:
         raise ParseError(f"bad number {text!r}", path=path, line=line) from None
+
+
+def format_float(x: float) -> str:
+    """`x` at 6 decimals when they read back as `x`, else its shortest repr."""
+    text = f"{x:.6f}"
+    return text if float(text) == x else repr(x)

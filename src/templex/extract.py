@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .fg_lexicon import FgLexicon
 from .ontology import Ontology
 from .textpipe import DocAnalysis
 from .wsd import SALIENT, UNFILLED, FgMatch, SenseTag, TokenKey
@@ -77,16 +76,13 @@ def resolve_salient(analysis: DocAnalysis, tags: dict[TokenKey, SenseTag],
 
 
 def fill_templates(matches: list[FgMatch], tags: dict[TokenKey, SenseTag],
-                   analyses: list[DocAnalysis], onto: Ontology,
-                   fg: FgLexicon, lang: str = "en") -> list[TemplateInstance]:
+                   analyses: list[DocAnalysis], onto: Ontology) -> list[TemplateInstance]:
     """One template instance per verified match, in document order."""
     by_doc = {a.doc.doc_id: a for a in analyses}
     instances: list[TemplateInstance] = []
     for m in matches:
         analysis = by_doc[m.doc_id]
-        real = next(r for r in fg.senses(m.trigger_lemma, "verb", lang)
-                    if r.sense_id == m.sense_id and r.concept == m.concept)
-        eff = real.effective
+        eff = m.realization.effective
         schema = onto.schema(eff.schema)
 
         role_fillers: dict[str, SlotFiller] = {}

@@ -69,31 +69,14 @@ class RawArg:
         self.required = required
 
 
-class RawOverrides:
-    """Fields a realization restates; None means inherited unchanged."""
-
-    __slots__ = ("schema", "args", "assertions", "instigator", "discriminators")
-
-    def __init__(self, schema: str | None = None, args: list[RawArg] | None = None,
-                 assertions: list[StateAssertion] | None = None,
-                 instigator: str | None = None,
-                 discriminators: list[tuple[str, str, str]] | None = None):
-        self.schema = schema
-        self.args = args
-        self.assertions = assertions
-        self.instigator = instigator
-        self.discriminators = discriminators  # (sense, kind, value)
-
-    def empty(self) -> bool:
-        return (self.schema is None and self.args is None and self.assertions is None
-                and self.instigator is None and self.discriminators is None)
-
-
 class RawConcept:
+    """A concept block as written, or a word's override block (no id, no
+    parent); a field left None or empty is inherited."""
+
     __slots__ = ("id", "parent", "schema", "args", "assertions", "instigator",
                  "discriminators", "line")
 
-    def __init__(self, id: str, parent: str | None = None, schema: str | None = None,
+    def __init__(self, id: str | None, parent: str | None = None, schema: str | None = None,
                  args: list[RawArg] | None = None,
                  assertions: list[StateAssertion] | None = None,
                  instigator: str | None = None,
@@ -104,45 +87,27 @@ class RawConcept:
         self.args = [] if args is None else args
         self.assertions = [] if assertions is None else assertions
         self.instigator = instigator
+        # (sense, kind, value) triples
         self.discriminators = [] if discriminators is None else discriminators
         self.line = line
 
-
-class RawRealization:
-    __slots__ = ("lemma", "pos", "lang", "sense_id", "concept", "complement_map",
-                 "overrides", "line")
-
-    def __init__(self, lemma: str, pos: str, lang: str, sense_id: str, concept: str,
-                 complement_map: dict[str, str] | None = None,
-                 overrides: RawOverrides | None = None, line: int = 0):
-        self.lemma = lemma
-        self.pos = pos
-        self.lang = lang
-        self.sense_id = sense_id
-        self.concept = concept
-        self.complement_map = {} if complement_map is None else complement_map
-        self.overrides = RawOverrides() if overrides is None else overrides
-        self.line = line
-
-
-class RawLexicon:
-    __slots__ = ("concepts", "realizations", "path")
-
-    def __init__(self, concepts: dict[str, RawConcept] | None = None,
-                 realizations: list[RawRealization] | None = None,
-                 path: str = "<string>"):
-        self.concepts = {} if concepts is None else concepts
-        self.realizations = [] if realizations is None else realizations
-        self.path = path
+    def empty(self) -> bool:
+        """True when the block sets no field."""
+        return (self.schema is None and not self.args and not self.assertions
+                and self.instigator is None and not self.discriminators)
 
 
 class Realization:
+    """One word sense: the concept it realizes, its complement map and its
+    override block as parsed; `effective` is the resolved concept node the
+    word acts as, set by resolve_inheritance."""
+
     __slots__ = ("lemma", "pos", "lang", "sense_id", "concept", "complement_map",
                  "overrides", "effective", "line")
 
     def __init__(self, lemma: str, pos: str, lang: str, sense_id: str, concept: str,
                  complement_map: dict[str, str] | None = None,
-                 overrides: RawOverrides | None = None,
+                 overrides: RawConcept | None = None,
                  effective: ConceptNode | None = None, line: int = 0):
         self.lemma = lemma
         self.pos = pos
@@ -150,9 +115,20 @@ class Realization:
         self.sense_id = sense_id
         self.concept = concept
         self.complement_map = {} if complement_map is None else complement_map
-        self.overrides = RawOverrides() if overrides is None else overrides
+        self.overrides = RawConcept(None) if overrides is None else overrides
         self.effective = effective
         self.line = line
+
+
+class RawLexicon:
+    __slots__ = ("concepts", "realizations", "path")
+
+    def __init__(self, concepts: dict[str, RawConcept] | None = None,
+                 realizations: list[Realization] | None = None,
+                 path: str = "<string>"):
+        self.concepts = {} if concepts is None else concepts
+        self.realizations = [] if realizations is None else realizations
+        self.path = path
 
 
 class FgLexicon:
@@ -236,7 +212,7 @@ def _parse_feature(text: str, path: str, lineno: int) -> tuple[str, str]:
     return kinds[kind], value.lower()
 
 
-def _parse_field(node: RawConcept | RawOverrides, parts: list[str], path: str,
+def _parse_field(node: RawConcept, parts: list[str], path: str,
                  lineno: int, prefix: str = "") -> None:
     """Set one inheritable field on a concept or a word's overrides.
 
@@ -262,15 +238,13 @@ def _parse_field(node: RawConcept | RawOverrides, parts: list[str], path: str,
     else:
         what = "override field" if prefix else "concept directive"
         raise ParseError(f"unknown {what} {head!r}", path=path, line=lineno)
-    if getattr(node, name) is None:  # an overrides field not yet restated
-        setattr(node, name, [])
     getattr(node, name).append(item)
 
 
 def parse_fg_lexicon(text: str, path: str = "<string>") -> RawLexicon:
     """Parse the foreground DSL; inheritance links are kept unresolved."""
     raw = RawLexicon(path=path)
-    cur: RawConcept | RawRealization | None = None
+    cur: RawConcept | Realization | None = None
     seen_keys: set[tuple[str, str, str, str]] = set()
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -317,7 +291,7 @@ def parse_fg_lexicon(text: str, path: str = "<string>") -> RawLexicon:
                     raise ParseError(f"duplicate sense {lemma}/{pos}/{lang}/{sense_id}",
                                      path=path, line=lineno)
                 seen_keys.add(key)
-                cur = RawRealization(lemma, pos, lang, sense_id, concept, line=lineno)
+                cur = Realization(lemma, pos, lang, sense_id, concept, line=lineno)
                 raw.realizations.append(cur)
             else:
                 raise ParseError(f"unknown directive {parts[0]!r}", path=path, line=lineno)
@@ -362,7 +336,7 @@ def _discriminator_rules(specs: list[tuple[str, str, str]]) -> tuple[DecisionRul
     return tuple(DecisionRule(kind, value, sense, 1.0) for sense, kind, value in specs)
 
 
-def _merge_chain(chain: list[RawConcept | RawOverrides]) -> dict:
+def _merge_chain(chain: list[RawConcept]) -> dict:
     """Nearest-set-value field merge, self first then up the parent chain."""
     merged: dict = {name: None for name in _FIELD_NAMES}
     for node in chain:
@@ -400,7 +374,8 @@ def _build_node(cid: str, merged: dict, line: int, label: str) -> ConceptNode:
 
 
 def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
-    """Flatten the hierarchy; resolving an already-flat lexicon is the identity."""
+    """Flatten the hierarchy and set each realization's `effective` node in
+    place; resolving an already-flat lexicon is the identity."""
     for node in raw.concepts.values():
         if node.parent is not None and node.parent not in raw.concepts:
             raise ParseError(f"unknown parent concept {node.parent}",
@@ -418,21 +393,20 @@ def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
         concepts[cid] = _build_node(cid, _merge_chain(chain), node.line, f"concept {cid}")
 
     lex = FgLexicon(concepts=concepts)
-    for rr in raw.realizations:
-        effective = concepts[rr.concept]
-        if not rr.overrides.empty():
+    for real in raw.realizations:
+        effective = concepts[real.concept]
+        if not real.overrides.empty():
             # the word's overrides are the nearest link of the concept's chain
-            effective = _build_node(rr.concept,
-                                    _merge_chain([rr.overrides, *chains[rr.concept]]),
-                                    effective.line, f"word {rr.lemma}/{rr.pos}")
-        for gr, role in rr.complement_map.items():
+            effective = _build_node(real.concept,
+                                    _merge_chain([real.overrides, *chains[real.concept]]),
+                                    effective.line, f"word {real.lemma}/{real.pos}")
+        for gr, role in real.complement_map.items():
             if role not in effective.roles():
                 raise LexiconError(
-                    f"word {rr.lemma}/{rr.pos}: mapping {gr} -> {role}: concept "
-                    f"{rr.concept} has no role {role!r}")
-        real = Realization(rr.lemma, rr.pos, rr.lang, rr.sense_id, rr.concept,
-                           dict(rr.complement_map), rr.overrides, effective, rr.line)
-        lex.realizations.setdefault((rr.lemma, rr.pos, rr.lang), []).append(real)
+                    f"word {real.lemma}/{real.pos}: mapping {gr} -> {role}: concept "
+                    f"{real.concept} has no role {role!r}")
+        real.effective = effective
+        lex.realizations.setdefault((real.lemma, real.pos, real.lang), []).append(real)
     return lex
 
 
@@ -490,12 +464,12 @@ def validate(lex: FgLexicon, onto: Ontology) -> list[Diagnostic]:
         lemma, pos, lang = key
         for r in reals:
             loc = f"word {lemma}/{pos}/{lang}/{r.sense_id}"
-            if r.effective is not None and r.effective is not lex.concepts.get(r.concept):
+            if r.effective is not lex.concepts.get(r.concept):
                 check_node(r.effective, loc)
             for gr, role in r.complement_map.items():
-                if r.effective is not None and role not in r.effective.roles():
+                if role not in r.effective.roles():
                     err(loc, f"mapping {gr}: unknown role {role}")
-            for rule in (r.effective.discriminators if r.effective else ()):
+            for rule in r.effective.discriminators:
                 if not any(s.sense_id == rule.sense_id
                            for s in lex.realizations.get(key, [])):
                     warn(loc, f"discriminator names unknown sense {rule.sense_id}")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import wsd
 from .bg_lexicon import BG_POS, BgLexicon, add_sense_line, sense_line
-from .errors import ParseError, parse_number
+from .errors import ParseError, format_float, parse_number
 from .textpipe import Document
 from .wsd import BayesModel, _doc_positions, _lemma_row, _window
 # `tune` calls the classifier through the `wsd` module, as `cli` does, so it
@@ -152,7 +152,7 @@ def save_tuned_lexicon(tuned: TunedLexicon) -> str:
     lines = ["tunedlex v1",
              f"corpus {tuned.corpus_id or '-'}",
              f"params min_occurrences={p.min_occurrences} window={p.window} "
-             f"alpha={p.alpha:.6f} top_k={p.top_k}"]
+             f"alpha={format_float(p.alpha)} top_k={p.top_k}"]
     for key in sorted(tuned.base.senses_by_key):
         lines.extend("sense " + sense_line(s, tuned.base.collapsed)
                      for s in tuned.base.senses_by_key[key])

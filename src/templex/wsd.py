@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, parse_number
+from .errors import ParseError, format_float, parse_number
 # load_tagged_corpus is re-exported: it reads the tagged corpus in textpipe
 from .textpipe import (DocAnalysis, Document, SenseTag, Token, TokenKey,
                        is_passive_vg, lexicon_pos, load_tagged_corpus)
 
 if TYPE_CHECKING:
     from .bg_lexicon import BgLexicon, BgSense
-    from .decisionlist import DecisionRule
     from .fg_lexicon import Diagnostic, FgLexicon, Realization
     from .ontology import Ontology
 
@@ -64,38 +62,16 @@ class _ClassWeights(dict):
         return weight
 
 
-class _WeightView(Mapping):
-    """Read-only (lemma, class) -> weight over every pair the model has."""
-
-    def __init__(self, by_class: dict[str, _ClassWeights]):
-        self._by_class = by_class
-
-    def __getitem__(self, key: tuple[str, str]) -> float:
-        lemma, cls = key
-        table = self._by_class.get(cls)
-        if table is None or lemma not in table.lemmas():
-            raise KeyError(key)
-        return table[lemma]
-
-    def __iter__(self):
-        for cls, table in self._by_class.items():
-            for lemma in table.lemmas():
-                yield lemma, cls
-
-    def __len__(self) -> int:
-        return sum(len(table.lemmas()) for table in self._by_class.values())
-
-
 class BayesModel:
     """Class priors and per-class context weights of the background classifier.
 
-    `by_class` maps each class to its lemma -> weight table; `weights` reads
-    the same tables as a (lemma, class) -> weight mapping.  Explicit
-    `weights` given here fill the tables as they are.
+    `by_class` maps each class to its lemma -> weight table; `weights` copies
+    every pair of the same tables into a (lemma, class) -> weight dict.
+    Explicit `weights` given here fill the tables as they are.
     """
 
     def __init__(self, class_priors: dict[str, float] | None = None,
-                 weights: Mapping[tuple[str, str], float] | None = None,
+                 weights: dict[tuple[str, str], float] | None = None,
                  window: int = 10, alpha: float = 0.1,
                  vocab: set[str] | None = None):
         self.class_priors = {} if class_priors is None else class_priors
@@ -110,23 +86,25 @@ class BayesModel:
             table[lemma] = weight
 
     @property
-    def weights(self) -> Mapping[tuple[str, str], float]:
-        return _WeightView(self.by_class)
+    def weights(self) -> dict[tuple[str, str], float]:
+        return {(lemma, cls): table[lemma]
+                for cls, table in self.by_class.items() for lemma in table.lemmas()}
 
 
 class FgMatch:
-    __slots__ = ("doc_id", "sent_idx", "verb_idx", "concept", "sense_id", "bindings",
+    """A verb group and the foreground sense the matcher chose for it."""
+
+    __slots__ = ("doc_id", "sent_idx", "verb_idx", "realization", "bindings",
                  "passive_implicature", "competitors", "survivors", "trigger_lemma")
 
-    def __init__(self, doc_id: str, sent_idx: int, verb_idx: int, concept: str,
-                 sense_id: str, bindings: dict[str, int | str] | None = None,
+    def __init__(self, doc_id: str, sent_idx: int, verb_idx: int,
+                 realization: Realization, bindings: dict[str, int | str] | None = None,
                  passive_implicature: bool = False, competitors: int = 0,
                  survivors: int = 1, trigger_lemma: str = ""):
         self.doc_id = doc_id
         self.sent_idx = sent_idx
         self.verb_idx = verb_idx
-        self.concept = concept
-        self.sense_id = sense_id
+        self.realization = realization
         self.bindings = {} if bindings is None else bindings
         self.passive_implicature = passive_implicature
         # other foreground senses that also fit
@@ -134,6 +112,14 @@ class FgMatch:
         # all senses (foreground + general) passing the filter
         self.survivors = survivors
         self.trigger_lemma = trigger_lemma
+
+    @property
+    def concept(self) -> str:
+        return self.realization.concept
+
+    @property
+    def sense_id(self) -> str:
+        return self.realization.sense_id
 
 
 # ------------------------------------------------------------ training
@@ -461,8 +447,7 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                 real, bindings, implicature = chosen
                 matches.append(FgMatch(
                     doc_id=doc.doc_id, sent_idx=sent_idx, verb_idx=vg.head_idx,
-                    concept=real.concept, sense_id=real.sense_id,
-                    bindings=bindings, passive_implicature=implicature,
+                    realization=real, bindings=bindings, passive_implicature=implicature,
                     competitors=len(fits) - 1,
                     survivors=len(fits) + bg_survivors,
                     trigger_lemma=verb.lemma))
@@ -472,28 +457,17 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
 def _discriminate(fits, flat, flat_pos, verb_key, window):
     from .decisionlist import DecisionList, DLInstance, apply_decision_list
 
-    fit_senses = {real.sense_id for real, _, _ in fits}
-    rules: list[DecisionRule] = []
-    seen = set()
-    for real, _, _ in fits:
-        for rule in real.effective.discriminators:
-            key = (rule.kind, rule.value, rule.sense_id)
-            if key not in seen:
-                seen.add(key)
-                rules.append(rule)
+    # every fitting sense's rules in order: the first one whose feature occurs wins
+    rules = [rule for real, _, _ in fits for rule in real.effective.discriminators]
     if not rules:
         return None
     i = flat_pos[verb_key]
     lo = max(0, i - window)
     hi = min(len(flat), i + window + 1)
     inst = DLInstance(tuple(t.lemma for t in flat[lo:hi]), i - lo)
-    sense, rule = apply_decision_list(DecisionList(rules, None), inst)
-    if rule is None or sense not in fit_senses:
-        return None
-    for cand in fits:
-        if cand[0].sense_id == sense:
-            return cand
-    return None
+    # no default sense: unless a rule names a sense that fits, none is chosen
+    sense, _ = apply_decision_list(DecisionList(rules, None), inst)
+    return next((fit for fit in fits if fit[0].sense_id == sense), None)
 
 
 def apply_foreground_priority(tags: dict[TokenKey, SenseTag],
@@ -552,7 +526,7 @@ def save_bayes_model(model: BayesModel) -> str:
     """Versioned text dump: sorted keys, 6-decimal weights; bit-stable."""
     lines = ["bayesmodel v1",
              f"window {model.window}",
-             f"alpha {model.alpha:.6f}"]
+             f"alpha {format_float(model.alpha)}"]
     for c in sorted(model.class_priors):
         lines.append(f"prior {c} {model.class_priors[c]:.6f}")
     weights = model.weights

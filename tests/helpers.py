@@ -27,11 +27,11 @@ def fixture_text(name: str) -> str:
     with open(fixture_path(name), encoding="utf-8") as fh:
         return fh.read()
 from templex.decisionlist import DecisionRule
-from templex.fg_lexicon import (ArgSpec, ConceptNode, RawArg, RawConcept,
-                                RawLexicon, RawOverrides, StateAssertion)
+from templex.fg_lexicon import (ArgSpec, ConceptNode, FgLexicon, RawArg, RawConcept,
+                                RawLexicon, Realization, StateAssertion)
 from templex.ontology import Ontology, SemClass
-from templex.textpipe import lexicon_pos
-from templex.wsd import SenseTag
+from templex.textpipe import analyze, lexicon_pos
+from templex.wsd import UNFILLED, SenseTag
 
 
 # ------------------------------------------------------------- taxonomies
@@ -128,11 +128,10 @@ def random_hierarchy(rng: random.Random, n: int,
 
 
 def _attach_realizations(rng: random.Random, raw: RawLexicon) -> None:
-    from templex.fg_lexicon import RawRealization
     grels = ["subj", "dobj", "iobj", "pp:from", "pp:of"]
     for w in range(rng.randint(1, 6)):
         cid = rng.choice(sorted(raw.concepts))
-        real = RawRealization(f"verb{w:02d}", "verb", "en", f"fg{w}", cid)
+        real = Realization(f"verb{w:02d}", "verb", "en", f"fg{w}", cid)
         if rng.random() < 0.4:
             # field overrides; overriding args changes the role inventory
             if rng.random() < 0.5:
@@ -146,7 +145,7 @@ def _attach_realizations(rng: random.Random, raw: RawLexicon) -> None:
             if rng.random() < 0.2:
                 real.overrides.discriminators = [(f"fg{w}", "word_left",
                                                   f"w{rng.randrange(20)}")]
-        if real.overrides.args is not None:
+        if real.overrides.args:
             roles = [a.role for a in real.overrides.args]
         else:
             roles = [a.role for a in merge_oracle(raw, cid).args]
@@ -155,7 +154,7 @@ def _attach_realizations(rng: random.Random, raw: RawLexicon) -> None:
         raw.realizations.append(real)
 
 
-def merge_oracle(raw: RawLexicon, cid: str, overrides: RawOverrides | None = None) \
+def merge_oracle(raw: RawLexicon, cid: str, overrides: RawConcept | None = None) \
         -> ConceptNode:
     """Brute-force root-to-leaf field merge, independent of the resolver.
 
@@ -529,3 +528,162 @@ def training_sets(draw):
                                             min_size=1, max_size=3)))
             for d in range(draw(st.integers(1, 3)))]
     return docs, bg
+
+
+# ------------------------------------------------------ foreground matcher
+
+_MATCH_CLASSES = ("C0", "C1", "C2", "C3", "C4")
+_MATCH_ROLES = ("a", "b", "c")
+_MATCH_RELATIONS = ("subj", "dobj", "iobj", "pp:from", "pp:by")
+_MATCH_CHUNKS = ([("the", "DET"), ("n0", "NN")], [("n1", "NN")], [("n2", "NNP")],
+                 [("it", "PRON")], [("v0", "VBD")], [("be", "BE"), ("v0", "VBN")],
+                 [("be", "BE"), ("now", "ADV"), ("v1", "VBN")], [("v1", "VB")],
+                 [("by", "PREP")], [("from", "PREP")], [(".", "PUNCT")])
+_MATCH_WORDS = sorted({lemma for chunk in _MATCH_CHUNKS for lemma, _ in chunk})
+
+
+@st.composite
+def matcher_cases(draw):
+    """The arguments of `match_foreground`, by name: a small class tree; up to three competing foreground
+    senses per verb, each with its own restrictions, required and optional
+    roles, complement map and discriminator rules; general background senses
+    with subject and object restrictions, some naming no class; sentences
+    of a few chunks each, whose nouns are tagged with a class or untagged."""
+    cls = st.sampled_from(_MATCH_CLASSES)
+    onto = Ontology({c: SemClass(c, draw(st.sampled_from(_MATCH_CLASSES[:i])) if i else None)
+                     for i, c in enumerate(_MATCH_CLASSES)}, {})
+    fg, bg = FgLexicon(), BgLexicon(collapsed=True)
+    for verb in ("v0", "v1"):
+        reals = []
+        for k in range(draw(st.integers(verb == "v0", 3))):
+            roles = draw(st.lists(st.sampled_from(_MATCH_ROLES), min_size=1, max_size=3,
+                                  unique=True))
+            rules = draw(st.lists(st.builds(
+                DecisionRule, st.sampled_from(("word_left", "word_right", "word_in_window")),
+                st.sampled_from(_MATCH_WORDS), st.sampled_from(("s0", "s1", "s2", "s9")),
+                st.just(1.0)), max_size=3))
+            node = ConceptNode(f"K-{verb}-{k}", "S",
+                               tuple(ArgSpec(role, draw(cls), None, draw(st.booleans()))
+                                     for role in roles), (), None, tuple(rules))
+            fg.concepts[node.id] = node
+            cmap = draw(st.dictionaries(st.sampled_from(_MATCH_RELATIONS),
+                                        st.sampled_from(roles), max_size=3))
+            reals.append(Realization(verb, "verb", "en", f"s{k}", node.id, cmap,
+                                     effective=node))
+        if reals:
+            fg.realizations[(verb, "verb", "en")] = reals
+        restriction = st.sampled_from(_MATCH_CLASSES + (None, "UNKNOWN"))
+        bg.senses_by_key[(verb, "verb")] = [
+            BgSense(verb, "verb", f"b{j}", "ACT", "ACT", None, draw(restriction),
+                    draw(restriction)) for j in range(draw(st.integers(0, 2)))]
+    sentence = st.lists(st.sampled_from(_MATCH_CHUNKS), min_size=1, max_size=6).map(
+        lambda chunks: [tok for chunk in chunks for tok in chunk])
+    analyses, tags = [], {}
+    for d in range(draw(st.integers(1, 2))):
+        doc = make_doc(f"d{d}", draw(st.lists(sentence, min_size=1, max_size=3)))
+        for tok in doc.tokens():
+            if lexicon_pos(tok.pos) == "noun":
+                tag_class = draw(st.one_of(st.none(), cls, cls))
+                if tag_class is not None:
+                    tags[(doc.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(
+                        doc.doc_id, tok.sent_idx, tok.tok_idx, tok.lemma, "noun", "n",
+                        tag_class, 0.0, "bayes")
+        analyses.append(analyze(doc))
+    return dict(analyses=analyses, fg=fg, tags=tags, onto=onto, bg=bg,
+                passive_lone=draw(st.booleans()), window=draw(st.integers(1, 4)))
+
+
+def matcher_oracle(analyses, fg, tags, onto, bg, passive_lone, window):
+    """Brute-force foreground selection: for every verb group, every
+    foreground sense whose filled roles are class-compatible with its
+    restrictions and whose required roles are filled (a passive may leave
+    its agent, or with passive_lone every role of a bare passive, unfilled).
+
+    Returns (matches, abstentions) in document order: a match is
+    (doc_id, sent_idx, verb_idx, realization, bindings, implicature,
+    competitors, survivors, trigger lemma), an abstention is
+    (doc_id, sent_idx, verb lemma, number of fits).  One fit matches;
+    several are decided by the first discriminator rule, in sense and then
+    rule order, whose feature occurs around the verb, if it names a sense
+    that fits; otherwise the verb group abstains.
+    """
+    def compatible(a: str, b: str) -> bool:
+        return chain_walk_subsumes(onto, a, b) or chain_walk_subsumes(onto, b, a)
+
+    matches, abstentions = [], []
+    for analysis in analyses:
+        doc = analysis.doc
+        lemmas = [tok.lemma for sent in doc.sentences for tok in sent]
+        offset = 0
+        for si, sa in enumerate(analysis.sentences):
+            for vg in sa.chunks:
+                verb = sa.tokens[vg.head_idx]
+                reals = fg.realizations.get((verb.lemma.lower(), "verb", "en"), [])
+                if vg.kind != "VG" or not reals:
+                    continue
+                passive = verb.pos == "VBN" and any(
+                    tok.pos == "BE" for tok in sa.tokens[vg.start:vg.head_idx])
+                swap = {"subj": "dobj", "agent_by": "subj"} if passive else {}
+                deps = [(swap.get(rel.relation, rel.relation), rel.dependent_idx)
+                        for rel in sa.relations if rel.verb_idx == vg.head_idx]
+
+                def class_of(idx):
+                    tag = tags.get((doc.doc_id, si, idx))
+                    return None if tag is None else tag.coarse_class
+
+                fits = []
+                for real in reals:
+                    fills = {}
+                    for key, dep in deps:
+                        role = real.complement_map.get(key)
+                        if role is not None and role not in fills:
+                            fills[role] = dep
+                    bindings, implicature = {}, False
+                    for arg in real.effective.args:
+                        if arg.role in fills:
+                            c = class_of(fills[arg.role])
+                            if c is None or not compatible(c, arg.restriction):
+                                break
+                            bindings[arg.role] = fills[arg.role]
+                        elif not arg.required:
+                            bindings[arg.role] = UNFILLED
+                        elif passive and (arg.role == real.complement_map.get("subj")
+                                          or (passive_lone and not fills)):
+                            bindings[arg.role] = UNFILLED
+                            implicature = True
+                        else:
+                            break
+                    else:
+                        fits.append((real, bindings, implicature))
+
+                observed = {}
+                for key, dep in deps:
+                    if key in ("subj", "dobj") and key not in observed:
+                        observed[key] = class_of(dep)
+                general = sum(
+                    all(r is None or observed.get(gr) is None
+                        or (r in onto.classes and compatible(observed[gr], r))
+                        for gr, r in (("subj", sense.subj_restriction),
+                                      ("dobj", sense.obj_restriction)))
+                    for sense in bg.senses_by_key.get((verb.lemma.lower(), "verb"), []))
+
+                chosen = fits[0] if len(fits) == 1 else None
+                if len(fits) > 1:
+                    at = offset + vg.head_idx
+                    near = {j for j in range(at - window, at + window + 1)
+                            if j != at and 0 <= j < len(lemmas)}
+                    features = {("word_in_window", lemmas[j]) for j in near}
+                    features |= {(kind, lemmas[j]) for kind, j in
+                                 (("word_left", at - 1), ("word_right", at + 1)) if j in near}
+                    decided = next((rule.sense_id for real, _, _ in fits
+                                    for rule in real.effective.discriminators
+                                    if (rule.kind, rule.value) in features), None)
+                    chosen = next((fit for fit in fits if fit[0].sense_id == decided), None)
+                    if chosen is None:
+                        abstentions.append((doc.doc_id, si, verb.lemma, len(fits)))
+                if chosen is not None:
+                    real, bindings, implicature = chosen
+                    matches.append((doc.doc_id, si, vg.head_idx, real, bindings, implicature,
+                                    len(fits) - 1, len(fits) + general, verb.lemma))
+            offset += len(sa.tokens)
+    return matches, abstentions

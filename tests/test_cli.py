@@ -302,6 +302,15 @@ def _extract_with_tuned(tmp_path, text):
     return run(args), str(tuned)
 
 
+def test_tuned_lexicon_with_a_tiny_alpha_reloads(tmp_path):
+    targs, tuned = base_args(tmp_path, "tune", "t.tl",
+                             ["--min-occurrences", "2", "--alpha", "0.0000001"])
+    assert run(targs) == 0
+    assert " alpha=1e-07 " in tuned.read_text()
+    code, _ = _extract_with_tuned(tmp_path, tuned.read_text())
+    assert code == 0
+
+
 def test_config_bad_number_exit_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# run settings\nwindow = x\n")
@@ -400,6 +409,38 @@ def _modules(argv):
     report = json.loads(proc.stdout)
     assert report["code"] == 0
     return report
+
+
+@pytest.mark.parametrize("collector_on", [True, False])
+def test_parser_freed_before_the_subcommand_runs(monkeypatch, collector_on):
+    import argparse
+    import gc
+    import weakref
+
+    from templex import cli
+    build, parsers, seen = cli._build_parser, [], []
+
+    def build_and_watch():
+        parser = build()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsers.extend(weakref.ref(p) for p in (parser, *sub.choices.values()))
+        return parser
+
+    def command(cfg):
+        seen.append(([ref() is None for ref in parsers], gc.isenabled()))
+        return 0
+
+    monkeypatch.setattr(cli, "_build_parser", build_and_watch)
+    monkeypatch.setattr(cli, "_cmd_validate", command)
+    was_on = gc.isenabled()
+    (gc.enable if collector_on else gc.disable)()
+    try:
+        assert main(["validate", "--ontology", fixture_path("succession.onto")]) == 0
+        assert gc.isenabled() is collector_on
+    finally:
+        (gc.enable if was_on else gc.disable)()
+    # the root parser and its 6 subcommand parsers, all gone, the collector off
+    assert seen == [([True] * 7, False)]
 
 
 def test_validate_imports_no_pipeline_module_and_no_dataclasses(tmp_path):

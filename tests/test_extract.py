@@ -16,7 +16,7 @@ def tags(corpus, bg):
 @pytest.fixture(scope="module")
 def instances(analyses, fg, tags, onto, bg):
     matches, _ = match_foreground(analyses, fg, tags, onto, bg)
-    return fill_templates(matches, tags, analyses, onto, fg)
+    return fill_templates(matches, tags, analyses, onto)
 
 
 def by_loc(instances):
@@ -77,10 +77,10 @@ def test_resolve_salient_none_when_no_candidate(analyses, tags, onto):
 def test_explicit_salient_binding_resolved(analyses, fg, tags, onto):
     from templex import SALIENT
     from templex.wsd import FgMatch
-    match = FgMatch("d04", 1, 4, "DISMISS-EVENT", "fg1",
+    match = FgMatch("d04", 1, 4, fg.senses("sack", "verb")[0],
                     {"org": SALIENT, "person": 2},
                     passive_implicature=True, trigger_lemma="sack")
-    inst = fill_templates([match], tags, analyses, onto, fg)[0]
+    inst = fill_templates([match], tags, analyses, onto)[0]
     assert inst.fillers["ORGANIZATION"].source == "salient"
     assert inst.fillers["ORGANIZATION"].span == "Acme Corp"
 

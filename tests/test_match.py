@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import event, given, settings
 
 from templex import (UNFILLED, analyze_corpus, apply_foreground_priority,
                      apply_ospd, collapse, disambiguate_background,
                      load_bg_lexicon, load_collapse_map, load_fg_lexicon,
                      match_foreground, read_corpus, surviving_sense_count,
                      train_bayes)
+from helpers import matcher_cases, matcher_oracle
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +191,23 @@ def test_multiple_fits_resolved_by_discriminators(onto):
 def _tag(doc, idx, lemma, sid, cls):
     from templex.wsd import SenseTag
     return SenseTag(doc, 0, idx, lemma, "noun", sid, cls, 0.0, "unambiguous")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matcher_cases())
+def test_matcher_agrees_with_brute_force_oracle(case):
+    matches, diags = match_foreground(**case)
+    expected, abstentions = matcher_oracle(**case)
+    assert [(m.doc_id, m.sent_idx, m.verb_idx, m.realization, m.bindings,
+             m.passive_implicature, m.competitors, m.survivors, m.trigger_lemma)
+            for m in matches] == expected
+    assert [(d.severity, d.location, d.message) for d in diags] == [
+        ("warning", f"{doc}:{sent}",
+         f"{lemma}: {fits} foreground senses fit and no discriminator decided; abstaining")
+        for doc, sent, lemma, fits in abstentions]
+    for m in matches:
+        event("decided by a discriminator" if m.competitors else "one sense fits")
+        if m.passive_implicature:
+            event("passive implicature")
+    if abstentions:
+        event("abstained")

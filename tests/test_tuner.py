@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from templex import (Document, ParseError, TuneParams, apply_tuning,
-                     load_tuned_lexicon, save_tuned_lexicon, tune, wsd)
+from templex import (BayesModel, BgLexicon, Document, ParseError, TunedLexicon,
+                     TuneParams, apply_tuning, load_bayes_model, load_tuned_lexicon,
+                     save_bayes_model, save_tuned_lexicon, tune, wsd)
 from helpers import fixture_text, training_sets
 
 
@@ -211,6 +212,23 @@ def test_tuned_lexicon_params_may_span_lines():
 def test_tune_params_reject_non_positive_or_non_finite_alpha(alpha, message):
     with pytest.raises(ValueError, match=message):
         TuneParams(alpha=alpha).validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.builds(TuneParams, st.integers(-1, 10**9), st.integers(-1, 10**9),
+                        st.floats(), st.integers(-1, 10**9)))
+def test_every_valid_params_line_reloads_as_written(params):
+    try:
+        params.validate()
+    except ValueError:
+        assume(False)
+    text = save_tuned_lexicon(TunedLexicon(BgLexicon(collapsed=True), params=params))
+    again = load_tuned_lexicon(text)
+    assert again.params == params
+    assert save_tuned_lexicon(again) == text
+    # the classifier model file writes alpha the same way
+    assert load_bayes_model(save_bayes_model(BayesModel(alpha=params.alpha))).alpha \
+        == params.alpha
 
 
 def test_tuned_sense_lines_use_background_case():
