@@ -7,7 +7,9 @@ parameters are echoed into each output's provenance.  Exit codes: 0 success,
 
 `wsd` and `extract` train the classifier once over the whole corpus; every
 later stage looks at one document at a time, so it runs over contiguous
-document shards, in forked worker processes when `--jobs` > 1.
+document shards.  With `--jobs` > 1 the parent runs the first shard and
+forks one child per other shard, each sending its text back through a pipe;
+no child outlives the run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from typing import TYPE_CHECKING
 from .errors import CycleError, LexiconError, ParseError, parse_number
 
 if TYPE_CHECKING:
+    from typing import BinaryIO
+
     from . import bg_lexicon as bgmod
     from . import ontology as ontomod
     from . import textpipe
@@ -177,7 +181,8 @@ def plan_shards(sizes: list[int], jobs: int, cpus: int) -> list[tuple[int, int]]
     min(jobs, documents, cpus) shards; each is non-empty, and together they
     cover every document once, in input order.  A cut falls at the document
     boundary nearest its share of the tokens, so no shard exceeds its share
-    by more than the largest document.
+    by more than the largest document.  No token floor holds small shards
+    back: a forked shard costs a few milliseconds (docs/formats.md).
     """
     n = min(jobs, len(sizes), cpus)
     prefix = list(accumulate(sizes, initial=0))
@@ -193,41 +198,78 @@ def plan_shards(sizes: list[int], jobs: int, cpus: int) -> list[tuple[int, int]]
     return list(zip(cuts, cuts[1:])) if n > 0 else []
 
 
-_worker_job = None  # the shard job of a forked pool worker
-
-
-def _init_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_worker_job(bounds: tuple[int, int]) -> str:
-    return _worker_job(*bounds)
-
-
 def _run_shards(job, sizes: list[int], jobs: int) -> list[str]:
     """`job(lo, hi)` over the planned shards; the texts in input order.
 
-    More than one shard runs in a "fork" process pool: workers inherit the
-    job and everything it closes over, and exchange only index pairs and
-    output text.  Without fork there is one shard, run inline.  A worker
-    that dies (say, killed for memory) fails the run instead of hanging it.
+    The parent runs the first shard itself and forks one child per other
+    shard.  A child inherits the job and everything it closes over, pickles
+    its text, or the exception it raised, into its own pipe, and leaves with
+    `os._exit`.  The parent reads the pipes in shard order and reaps each
+    child, and re-raises a child's exception as its own.  A child that ends
+    without a result (say, killed for memory) fails the run with OSError.
+    On any error the parent kills and reaps the children still running, so
+    none outlives the run.  Without fork there is one shard, run inline.
     """
     cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
     shards = plan_shards(sizes, jobs, cpus)
     if len(shards) <= 1:
         return [job(lo, hi) for lo, hi in shards]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
     try:
-        # under fork the workers start before any pool thread, and take
-        # initargs unpickled
-        with ProcessPoolExecutor(len(shards), mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker, initargs=(job,)) as pool:
-            return list(pool.map(_run_worker_job, shards))
-    except BrokenProcessPool as exc:
-        raise OSError(f"a shard worker process died: {exc}") from None
+        for lo, hi in shards[1:]:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                os.close(rfd)
+                _shard_child(job, lo, hi, wfd)
+            os.close(wfd)
+            children[pid] = open(rfd, "rb")
+        texts = [job(*shards[0])]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status != 0 or not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise OSError("a shard worker process died ("
+                              + (f"signal {-code}" if code < 0 else f"exit code {code}") + ")")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            texts.append(value)
+        return texts
+    finally:
+        if children:  # an error left these unread
+            import signal
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _shard_child(job, lo: int, hi: int, wfd: int) -> None:
+    """A forked child's whole life: run one shard, send the outcome, exit."""
+    import pickle
+    code = 1
+    try:
+        try:
+            outcome = (True, job(lo, hi))
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        # never return into the parent's stack, its `finally` blocks or
+        # its atexit handlers
+        os._exit(code)
 
 
 def _require(cfg: argparse.Namespace, *names: str) -> None:

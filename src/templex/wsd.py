@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 
 from .errors import ParseError, format_float, parse_number
 # load_tagged_corpus is re-exported: it reads the tagged corpus in textpipe
-from .textpipe import (DocAnalysis, Document, SenseTag, Token, TokenKey,
-                       is_passive_vg, lexicon_pos, load_tagged_corpus)
+from .textpipe import (LEXICON_POS, DocAnalysis, Document, SenseTag, Token,
+                       TokenKey, is_passive_vg, load_tagged_corpus)
 
 if TYPE_CHECKING:
     from .bg_lexicon import BgLexicon, BgSense
@@ -166,6 +166,9 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
     class_ctx_total: Counter = Counter()  # class -> total context tokens
     unigram: Counter = Counter()
     total_tokens = 0
+    # (lemma, lexicon pos) -> senses: one lexicon lookup per pair, not per token
+    senses: dict[tuple[str, str], list[BgSense]] = {}
+    pos_of = LEXICON_POS.get
 
     for doc in docs:
         flat = _doc_positions(doc)
@@ -174,10 +177,12 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
         unigram.update(words)
         total_tokens += len(words)
         for i, tok in enumerate(flat):
-            pos = lexicon_pos(tok.pos)
+            pos = pos_of(tok.pos)
             if pos is None:
                 continue
-            entries = bg.entries(tok.lemma, pos)
+            entries = senses.get((tok.lemma, pos))
+            if entries is None:
+                entries = senses[tok.lemma, pos] = bg.entries(tok.lemma, pos)
             if len(entries) != 1:
                 continue
             cls = entries[0].coarse_class
@@ -237,14 +242,19 @@ def disambiguate_background(model: BayesModel, docs: list[Document],
     """
     _check_unique_ids(docs)
     tags: dict[TokenKey, SenseTag] = {}
+    # (lemma, lexicon pos) -> senses: one lexicon lookup per pair, not per token
+    senses: dict[tuple[str, str], list[BgSense]] = {}
+    pos_of = LEXICON_POS.get
     for doc in docs:
         flat = _doc_positions(doc)
         row = _lemma_row(flat)
         for i, tok in enumerate(flat):
-            pos = lexicon_pos(tok.pos)
+            pos = pos_of(tok.pos)
             if pos is None:
                 continue
-            entries = bg.entries(tok.lemma, pos)
+            entries = senses.get((tok.lemma, pos))
+            if entries is None:
+                entries = senses[tok.lemma, pos] = bg.entries(tok.lemma, pos)
             if not entries:
                 continue
             key = (doc.doc_id, tok.sent_idx, tok.tok_idx)
@@ -383,8 +393,7 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
 
     for analysis in analyses:
         doc = analysis.doc
-        flat = _doc_positions(doc)
-        flat_pos = {(t.sent_idx, t.tok_idx): i for i, t in enumerate(flat)}
+        positions = None  # the document's flat tokens and their index, on first need
         for sa in analysis.sentences:
             tokens = sa.tokens
             if not tokens:
@@ -435,7 +444,11 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                 if len(fits) == 1:
                     chosen = fits[0]
                 else:
-                    chosen = _discriminate(fits, flat, flat_pos,
+                    if positions is None:
+                        flat = _doc_positions(doc)
+                        positions = flat, {(t.sent_idx, t.tok_idx): i
+                                           for i, t in enumerate(flat)}
+                    chosen = _discriminate(fits, *positions,
                                            (sent_idx, vg.head_idx), window)
                     if chosen is None:
                         diagnostics.append(Diagnostic(

@@ -378,26 +378,28 @@ def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):
 
 # ------------------------------------------------- what each command imports
 
-# Runs `main(argv)` in a fresh interpreter and prints the templex modules,
-# and `dataclasses`, loaded at the end and when each process pool is built.
+# Runs `main(argv)` in a fresh interpreter with two CPUs and prints the
+# templex modules, and `dataclasses` and the process-pool packages, loaded at
+# the end and when each shard child is forked.
 _PROBE = """
-import concurrent.futures, json, os, sys
+import json, os, sys
 from templex.cli import main
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "dataclasses" or m.startswith("templex"))
+    return sorted(m for m in sys.modules if m.startswith("templex")
+                  or m.split(".")[0] in ("dataclasses", "multiprocessing", "concurrent"))
 
-at_pool = []
+at_fork = []
+fork = os.fork
 
-class CountingPool(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        at_pool.append(loaded())
-        super().__init__(*args, **kwargs)
+def counting_fork():
+    at_fork.append(loaded())
+    return fork()
 
-concurrent.futures.ProcessPoolExecutor = CountingPool
+os.fork = counting_fork
 os.cpu_count = lambda: 2
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "end": loaded(), "at_pool": at_pool}))
+print(json.dumps({"code": code, "end": loaded(), "at_fork": at_fork}))
 """
 
 
@@ -468,6 +470,14 @@ def test_shard_workers_import_nothing_the_parent_did_not(tmp_path):
     args, _ = base_args(tmp_path, "extract", "out.jsonl")
     serial = _modules([*args, "--jobs", "1"])
     forked = _modules([*args, "--jobs", "2"])
-    assert serial["at_pool"] == [] and len(forked["at_pool"]) == 1
+    assert serial["at_fork"] == [] and len(forked["at_fork"]) == 1
     # the forked workers inherit every module a one-process run ever loads
-    assert set(serial["end"]) <= set(forked["at_pool"][0])
+    assert set(serial["end"]) <= set(forked["at_fork"][0])
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd"])
+def test_sharded_runs_import_no_process_pool_package(tmp_path, command):
+    args, _ = base_args(tmp_path, command, "out")
+    forked = _modules([*args, "--jobs", "2"])
+    assert len(forked["at_fork"]) == 1
+    assert [m for m in forked["end"] if m.split(".")[0] in ("multiprocessing", "concurrent")] == []

@@ -1,17 +1,16 @@
-"""The document-shard runner behind `--jobs`: planner and pool.
+"""The document-shard runner behind `--jobs`: planner and forked children.
 
 Every stage after training looks at one document at a time, so `extract`
-and `wsd` run over contiguous token-balanced document shards, in forked
-workers when there are several; the output must not change by a byte.
+and `wsd` run over contiguous token-balanced document shards: the parent
+runs the first and a forked child each other one; the output must not
+change by a byte.
 """
 
-import concurrent.futures
-import concurrent.futures.process
-import multiprocessing.process
 import os
 import pickle
 import re
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -37,17 +36,47 @@ def replica(tmp_path_factory):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Worker counts of the process pools started, with three CPUs reported."""
+    """Shards of each run that forked (the parent's and one per child), with
+    three CPUs reported.  A run forks all its children before it reaps one."""
     started = []
+    fork, waitpid = os.fork, os.waitpid
+    new_run = True
 
-    class CountingPool(concurrent.futures.process.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counting_fork():
+        nonlocal new_run
+        if new_run:
+            started.append(1)
+            new_run = False
+        started[-1] += 1
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    def noting_waitpid(pid, options):
+        nonlocal new_run
+        new_run = True
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", noting_waitpid)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return started
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def alarm():
+    """Fails a test that hangs for a minute instead of blocking the run."""
+    def hung(signum, frame):
+        raise AssertionError("the runner waited for a child that never ends")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("order", ["bg-first", "fg-first"])
@@ -115,24 +144,68 @@ def test_shards_run_inline_without_fork(tmp_path, replica, pools, monkeypatch):
     assert (tmp_path / "j1").read_bytes() == (tmp_path / "j3").read_bytes()
 
 
-def test_dead_worker_fails_the_run(monkeypatch):
+def test_dead_worker_fails_the_run(monkeypatch, alarm):
     def job(lo, hi):
         if lo > 0:
             os._exit(1)  # as if killed mid-shard
         return "ok"
 
-    def hung(signum, frame):
-        raise AssertionError("the pool waited for a dead worker")
-
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with pytest.raises(OSError, match="shard worker process died"):
-            cli._run_shards(job, [5, 5], 2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(OSError, match="shard worker process died"):
+        cli._run_shards(job, [5, 5], 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("duplicate document id d01"),
+                                 ParseError("bad number 'x'", path="t.tl", line=3)])
+def test_child_error_reaches_the_parent(monkeypatch, alarm, exc):
+    def job(lo, hi):
+        if lo == 2:
+            raise exc
+        return str(lo)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(type(exc)) as info:
+        cli._run_shards(job, [5, 5, 5], 3)
+    assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    assert_no_child_left()
+
+
+def test_parent_error_kills_the_children(monkeypatch, alarm):
+    def job(lo, hi):
+        if lo == 0:
+            raise ValueError("first shard failed")
+        time.sleep(60)  # killed by the parent long before
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="first shard failed"):
+        cli._run_shards(job, [5, 5, 5], 3)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("no candidate classes"),
+                                 ParseError("bad tag", path="x.vrt", line=4)])
+def test_child_error_exits_two(tmp_path, replica, pools, monkeypatch, capsys, exc):
+    from templex import textpipe
+    analyze = textpipe.analyze
+
+    def failing_analyze(doc):
+        if doc.doc_id == "c2_d01":  # in the last of three shards
+            raise exc
+        return analyze(doc)
+
+    monkeypatch.setattr(textpipe, "analyze", failing_analyze)
+    args = ["extract", "--ontology", fixture_path("succession.onto"),
+            "--fg-lexicon", fixture_path("succession.fglex"),
+            "--bg-lexicon", fixture_path("succession.bglex"),
+            "--collapse-map", fixture_path("succession.collapse"),
+            "--corpus", replica, "--jobs", "3", "--output", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert pools == [3]
+    assert capsys.readouterr().err == f"templex: error: {exc}\n"
+    assert_no_child_left()
 
 
 def test_errors_survive_the_process_boundary():
@@ -152,7 +225,6 @@ def refuse_processes(patch):
         raise AssertionError("the shard planner started a process")
 
     patch.setattr(os, "fork", refuse)
-    patch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 @pytest.fixture
