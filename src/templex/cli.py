@@ -5,11 +5,9 @@ deterministic function of its input files and flags; the effective semantic
 parameters are echoed into each output's provenance.  Exit codes: 0 success,
 1 diagnostics with errors, 2 usage or I/O errors.
 
-`wsd` and `extract` train the classifier once over the whole corpus; every
-later stage looks at one document at a time, so it runs over contiguous
-document shards.  With `--jobs` > 1 the parent runs the first shard and
-forks one child per other shard, each sending its text back through a pipe;
-no child outlives the run.
+`wsd` and `extract` run over document shards (`templex.shards`): under
+`--jobs` each shard reads and counts its own documents in its own process,
+and every shard trains on the merged counts.
 """
 
 from __future__ import annotations
@@ -19,15 +17,11 @@ import gc
 import math
 import os
 import sys
-from bisect import bisect_left
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import CycleError, LexiconError, ParseError, parse_number
 
 if TYPE_CHECKING:
-    from typing import BinaryIO
-
     from . import bg_lexicon as bgmod
     from . import ontology as ontomod
     from . import textpipe
@@ -174,104 +168,6 @@ def _write_out(cfg: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def plan_shards(sizes: list[int], jobs: int, cpus: int) -> list[tuple[int, int]]:
-    """Contiguous `(lo, hi)` document ranges with about equal token counts.
-
-    `sizes` holds each document's token count.  There are at most
-    min(jobs, documents, cpus) shards; each is non-empty, and together they
-    cover every document once, in input order.  A cut falls at the document
-    boundary nearest its share of the tokens, so no shard exceeds its share
-    by more than the largest document.  No token floor holds small shards
-    back: a forked shard costs a few milliseconds (docs/formats.md).
-    """
-    n = min(jobs, len(sizes), cpus)
-    prefix = list(accumulate(sizes, initial=0))
-    cuts = [0]
-    for k in range(1, n):
-        target = prefix[-1] * k / n
-        i = bisect_left(prefix, target)
-        if i > 0 and target - prefix[i - 1] <= prefix[i] - target:
-            i -= 1
-        # leave at least one document for this shard and each one after it
-        cuts.append(min(max(i, cuts[-1] + 1), len(sizes) - (n - k)))
-    cuts.append(len(sizes))
-    return list(zip(cuts, cuts[1:])) if n > 0 else []
-
-
-def _run_shards(job, sizes: list[int], jobs: int) -> list[str]:
-    """`job(lo, hi)` over the planned shards; the texts in input order.
-
-    The parent runs the first shard itself and forks one child per other
-    shard.  A child inherits the job and everything it closes over, pickles
-    its text, or the exception it raised, into its own pipe, and leaves with
-    `os._exit`.  The parent reads the pipes in shard order and reaps each
-    child, and re-raises a child's exception as its own.  A child that ends
-    without a result (say, killed for memory) fails the run with OSError.
-    On any error the parent kills and reaps the children still running, so
-    none outlives the run.  Without fork there is one shard, run inline.
-    """
-    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    shards = plan_shards(sizes, jobs, cpus)
-    if len(shards) <= 1:
-        return [job(lo, hi) for lo, hi in shards]
-    import pickle
-    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for lo, hi in shards[1:]:
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                os.close(rfd)
-                _shard_child(job, lo, hi, wfd)
-            os.close(wfd)
-            children[pid] = open(rfd, "rb")
-        texts = [job(*shards[0])]
-        for pid, pipe in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if status != 0 or not data:
-                code = os.waitstatus_to_exitcode(status)
-                raise OSError("a shard worker process died ("
-                              + (f"signal {-code}" if code < 0 else f"exit code {code}") + ")")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            texts.append(value)
-        return texts
-    finally:
-        if children:  # an error left these unread
-            import signal
-            for pid, pipe in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _shard_child(job, lo: int, hi: int, wfd: int) -> None:
-    """A forked child's whole life: run one shard, send the outcome, exit."""
-    import pickle
-    code = 1
-    try:
-        try:
-            outcome = (True, job(lo, hi))
-        except Exception as exc:
-            outcome = (False, exc)
-        with open(wfd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-        code = 0
-    finally:
-        # never return into the parent's stack, its `finally` blocks or
-        # its atexit handlers
-        os._exit(code)
-
-
 def _require(cfg: argparse.Namespace, *names: str) -> None:
     missing = [n.replace("_", "-") for n in names if getattr(cfg, n) is None]
     if missing:
@@ -318,40 +214,6 @@ def _check_classes(bg: bgmod.BgLexicon, onto: ontomod.Ontology, path: str) -> No
         raise LexiconError(f"{path}: " + "; ".join(problems))
 
 
-def _shard_texts(cfg: argparse.Namespace, docs, onto, bg, fg, render) -> list[str]:
-    """Train once over all documents, then tag, match and render by shard.
-
-    Each shard runs background tagging, OSPD and (given a foreground
-    lexicon) analysis and foreground matching under the configured order:
-    bg-first feeds the final background tags into the matcher; fg-first
-    matches on the coarse-unambiguous tags alone, taken before OSPD.  Then
-    `render(shard_docs, analyses, tags, matches)` turns it into text;
-    analyses and matches are None without a foreground lexicon.
-    """
-    from . import textpipe
-    from . import wsd as wsdmod
-
-    model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha)
-
-    def job(lo: int, hi: int) -> str:
-        shard = docs[lo:hi]
-        tags = wsdmod.disambiguate_background(model, shard, bg)
-        anchors = ({k: t for k, t in tags.items() if t.method == "unambiguous"}
-                   if cfg.order == "fg-first" else None)
-        if cfg.ospd:
-            tags = wsdmod.apply_ospd(tags, bg)
-        if fg is None:
-            return render(shard, None, tags, None)
-        analyses = [textpipe.analyze(d) for d in shard]
-        matches, _ = wsdmod.match_foreground(
-            analyses, fg, tags if anchors is None else anchors, onto, bg, lang=cfg.lang,
-            passive_lone=cfg.passive_implicature, window=cfg.window)
-        return render(shard, analyses, tags, matches)
-
-    sizes = [sum(len(sent) for sent in d.sentences) for d in docs]
-    return _run_shards(job, sizes, cfg.jobs)
-
-
 # ------------------------------------------------------------ subcommands
 
 def _cmd_validate(cfg: argparse.Namespace) -> int:
@@ -387,12 +249,12 @@ def _cmd_tune(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_wsd(cfg: argparse.Namespace) -> int:
+    from . import shards
     from . import wsd as wsdmod
 
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
     bg = _load_background(cfg, onto)
-    docs = _load_corpus(cfg)
     fg = None
     if cfg.fg_lexicon:
         from . import fg_lexicon as fgmod
@@ -403,7 +265,7 @@ def _cmd_wsd(cfg: argparse.Namespace) -> int:
             tags = wsdmod.apply_foreground_priority(tags, matches)
         return wsdmod.dump_tagged_corpus(shard, tags)
 
-    texts = _shard_texts(cfg, docs, onto, bg, fg, render)
+    texts = shards.shard_texts(cfg, onto, bg, fg, render)
     # the `#CONFIG` line alone; documents are separated by a blank line,
     # so shard texts are joined by one too
     header = wsdmod.dump_tagged_corpus([], {}, _echo(cfg))
@@ -416,6 +278,7 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
 
     from . import extract as exmod
     from . import fg_lexicon as fgmod
+    from . import shards
 
     _require(cfg, "ontology", "fg_lexicon", "corpus")
     onto = _load_ontology(cfg)
@@ -426,13 +289,12 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
             print(d, file=sys.stderr)
         return 1
     bg = _load_background(cfg, onto)
-    docs = _load_corpus(cfg)
 
     def render(shard, analyses, tags, matches):
         return exmod.write_output(
             exmod.fill_templates(matches, tags, analyses, onto))
 
-    texts = _shard_texts(cfg, docs, onto, bg, fg, render)
+    texts = shards.shard_texts(cfg, onto, bg, fg, render)
     header = json.dumps({"config": _echo(cfg)}, ensure_ascii=False)
     _write_out(cfg, header + "\n" + "".join(texts))
     return 0

@@ -114,18 +114,20 @@ _RAW_TOKEN = re.compile(r"\w+(?:[-']\w+)*|[^\w\s]")
 _SENT_END = frozenset({".", "!", "?"})
 
 
-def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
-                path: str = "<string>") -> list[Document]:
+def read_corpus(text: str | list[str], *, raw: bool = False, doc_id: str = "d1",
+                path: str = "<string>", first_line: int = 1) -> list[Document]:
     """Read vertical (`surface<TAB>lemma<TAB>POS`) or raw text into documents.
 
     Vertical mode: `#DOC <id>` opens a document, a blank line ends a
-    sentence, other `#` lines are comments.  Raw mode yields one document
-    with pos="UNK" and lowercased-surface lemmas; run tag_fallback() to get
-    heuristic tags and stemmed lemmas.
+    sentence, other `#` lines are comments.  `text` may also be a run of
+    vertical lines, as `str.splitlines` gives them, that starts at line
+    `first_line` of `path`.  Raw mode yields one document with pos="UNK"
+    and lowercased-surface lemmas; run tag_fallback() to get heuristic tags
+    and stemmed lemmas.
     """
     if raw:
         return [_read_raw(text, doc_id)]
-    return _read_vertical(text, 3, doc_id, path, None)
+    return _read_vertical(text, 3, doc_id, path, None, first_line)
 
 
 def load_tagged_corpus(text: str, path: str = "<string>", *, with_tags: bool = True) \
@@ -136,8 +138,9 @@ def load_tagged_corpus(text: str, path: str = "<string>", *, with_tags: bool = T
     return _read_vertical(text, 4, "d1", path, tags), tags
 
 
-def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
-                   tags: dict[TokenKey, SenseTag] | None) -> list[Document]:
+def _read_vertical(text: str | list[str], ncols: int, doc_id: str, path: str,
+                   tags: dict[TokenKey, SenseTag] | None,
+                   first_line: int = 1) -> list[Document]:
     """The one vertical reader: 3 columns, or 4 for the sense-tagged corpus,
     whose tag columns are checked and, given a `tags` dict, decoded into it."""
     docs: dict[str, Document] = {}  # by id, in input order
@@ -145,7 +148,8 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
     cur_sent: list[Token] = []  # joins cur_doc.sentences at its first token
     sent_idx = offset = 0
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines() if isinstance(text, str) else text
+    for lineno, line in enumerate(lines, start=first_line):
         if line.startswith("#"):
             parts = line.split()
             if parts[0] != "#DOC":

@@ -148,24 +148,15 @@ def _check_unique_ids(docs: list[Document]) -> None:
         seen.add(doc.doc_id)
 
 
-def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
-                alpha: float = 0.1) -> BayesModel:
-    """Train from coarse-unambiguous anchor tokens; no annotation needed.
-
-    weight(w, c) compares how often w appears within +/-window of class-c
-    anchors against the count expected under the corpus unigram
-    distribution, with add-alpha smoothing on both sides.  Only the
-    observed (w, c) counts are stored; weights are computed on first use.
-    """
+def count_training(docs: list[Document], bg: BgLexicon, window: int = 10) -> tuple:
+    """(anchors per class, context lemma counts per class, lemma counts) of
+    `docs`: sums over documents, so a corpus's counts merge from its parts'."""
     if not bg.collapsed:
         raise ValueError("train_bayes requires a collapsed background lexicon")
     _check_unique_ids(docs)
-    classes = bg.coarse_classes()
-    anchor_counts: Counter = Counter()
-    ctx_counts: dict[str, Counter] = defaultdict(Counter)  # class -> lemma -> count
-    class_ctx_total: Counter = Counter()  # class -> total context tokens
+    anchors: Counter = Counter()
+    contexts: dict[str, Counter] = defaultdict(Counter)
     unigram: Counter = Counter()
-    total_tokens = 0
     # (lemma, lexicon pos) -> senses: one lexicon lookup per pair, not per token
     senses: dict[tuple[str, str], list[BgSense]] = {}
     pos_of = LEXICON_POS.get
@@ -173,9 +164,7 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
     for doc in docs:
         flat = _doc_positions(doc)
         row = _lemma_row(flat)
-        words = [lemma for lemma in row if lemma is not None]
-        unigram.update(words)
-        total_tokens += len(words)
+        unigram.update(lemma for lemma in row if lemma is not None)
         for i, tok in enumerate(flat):
             pos = pos_of(tok.pos)
             if pos is None:
@@ -186,23 +175,48 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
             if len(entries) != 1:
                 continue
             cls = entries[0].coarse_class
-            anchor_counts[cls] += 1
-            ctx = _window(row, i, window)
-            ctx_counts[cls].update(ctx)
-            class_ctx_total[cls] += len(ctx)
+            anchors[cls] += 1
+            contexts[cls].update(_window(row, i, window))
+    return anchors, dict(contexts), unigram
 
-    if not anchor_counts:
+
+def merge_counts(parts: list) -> tuple:
+    """The `count_training` counts of all `parts`' documents."""
+    anchors, contexts, unigram = Counter(), defaultdict(Counter), Counter()
+    for part_anchors, part_contexts, part_unigram in parts:
+        anchors.update(part_anchors)
+        for cls, counts in part_contexts.items():
+            contexts[cls].update(counts)
+        unigram.update(part_unigram)
+    return anchors, dict(contexts), unigram
+
+
+def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
+                alpha: float = 0.1, *, share=None) -> BayesModel:
+    """Train from coarse-unambiguous anchor tokens; no annotation needed.
+
+    weight(w, c) compares how often w appears within +/-window of class-c
+    anchors against the count expected under the corpus unigram
+    distribution, with add-alpha smoothing on both sides.  Only the
+    observed (w, c) counts are stored; weights are computed on first use.
+    `share`, given, maps the counts of `docs`, part of a corpus, to the
+    whole corpus's counts, which the model is built from.
+    """
+    counts = count_training(docs, bg, window)
+    anchors, contexts, unigram = counts if share is None else share(counts)
+    if not anchors:
         raise ValueError("no training anchors found (corpus/lexicon mismatch)")
-
-    total_anchors = sum(anchor_counts.values())
-    priors = {c: (anchor_counts.get(c, 0) + alpha) / (total_anchors + alpha * len(classes))
+    classes = bg.coarse_classes()
+    total_anchors = sum(anchors.values())
+    priors = {c: (anchors.get(c, 0) + alpha) / (total_anchors + alpha * len(classes))
               for c in classes}
-    vocab: set[str] = set().union(*ctx_counts.values())
+    vocab: set[str] = set().union(*contexts.values())
+    total_tokens = sum(unigram.values())
     p = {w: unigram[w] / total_tokens for w in vocab}
     model = BayesModel(priors, None, window, alpha, vocab)
-    model.by_class = {c: _ClassWeights(ctx_counts.get(c, Counter()), class_ctx_total.get(c, 0),
-                                       p, alpha)
-                      for c in classes}
+    for c in classes:
+        ctx = contexts.get(c, Counter())
+        model.by_class[c] = _ClassWeights(ctx, sum(ctx.values()), p, alpha)
     return model
 
 
@@ -390,6 +404,8 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
 
     matches: list[FgMatch] = []
     diagnostics: list[Diagnostic] = []
+    # verb lemma -> its general senses: one lexicon lookup per lemma, not per verb
+    general: dict[str, list[BgSense]] = {}
 
     for analysis in analyses:
         doc = analysis.doc
@@ -414,12 +430,6 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                 voice = "passive" if is_passive_vg(tokens, vg) else "active"
                 rels_v = [r for r in sa.relations if r.verb_idx == vg.head_idx]
 
-                observed: dict[str, str | None] = {}
-                for rel in rels_v:
-                    key = _transform_key(rel.relation, voice)
-                    if key in ("subj", "dobj") and key not in observed:
-                        observed[key] = head_class(rel.dependent_idx)
-
                 fits: list[tuple[Realization, dict[str, int | str], bool]] = []
                 for real in reals:
                     fills: dict[str, int] = {}
@@ -433,14 +443,21 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                     if ok:
                         fits.append((real, bindings, implicature))
 
-                bg_survivors = 0
-                if bg is not None:
-                    for sense in bg.entries(verb.lemma, "verb"):
-                        if _bg_sense_survives(sense, observed, onto):
-                            bg_survivors += 1
-
                 if not fits:
                     continue
+                bg_survivors = 0
+                if bg is not None:
+                    observed: dict[str, str | None] = {}
+                    for rel in rels_v:
+                        key = _transform_key(rel.relation, voice)
+                        if key in ("subj", "dobj") and key not in observed:
+                            observed[key] = head_class(rel.dependent_idx)
+                    senses = general.get(verb.lemma)
+                    if senses is None:
+                        senses = general[verb.lemma] = bg.entries(verb.lemma, "verb")
+                    for sense in senses:
+                        if _bg_sense_survives(sense, observed, onto):
+                            bg_survivors += 1
                 if len(fits) == 1:
                     chosen = fits[0]
                 else:

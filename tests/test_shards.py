@@ -1,9 +1,9 @@
 """The document-shard runner behind `--jobs`: planner and forked children.
 
-Every stage after training looks at one document at a time, so `extract`
-and `wsd` run over contiguous token-balanced document shards: the parent
-runs the first and a forked child each other one; the output must not
-change by a byte.
+`extract` and `wsd` run over contiguous document shards: the parent runs
+the first and a forked child each other one.  Each shard reads and counts
+its own documents, and all train on the merged counts; the output, and the
+error of a failing run, must not change by a byte.
 """
 
 import os
@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templex import cli
-from templex.cli import main, plan_shards
+from templex import shards
+from templex.cli import main
+from templex.shards import plan_shards
 from templex.errors import CycleError, LexiconError, ParseError
 from helpers import fixture_path, fixture_text
 
@@ -121,13 +122,23 @@ def test_tagged_output_is_the_whole_corpus_dump(tmp_path, replica):
     assert wsdmod.dump_tagged_corpus(docs, tags, header) == text
 
 
-def test_one_job_starts_no_pool(tmp_path, replica, pools):
+def test_one_job_starts_no_pool(tmp_path, replica, pools, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-shard run pickled")
+
+    for name in ("dump", "dumps", "load", "loads"):
+        monkeypatch.setattr(pickle, name, refuse)
     args = ["extract", "--ontology", fixture_path("succession.onto"),
             "--fg-lexicon", fixture_path("succession.fglex"),
             "--bg-lexicon", fixture_path("succession.bglex"),
-            "--collapse-map", fixture_path("succession.collapse"),
-            "--corpus", replica, "--jobs", "1", "--output", str(tmp_path / "o")]
-    assert main(args) == 0
+            "--collapse-map", fixture_path("succession.collapse")]
+    assert main([*args, "--corpus", replica, "--jobs", "1", "--output", str(tmp_path / "o")]) == 0
+    # a raw-text corpus is one document, so one shard at any --jobs
+    raw = tmp_path / "raw.txt"
+    raw.write_text("The school dismissed the teacher. The firm sacked the manager.\n")
+    assert main([*args, "--corpus", str(raw), "--raw", "--jobs", "3",
+                 "--output", str(tmp_path / "r")]) == 0
+    assert '"doc": "raw"' in (tmp_path / "r").read_text()
     assert pools == []
 
 
@@ -144,35 +155,51 @@ def test_shards_run_inline_without_fork(tmp_path, replica, pools, monkeypatch):
     assert (tmp_path / "j1").read_bytes() == (tmp_path / "j3").read_bytes()
 
 
+def concat(parts):
+    return [x for part in parts for x in part]
+
+
+def test_every_shard_trains_on_the_merged_counts(monkeypatch, alarm):
+    def job(lo, hi, share):
+        return f"{lo}-{hi}:{share([lo, hi])}"
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    merged = [0, 2, 2, 4, 4, 6]
+    assert shards.run_shards(job, [5] * 6, 3, concat) == [
+        f"0-2:{merged}", f"2-4:{merged}", f"4-6:{merged}"]
+    assert_no_child_left()
+
+
 def test_dead_worker_fails_the_run(monkeypatch, alarm):
-    def job(lo, hi):
+    def job(lo, hi, share):
         if lo > 0:
             os._exit(1)  # as if killed mid-shard
+        share([lo])
         return "ok"
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    with pytest.raises(OSError, match="shard worker process died"):
-        cli._run_shards(job, [5, 5], 2)
+    with pytest.raises(OSError, match=r"shard worker process died \(exit code 1\)"):
+        shards.run_shards(job, [5, 5], 2, concat)
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("exc", [ValueError("duplicate document id d01"),
                                  ParseError("bad number 'x'", path="t.tl", line=3)])
 def test_child_error_reaches_the_parent(monkeypatch, alarm, exc):
-    def job(lo, hi):
+    def job(lo, hi, share):
         if lo == 2:
             raise exc
-        return str(lo)
+        return str(share([lo]))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     with pytest.raises(type(exc)) as info:
-        cli._run_shards(job, [5, 5, 5], 3)
+        shards.run_shards(job, [5, 5, 5], 3, concat)
     assert type(info.value) is type(exc) and str(info.value) == str(exc)
     assert_no_child_left()
 
 
 def test_parent_error_kills_the_children(monkeypatch, alarm):
-    def job(lo, hi):
+    def job(lo, hi, share):
         if lo == 0:
             raise ValueError("first shard failed")
         time.sleep(60)  # killed by the parent long before
@@ -180,7 +207,30 @@ def test_parent_error_kills_the_children(monkeypatch, alarm):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     start = time.monotonic()
     with pytest.raises(ValueError, match="first shard failed"):
-        cli._run_shards(job, [5, 5, 5], 3)
+        shards.run_shards(job, [5, 5, 5], 3, concat)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["child exits", "child raises", "parent raises"])
+def test_errors_after_the_counts_are_shared(monkeypatch, alarm, fault):
+    def job(lo, hi, share):
+        share([lo])
+        if fault == "child exits" and lo > 0:
+            os._exit(1)
+        if fault == "child raises" and lo == 2 or fault == "parent raises" and lo == 0:
+            raise ValueError(f"shard {lo} failed")
+        if fault == "parent raises":
+            time.sleep(60)  # killed by the parent long before
+        return str(lo)
+
+    expected = {"child exits": (OSError, r"shard worker process died \(exit code 1\)"),
+                "child raises": (ValueError, "shard 2 failed"),
+                "parent raises": (ValueError, "shard 0 failed")}[fault]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(expected[0], match=expected[1]):
+        shards.run_shards(job, [5, 5, 5], 3, concat)
     assert time.monotonic() - start < 30
     assert_no_child_left()
 
@@ -206,6 +256,162 @@ def test_child_error_exits_two(tmp_path, replica, pools, monkeypatch, capsys, ex
     assert pools == [3]
     assert capsys.readouterr().err == f"templex: error: {exc}\n"
     assert_no_child_left()
+
+
+# ------------------------------------------- errors at every --jobs value
+
+def run_args(command, corpus, out):
+    args = [command, "--ontology", fixture_path("succession.onto"),
+            "--bg-lexicon", fixture_path("succession.bglex"),
+            "--collapse-map", fixture_path("succession.collapse"),
+            "--corpus", str(corpus), "--output", str(out)]
+    if command == "extract":
+        args += ["--fg-lexicon", fixture_path("succession.fglex")]
+    return args
+
+
+def errors_at_each_jobs(command, corpus, tmp_path, capsys, jobs=("1", "2", "3")):
+    """stderr of runs at each --jobs value, each of which must exit 2 and leave no child."""
+    errors = []
+    for n in jobs:
+        assert main([*run_args(command, corpus, tmp_path / "out"), "--jobs", n]) == 2
+        errors.append(capsys.readouterr().err)
+        assert_no_child_left()
+    return errors
+
+
+def replica_lines(replica):
+    with open(replica, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def edited(tmp_path, lines, edits):
+    lines = list(lines)
+    for i, line in edits.items():
+        lines[i] = line
+    path = tmp_path / "edited.vrt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def last_token_line(lines):
+    return max(i for i, line in enumerate(lines) if line.count("\t") == 2)
+
+
+def doc_line(lines, doc_id):
+    return lines.index(f"#DOC {doc_id}")
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd"])
+def test_bad_token_line_in_the_last_shard(tmp_path, replica, pools, capsys, command):
+    lines = replica_lines(replica)
+    at = last_token_line(lines)
+    path = edited(tmp_path, lines, {at: "broken"})
+    errors = errors_at_each_jobs(command, path, tmp_path, capsys)
+    assert errors == [f"templex: error: {path}:{at + 1}: "
+                      "expected 3 tab-separated columns, got 1\n"] * 3
+    assert pools == [2, 3]  # read in a child
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd"])
+@pytest.mark.parametrize("case", ["repeat", "repeat then bad token", "bad token then repeat",
+                                  "repeat of the unnamed first document"])
+def test_repeated_id_across_shards(tmp_path, replica, pools, capsys, command, case):
+    lines = replica_lines(replica)
+    early, late = doc_line(lines, "c1_d03"), doc_line(lines, "c2_d05")
+    if case == "repeat":
+        edits = {late: "#DOC c0_d05"}
+        first = f"{late + 1}: duplicate document id c0_d05"
+    elif case == "repeat of the unnamed first document":
+        # tokens before the first `#DOC` line form a document named after the file
+        edits = {0: "firm\tfirm\tNN", late: "#DOC edited"}
+        first = f"{late + 1}: duplicate document id edited"
+    elif case == "repeat then bad token":
+        edits = {early: "#DOC c0_d03", last_token_line(lines): "broken"}
+        first = f"{early + 1}: duplicate document id c0_d03"
+    else:
+        edits = {early + 1: "broken", late: "#DOC c0_d05"}
+        first = f"{early + 2}: expected 3 tab-separated columns, got 1"
+    path = edited(tmp_path, lines, edits)
+    errors = errors_at_each_jobs(command, path, tmp_path, capsys)
+    assert errors == [f"templex: error: {path}:{first}\n"] * 3
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd"])
+@pytest.mark.parametrize("bad", ["#DOC", "#DOC c1_d01 extra"])
+def test_bad_doc_line_at_a_shard_cut(tmp_path, replica, pools, capsys, command, bad):
+    lines = replica_lines(replica)
+    cuts = shards.document_cuts(lines, "replica")
+    sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+    # the first line of the second shard at --jobs 2 and at --jobs 3
+    at = {cuts[plan_shards(sizes, jobs, 3)[1][0]] for jobs in (2, 3)}
+    assert len(at) == 2 and all(lines[i].startswith("#DOC ") for i in at)
+    path = edited(tmp_path, lines, {i: bad for i in at})
+    errors = errors_at_each_jobs(command, path, tmp_path, capsys)
+    assert errors == [f"templex: error: {path}:{min(at) + 1}: expected `#DOC <id>`\n"] * 3
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd"])
+def test_child_killed_between_the_phases(tmp_path, replica, pools, capsys, monkeypatch,
+                                         alarm, command):
+    """A child dies after it sent its counts and before it gets the merged
+    ones.  (At --jobs 1 there is no child to kill.)"""
+    from templex import wsd as wsdmod
+    children = []
+    fork, merge = os.fork, wsdmod.merge_counts
+
+    def noting_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def killing_merge(parts):
+        first = children[-(len(parts) - 1)]  # this run's first child
+        os.kill(first, signal.SIGKILL)
+        # dead, its pipes closed, but not reaped
+        os.waitid(os.P_PID, first, os.WEXITED | os.WNOWAIT)
+        return merge(parts)
+
+    monkeypatch.setattr(os, "fork", noting_fork)
+    monkeypatch.setattr(wsdmod, "merge_counts", killing_merge)
+    errors = errors_at_each_jobs(command, replica, tmp_path, capsys, jobs=("2", "3"))
+    assert errors == ["templex: error: a shard worker process died (signal 9)\n"] * 2
+    assert pools == [2, 3]
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd"])
+def test_unnamed_first_document_is_sharded_like_the_rest(tmp_path, replica, pools, command):
+    lines = replica_lines(replica)
+    path = edited(tmp_path, ["firm\tfirm\tNN", "", *lines], {})
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"out{jobs}"
+        assert main([*run_args(command, path, out), "--jobs", jobs]) == 0
+        outputs.append(out.read_bytes())
+    assert pools == [2, 3]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert ("edited" in outputs[0].decode()) == (command == "wsd")
+
+
+def test_the_parent_reads_only_its_own_shard(tmp_path, replica, pools, monkeypatch):
+    from templex import textpipe
+    read, calls = textpipe.read_corpus, []
+
+    def noting_read(lines, **kwargs):
+        calls.append((len(lines), kwargs["first_line"]))
+        return read(lines, **kwargs)
+
+    monkeypatch.setattr(textpipe, "read_corpus", noting_read)
+    for jobs in ("1", "2"):
+        args = run_args("extract", replica, tmp_path / f"out{jobs}")
+        assert main([*args, "--jobs", jobs]) == 0
+    lines = replica_lines(replica)
+    # children read in their own processes, unseen here
+    (whole, first), (own, start) = calls
+    assert (whole, first, start) == (len(lines), 1, 1)
+    assert 0 < own < len(lines) and lines[own].startswith("#DOC ")
+    assert (tmp_path / "out1").read_bytes() == (tmp_path / "out2").read_bytes()
 
 
 def test_errors_survive_the_process_boundary():

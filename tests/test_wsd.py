@@ -12,7 +12,8 @@ from templex import (BgLexicon, BgSense, Document, TuneParams, apply_ospd,
                      save_bayes_model, train_bayes, tune)
 from templex.errors import ParseError
 from templex.textpipe import TAGSET, lexicon_pos, read_corpus
-from templex.wsd import BayesModel, dump_tagged_corpus, load_tagged_corpus
+from templex.wsd import (BayesModel, count_training, dump_tagged_corpus, load_tagged_corpus,
+                        merge_counts)
 from helpers import make_doc, ospd_noisy_tags, training_sets
 
 
@@ -465,3 +466,69 @@ def test_model_file_is_byte_stable(data, window, alpha):
     again = load_bayes_model(text)
     assert save_bayes_model(again) == text
     assert set(again.weights) == set(m.weights)
+
+
+# ------------------------------------------- training counts merged by shard
+
+@st.composite
+def contiguous_runs(draw, docs):
+    """`docs` cut into one to four contiguous, non-empty runs, in order."""
+    k = draw(st.integers(1, min(4, len(docs))))
+    cuts = sorted(draw(st.permutations(range(1, len(docs))))[:k - 1])
+    bounds = [0, *cuts, len(docs)]
+    return [docs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def has_anchor(docs, bg):
+    return any(len(bg.entries(t.lemma, lexicon_pos(t.pos) or "")) == 1
+               for d in docs for t in d.tokens())
+
+
+def check_merged_training(docs, bg, runs, window, alpha):
+    """Each run counts its own documents, as a shard does; the merged counts
+    are the whole corpus's, and the model built from them is the oracle's."""
+    parts = [count_training(run, bg, window) for run in runs]
+    assert merge_counts(parts) == count_training(docs, bg, window)
+
+    def share(counts):
+        assert counts == parts[0]
+        return merge_counts([counts, *parts[1:]])
+
+    if not has_anchor(docs, bg):
+        with pytest.raises(ValueError, match="no training anchors"):
+            train_bayes(runs[0], bg, window, alpha, share=share)
+        return
+    m = train_bayes(runs[0], bg, window, alpha, share=share)
+    priors, weights = naive_train(docs, bg, window, alpha)
+    assert m.class_priors == pytest.approx(priors, rel=1e-12)
+    assert set(m.weights) == set(weights)
+    for key in weights:
+        assert m.weights[key] == pytest.approx(weights[key], rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=training_sets(), window=_WINDOW, alpha=_ALPHA, draw=st.data())
+def test_merged_counts_of_a_generated_corpus_train_its_model(data, window, alpha, draw):
+    docs, bg = data
+    check_merged_training(docs, bg, draw.draw(contiguous_runs(docs)), window, alpha)
+
+
+@settings(max_examples=30, deadline=None)
+@given(banking=st.booleans(), window=_WINDOW, alpha=_ALPHA, draw=st.data())
+def test_merged_counts_of_a_fixture_corpus_train_its_model(corpus, bg, banking_corpus,
+                                                           banking_bg, banking, window,
+                                                           alpha, draw):
+    docs, lexicon = (banking_corpus, banking_bg) if banking else (corpus, bg)
+    check_merged_training(docs, lexicon, draw.draw(contiguous_runs(docs)), window, alpha)
+
+
+def test_no_anchors_is_judged_on_the_merged_counts(banking_corpus, banking_bg):
+    # `bank` has a sense in two classes and `zzz` none: neither anchors
+    anchorless = [make_doc("x1", [[("bank", "NN"), ("zzz", "NN")]]),
+                  make_doc("x2", [[("zzz", "NN")]])]
+    assert not any(count_training([d], banking_bg)[0] for d in anchorless)
+    check_merged_training(anchorless, banking_bg, [anchorless[:1], anchorless[1:]], 10, 0.1)
+    # only one shard has anchors, and it need not be the first
+    docs = [*anchorless, *banking_corpus[:1]]
+    assert has_anchor(docs[2:], banking_bg)
+    check_merged_training(docs, banking_bg, [docs[:1], docs[1:2], docs[2:]], 10, 0.1)
