@@ -5,9 +5,9 @@ deterministic function of its input files and flags; the effective semantic
 parameters are echoed into each output's provenance.  Exit codes: 0 success,
 1 diagnostics with errors, 2 usage or I/O errors.
 
-`wsd` and `extract` run over document shards (`templex.shards`): under
-`--jobs` each shard reads and counts its own documents in its own process,
-and every shard trains on the merged counts.
+`wsd`, `tune` and `extract` run a document shard per CPU, or per `--jobs`
+(`templex.shards`; `extract` runs one unless asked): each reads and counts
+its own documents, and all train on the merged counts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import CycleError, LexiconError, ParseError, parse_number
 if TYPE_CHECKING:
     from . import bg_lexicon as bgmod
     from . import ontology as ontomod
-    from . import textpipe
 
 
 _ON_OFF = ("on", "off")
@@ -35,7 +34,7 @@ _ON_OFF = ("on", "off")
 # that defaults to on takes `on|off`.  A tuple type lists the choices of a
 # str.  Role "input" names a file that must exist; the "echo" settings shape
 # the output, which echoes them in table order.  `jobs` is never echoed: it
-# may not change an output byte.
+# may not change an output byte.  Its default, None, runs a shard per CPU.
 _SETTINGS = {
     "ontology": (str, None, "input", None),
     "fg_lexicon": (str, None, "input", None),
@@ -52,7 +51,7 @@ _SETTINGS = {
     "ospd": (bool, True, "echo", None),
     "passive_implicature": (bool, True, "echo", None),
     "order": (("bg-first", "fg-first"), "bg-first", "echo", None),
-    "jobs": (int, 1, None, None),
+    "jobs": (int, None, None, None),
     "lang": (str, "en", "echo", None),
 }
 _BOOLEANS = {"on": True, "true": True, "off": False, "false": False}
@@ -135,7 +134,7 @@ def _configure(cfg: argparse.Namespace) -> None:
             value = _BOOLEANS[value]
         if role == "input" and value is not None and not os.path.exists(value):
             raise OSError(f"{name.replace('_', '-')} file not found: {value}")
-        if kind in (int, float) and not 0 < value < math.inf:
+        if kind in (int, float) and value is not None and not 0 < value < math.inf:
             numbers = [n.replace("_", "-") for n, row in _SETTINGS.items()
                        if row[0] in (int, float)]
             raise ValueError(f"{', '.join(numbers[:-1])} and {numbers[-1]} must be "
@@ -177,16 +176,6 @@ def _require(cfg: argparse.Namespace, *names: str) -> None:
 def _load_ontology(cfg: argparse.Namespace) -> ontomod.Ontology:
     from . import ontology as ontomod
     return ontomod.load_ontology(_read(cfg.ontology), cfg.ontology)
-
-
-def _load_corpus(cfg: argparse.Namespace) -> list[textpipe.Document]:
-    from . import textpipe
-    text = _read(cfg.corpus)
-    doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
-    docs = textpipe.read_corpus(text, raw=cfg.raw, doc_id=doc_id, path=cfg.corpus)
-    if cfg.raw:
-        docs = [textpipe.tag_fallback(d) for d in docs]
-    return docs
 
 
 def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology):
@@ -235,15 +224,19 @@ def _cmd_validate(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_tune(cfg: argparse.Namespace) -> int:
+    from . import shards
     from . import tuner as tunemod
 
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
     bg = _load_background(cfg, onto)
-    docs = _load_corpus(cfg)
     params = tunemod.TuneParams(cfg.min_occurrences, cfg.window, cfg.alpha, cfg.top_k)
-    corpus_id = os.path.basename(cfg.corpus)
-    tuned = tunemod.tune(bg, docs, params, corpus_id=corpus_id, use_ospd=cfg.ospd)
+
+    def render(shard, analyses, tags, matches):
+        return tunemod.count_senses(shard, tags, cfg.window)
+
+    parts, model = shards.shard_texts(cfg, onto, bg, None, render)
+    tuned = tunemod.finish(bg, parts, model, params, os.path.basename(cfg.corpus))
     _write_out(cfg, tunemod.save_tuned_lexicon(tuned))
     return 0
 
@@ -265,7 +258,7 @@ def _cmd_wsd(cfg: argparse.Namespace) -> int:
             tags = wsdmod.apply_foreground_priority(tags, matches)
         return wsdmod.dump_tagged_corpus(shard, tags)
 
-    texts = shards.shard_texts(cfg, onto, bg, fg, render)
+    texts, _ = shards.shard_texts(cfg, onto, bg, fg, render)
     # the `#CONFIG` line alone; documents are separated by a blank line,
     # so shard texts are joined by one too
     header = wsdmod.dump_tagged_corpus([], {}, _echo(cfg))
@@ -289,24 +282,28 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
             print(d, file=sys.stderr)
         return 1
     bg = _load_background(cfg, onto)
+    cfg.jobs = cfg.jobs or 1  # one process unless asked (docs/formats.md)
 
     def render(shard, analyses, tags, matches):
         return exmod.write_output(
             exmod.fill_templates(matches, tags, analyses, onto))
 
-    texts = shards.shard_texts(cfg, onto, bg, fg, render)
+    texts, _ = shards.shard_texts(cfg, onto, bg, fg, render)
     header = json.dumps({"config": _echo(cfg)}, ensure_ascii=False)
     _write_out(cfg, header + "\n" + "".join(texts))
     return 0
 
 
 def _load_query_corpus(cfg: argparse.Namespace, with_tags: bool = True):
+    from . import textpipe
     if cfg.tagged:
-        from . import textpipe
         return textpipe.load_tagged_corpus(_read(cfg.tagged), cfg.tagged,
                                            with_tags=with_tags)
     _require(cfg, "corpus")
-    return _load_corpus(cfg), None
+    doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
+    docs = textpipe.read_corpus(_read(cfg.corpus), raw=cfg.raw, doc_id=doc_id,
+                                path=cfg.corpus)
+    return [textpipe.tag_fallback(d) for d in docs] if cfg.raw else docs, None
 
 
 def _cmd_kwic(cfg: argparse.Namespace) -> int:

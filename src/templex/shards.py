@@ -1,11 +1,16 @@
-"""How `extract` and `wsd` run over contiguous document shards under `--jobs`
-(docs/formats.md).  Only those two commands import this module."""
+"""How `extract`, `wsd` and `tune` run over contiguous document shards under
+`--jobs` (docs/formats.md).  Only those three commands import this module."""
 
 from __future__ import annotations
 
 import os
+import re
 from bisect import bisect_left
 from itertools import accumulate
+
+_BREAK = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # str.splitlines's line ends
+# a whole `#DOC` line: the literal first, which the scan seeks fast
+_DOC_LINE = re.compile(rf"#DOC(?<![^{_BREAK}]#DOC)(?=\s|\Z)[^{_BREAK}]*")
 
 
 def plan_shards(sizes: list[int], jobs: int, cpus: int) -> list[tuple[int, int]]:
@@ -28,20 +33,21 @@ def plan_shards(sizes: list[int], jobs: int, cpus: int) -> list[tuple[int, int]]
     return list(zip(cuts, cuts[1:])) if n > 0 else []
 
 
-def run_shards(job, sizes: list[int], jobs: int, merge) -> list[str]:
-    """`job(lo, hi, share)` over the planned shards; the texts in input order.
+def run_shards(job, sizes: list[int], jobs: int | None, merge) -> list:
+    """`job(lo, hi, share)` over the planned shards, one per CPU if `jobs` is
+    None; the results in input order.
 
     A job's one call to `share(counts)` returns `merge` of every shard's
     counts.  The parent runs the first shard and forks a child, with a pipe
     each way, per other shard.  A child sends its counts (or exception),
-    gets the merged counts, sends its text (or exception) and leaves with
+    gets the merged counts, sends its result (or exception) and leaves with
     `os._exit`.  The parent reads the children in shard order, re-raises
     their exceptions, fails the run with OSError for a child that ends
     without a result, and on any error kills and reaps the children left.
     One shard, as on a host without fork, runs inline.
     """
     cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    shards = plan_shards(sizes, jobs, cpus)
+    shards = plan_shards(sizes, cpus if jobs is None else jobs, cpus)
     if len(shards) <= 1:
         return [job(lo, hi, None) for lo, hi in shards]
     import pickle
@@ -133,52 +139,55 @@ def _shard_child(job, lo: int, hi: int, up: int, down: int) -> None:
         os._exit(code)
 
 
-def document_cuts(lines: list[str], doc_id: str) -> list[int]:
-    """The first line of each document block, then the number of lines.
+def document_cuts(text: str, doc_id: str) -> list[int]:
+    """The offset of each document block in `text`, then `len(text)`.
 
     A block starts at a `#DOC` line; the first also holds the lines before
     it, where a document named `doc_id` may start.  A malformed or repeated
     `#DOC` line makes the corpus one block, read as a serial run reads it.
     """
-    starts = [i for i, line in enumerate(lines)
-              if line[:4] == "#DOC" and line.split()[0] == "#DOC"]
+    starts = list(_DOC_LINE.finditer(text))
     seen = set()
-    if starts and any(line.strip() and line[0] != "#" for line in lines[:starts[0]]):
+    if starts and any(line.strip() and line[0] != "#"
+                      for line in text[:starts[0].start()].splitlines()):
         seen.add(doc_id)
-    for i in starts:
-        parts = lines[i].split()
+    for match in starts:
+        parts = match.group().split()
         if len(parts) != 2 or parts[1] in seen:
-            return [0, len(lines)]
+            return [0, len(text)]
         seen.add(parts[1])
-    return [0, *starts[1:], len(lines)]
+    return [0, *(match.start() for match in starts[1:]), len(text)]
 
 
-def shard_texts(cfg, onto, bg, fg, render) -> list[str]:
-    """Read, train, tag, match and render the corpus by shard; the texts in order.
+def shard_texts(cfg, onto, bg, fg, render) -> tuple:
+    """Read, train, tag, match and render the corpus by shard: the results in
+    order, and the model of the parent's shard, which every shard's equals.
 
-    Shards hold about equal numbers of lines.  bg-first feeds the final
+    Shards hold about equal numbers of characters.  bg-first feeds the final
     background tags into the matcher; fg-first matches on the
     coarse-unambiguous tags alone, taken before OSPD.  `render(docs,
-    analyses, tags, matches)` turns a shard into text; analyses and matches
+    analyses, tags, matches)` gives a shard's result; analyses and matches
     are None without a foreground lexicon.
     """
     from . import textpipe
     from . import wsd as wsdmod
 
     with open(cfg.corpus, encoding="utf-8") as fh:
-        # raw text is one document: one block, held as one line
-        lines = [fh.read()] if cfg.raw else fh.read().splitlines()
+        text = fh.read()
     doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
-    cuts = [0, 1] if cfg.raw else document_cuts(lines, doc_id)
+    # raw text is one document: one block
+    cuts = [0, len(text)] if cfg.raw else document_cuts(text, doc_id)
+    model = None
 
-    def job(lo: int, hi: int, share) -> str:
-        nonlocal lines
-        docs = textpipe.read_corpus(lines[0] if cfg.raw else lines[cuts[lo]:cuts[hi]],
-                                    raw=cfg.raw, doc_id=doc_id, path=cfg.corpus,
-                                    first_line=cuts[lo] + 1)
+    def job(lo: int, hi: int, share):
+        nonlocal text, model
+        start = cuts[lo]
+        docs = textpipe.read_corpus(text[start:cuts[hi]], raw=cfg.raw, doc_id=doc_id,
+                                    path=cfg.corpus,
+                                    first_line=len(text[:start].splitlines()) + 1)
         if cfg.raw:
             docs = [textpipe.tag_fallback(d) for d in docs]
-        lines = None  # read: free the corpus text before the run builds its records
+        text = None  # read: free the corpus text before the run builds its records
         model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha, share=share)
         tags = wsdmod.disambiguate_background(model, docs, bg)
         anchors = ({k: t for k, t in tags.items() if t.method == "unambiguous"}
@@ -194,4 +203,4 @@ def shard_texts(cfg, onto, bg, fg, render) -> list[str]:
         return render(docs, analyses, tags, matches)
 
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]
-    return run_shards(job, sizes, cfg.jobs, wsdmod.merge_counts)
+    return run_shards(job, sizes, cfg.jobs, wsdmod.merge_counts), model

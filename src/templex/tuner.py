@@ -17,7 +17,7 @@ from . import wsd
 from .bg_lexicon import BG_POS, BgLexicon, add_sense_line, sense_line
 from .errors import ParseError, format_float, parse_number
 from .textpipe import Document
-from .wsd import BayesModel, _doc_positions, _lemma_row, _window
+from .wsd import BayesModel, _doc_positions, _lemma_row
 # `tune` calls the classifier through the `wsd` module, as `cli` does, so it
 # calls what `wsd` holds at the time, even a function replaced there before
 # this module was imported.  `perfbench/tracing.py` still patches these
@@ -74,13 +74,18 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
         raise ValueError("tune requires a collapsed background lexicon")
     if not any(doc.sentences for doc in docs):
         raise ValueError("empty corpus")
-
     if model is None:
         model = wsd.train_bayes(docs, bg, params.window, params.alpha)
     tags = wsd.disambiguate_background(model, docs, bg)
     if use_ospd:
         tags = wsd.apply_ospd(tags, bg)
+    return finish(bg, [count_senses(docs, tags, params.window)], model, params, corpus_id)
 
+
+def count_senses(docs: list[Document], tags: dict, window: int) -> tuple:
+    """(occurrences per (lemma, pos), assignments per (lemma, pos, sense id),
+    context lemmas per (lemma, pos)) of the tagged `docs`: sums and unions
+    over documents, so a corpus's counts merge from its parts'."""
     occurrences: Counter = Counter()          # (lemma, pos) -> corpus count
     assigned: Counter = Counter()             # (lemma, pos, sense_id) -> count
     cooc: dict[tuple[str, str], set[str]] = defaultdict(set)
@@ -96,9 +101,25 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
             # keyed like bg.senses_by_key, whose lemmas are lowercase
             key = (tag.lemma.lower(), tag.pos)
             occurrences[key] += 1
-            cooc[key].update(_window(row, i, params.window))
             assigned[(*key, tag.sense_id)] += 1
+            context = cooc[key]
+            context.update(row[max(0, i - window):i])
+            context.update(row[i + 1:i + window + 1])
+    for context in cooc.values():
+        context.discard(None)  # punctuation's place in the row
+    return occurrences, assigned, dict(cooc)
 
+
+def finish(bg: BgLexicon, parts: list, model: BayesModel, params: TuneParams,
+           corpus_id: str = "") -> TunedLexicon:
+    """The tuned lexicon of a corpus from the `count_senses` counts of its
+    parts, in order, and its model."""
+    occurrences, assigned, cooc = parts[0]
+    for more in parts[1:]:  # merged into the first part's counts
+        occurrences.update(more[0])
+        assigned.update(more[1])
+        for key, lemmas in more[2].items():
+            cooc.setdefault(key, set()).update(lemmas)
     ejected: dict[tuple[str, str], set[str]] = {}
     for key, senses in bg.senses_by_key.items():
         if occurrences.get(key, 0) < params.min_occurrences:
@@ -114,17 +135,17 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
 
     discriminators: dict[tuple[str, str, str], list[tuple[str, float]]] = {}
     for key, senses in bg.senses_by_key.items():
-        if not occurrences.get(key, 0):
+        context = cooc.get(key)
+        if not context:
             continue
         gone = ejected.get(key, set())
-        context = sorted(cooc[key])
         for s in senses:
             table = model.by_class.get(s.coarse_class)
             if s.sense_id in gone or table is None:
                 continue
             lemmas = table.lemmas()
             # heaviest first, ties by lemma: sorting (-weight, lemma) pairs
-            # needs no key function
+            # needs no key function, and fixes the order the set gave
             ranked = sorted([(-table[w], w) for w in context if w in lemmas])
             top = [(w, -neg) for neg, w in ranked[:params.top_k]]
             if top:

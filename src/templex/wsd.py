@@ -149,8 +149,9 @@ def _check_unique_ids(docs: list[Document]) -> None:
 
 
 def count_training(docs: list[Document], bg: BgLexicon, window: int = 10) -> tuple:
-    """(anchors per class, context lemma counts per class, lemma counts) of
-    `docs`: sums over documents, so a corpus's counts merge from its parts'."""
+    """(anchors per class, context lemma counts per class, lemma counts,
+    sentences) of `docs`: sums over documents, so a corpus's counts merge
+    from its parts'."""
     if not bg.collapsed:
         raise ValueError("train_bayes requires a collapsed background lexicon")
     _check_unique_ids(docs)
@@ -160,6 +161,7 @@ def count_training(docs: list[Document], bg: BgLexicon, window: int = 10) -> tup
     # (lemma, lexicon pos) -> senses: one lexicon lookup per pair, not per token
     senses: dict[tuple[str, str], list[BgSense]] = {}
     pos_of = LEXICON_POS.get
+    sentences = sum(len(doc.sentences) for doc in docs)
 
     for doc in docs:
         flat = _doc_positions(doc)
@@ -177,18 +179,19 @@ def count_training(docs: list[Document], bg: BgLexicon, window: int = 10) -> tup
             cls = entries[0].coarse_class
             anchors[cls] += 1
             contexts[cls].update(_window(row, i, window))
-    return anchors, dict(contexts), unigram
+    return anchors, dict(contexts), unigram, sentences
 
 
 def merge_counts(parts: list) -> tuple:
     """The `count_training` counts of all `parts`' documents."""
-    anchors, contexts, unigram = Counter(), defaultdict(Counter), Counter()
-    for part_anchors, part_contexts, part_unigram in parts:
+    anchors, contexts, unigram, sentences = Counter(), defaultdict(Counter), Counter(), 0
+    for part_anchors, part_contexts, part_unigram, part_sentences in parts:
         anchors.update(part_anchors)
         for cls, counts in part_contexts.items():
             contexts[cls].update(counts)
         unigram.update(part_unigram)
-    return anchors, dict(contexts), unigram
+        sentences += part_sentences
+    return anchors, dict(contexts), unigram, sentences
 
 
 def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
@@ -203,9 +206,10 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
     whole corpus's counts, which the model is built from.
     """
     counts = count_training(docs, bg, window)
-    anchors, contexts, unigram = counts if share is None else share(counts)
+    anchors, contexts, unigram, sentences = counts if share is None else share(counts)
     if not anchors:
-        raise ValueError("no training anchors found (corpus/lexicon mismatch)")
+        raise ValueError("no training anchors found (corpus/lexicon mismatch)"
+                         if sentences else "empty corpus")
     classes = bg.coarse_classes()
     total_anchors = sum(anchors.values())
     priors = {c: (anchors.get(c, 0) + alpha) / (total_anchors + alpha * len(classes))

@@ -687,3 +687,77 @@ def matcher_oracle(analyses, fg, tags, onto, bg, passive_lone, window):
                                     len(fits) - 1, len(fits) + general, verb.lemma))
             offset += len(sa.tokens)
     return matches, abstentions
+
+
+# ----------------------------------------------------------------- tuner
+
+def discriminator_oracle(docs, bg, model, tags, ejected, window, top_k):
+    """Brute-force discriminator lists.  Every lemma within `window` tokens
+    of a tagged token, in its document, is context of the tag's (lemma,
+    pos), except the token itself and punctuation.  Each sense not ejected
+    weighs every context lemma that has a weight for its class, ranks them
+    heaviest first, ties by lemma, and keeps the first `top_k`."""
+    weights = model.weights
+    context: dict = {}
+    for doc in docs:
+        flat = [tok for sent in doc.sentences for tok in sent]
+        for i, tok in enumerate(flat):
+            tag = tags.get((doc.doc_id, tok.sent_idx, tok.tok_idx))
+            if tag is None:
+                continue
+            near = context.setdefault((tag.lemma.lower(), tag.pos), set())
+            for j, other in enumerate(flat):
+                if j != i and abs(j - i) <= window and other.pos != "PUNCT":
+                    near.add(other.lemma)
+    out = {}
+    for key, near in context.items():
+        for sense in bg.senses_by_key.get(key, []):
+            if sense.sense_id in ejected.get(key, set()):
+                continue
+            scored = [(w, weights[(w, sense.coarse_class)]) for w in near
+                      if (w, sense.coarse_class) in weights]
+            scored.sort(key=lambda pair: (-pair[1], pair[0]))
+            if scored:
+                out[(*key, sense.sense_id)] = scored[:top_k]
+    return out
+
+
+# ---------------------------------------------------------------- shards
+
+# every line break of str.splitlines
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+def document_cuts_oracle(lines: list[str], doc_id: str) -> list[int]:
+    """The index of the first line of each document block, then the number
+    of lines, found by a loop over every line.  A block starts at a `#DOC`
+    line; a malformed or repeated one (the preamble before the first
+    `#DOC` line, if it holds a token line, is a document named `doc_id`)
+    makes the corpus one block."""
+    starts = [i for i, line in enumerate(lines)
+              if line[:4] == "#DOC" and line.split()[0] == "#DOC"]
+    seen = set()
+    if starts and any(line.strip() and line[0] != "#" for line in lines[:starts[0]]):
+        seen.add(doc_id)
+    for i in starts:
+        parts = lines[i].split()
+        if len(parts) != 2 or parts[1] in seen:
+            return [0, len(lines)]
+        seen.add(parts[1])
+    return [0, *starts[1:], len(lines)]
+
+
+@st.composite
+def corpus_texts(draw):
+    """Vertical corpus text whose lines, `#DOC` lines well-formed or not
+    among them, end in any of str.splitlines's line breaks."""
+    lines = draw(st.lists(st.sampled_from(
+        ["#DOC a", "#DOC b", "#DOC c", "#DOC t", "#DOC", "#DOC a b", "#DOCa", " #DOC c",
+         "#DOC\x1fc", "#DOC\tb ", "# note", "", "  ", "firm\tfirm\tNN", "x#DOC a"]),
+        max_size=12))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""  # no break after the last line
+    return "".join(line + brk for line, brk in zip(lines, breaks))

@@ -1,9 +1,10 @@
 """The document-shard runner behind `--jobs`: planner and forked children.
 
-`extract` and `wsd` run over contiguous document shards: the parent runs
-the first and a forked child each other one.  Each shard reads and counts
-its own documents, and all train on the merged counts; the output, and the
-error of a failing run, must not change by a byte.
+`extract`, `wsd` and `tune` run over contiguous document shards: the parent
+runs the first and a forked child each other one.  Each shard reads and
+counts its own documents, and all train on the merged counts; `tune` then
+merges its shards' sense counts.  The output, and the error of a failing
+run, must not change by a byte.
 """
 
 import os
@@ -20,7 +21,7 @@ from templex import shards
 from templex.cli import main
 from templex.shards import plan_shards
 from templex.errors import CycleError, LexiconError, ParseError
-from helpers import fixture_path, fixture_text
+from helpers import corpus_texts, document_cuts_oracle, fixture_path, fixture_text
 
 COPIES = 3
 
@@ -81,7 +82,7 @@ def alarm():
 
 
 @pytest.mark.parametrize("order", ["bg-first", "fg-first"])
-@pytest.mark.parametrize("command", ["extract", "wsd", "wsd-fg"])
+@pytest.mark.parametrize("command", ["extract", "wsd", "wsd-fg", "tune"])
 def test_output_identical_across_jobs(tmp_path, replica, pools, command, order):
     args = [command.split("-")[0],
             "--ontology", fixture_path("succession.onto"),
@@ -101,6 +102,10 @@ def test_output_identical_across_jobs(tmp_path, replica, pools, command, order):
     if command == "extract":
         # the last copy, in another shard, yields what the first one does
         assert text.count('"doc": "c2_') == text.count('"doc": "c0_') >= 9
+    elif command == "tune":
+        # `bank` occurs in every copy, so its counts come from every shard
+        assert text.startswith("tunedlex v1\ncorpus replica.vrt\n")
+        assert "\neject bank noun s2\n" in text and "\ndisc bank noun s1 " in text
     else:
         assert text.count("#DOC ") == 7 * COPIES
         # documents stay separated by one blank line at the shard seams
@@ -133,6 +138,8 @@ def test_one_job_starts_no_pool(tmp_path, replica, pools, monkeypatch):
             "--bg-lexicon", fixture_path("succession.bglex"),
             "--collapse-map", fixture_path("succession.collapse")]
     assert main([*args, "--corpus", replica, "--jobs", "1", "--output", str(tmp_path / "o")]) == 0
+    assert main(["tune", *args[1:], "--corpus", replica, "--jobs", "1",
+                 "--output", str(tmp_path / "t")]) == 0
     # a raw-text corpus is one document, so one shard at any --jobs
     raw = tmp_path / "raw.txt"
     raw.write_text("The school dismissed the teacher. The firm sacked the manager.\n")
@@ -280,9 +287,13 @@ def errors_at_each_jobs(command, corpus, tmp_path, capsys, jobs=("1", "2", "3"))
     return errors
 
 
+def read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def replica_lines(replica):
-    with open(replica, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    return read_text(replica).splitlines()
 
 
 def edited(tmp_path, lines, edits):
@@ -302,7 +313,7 @@ def doc_line(lines, doc_id):
     return lines.index(f"#DOC {doc_id}")
 
 
-@pytest.mark.parametrize("command", ["extract", "wsd"])
+@pytest.mark.parametrize("command", ["extract", "wsd", "tune"])
 def test_bad_token_line_in_the_last_shard(tmp_path, replica, pools, capsys, command):
     lines = replica_lines(replica)
     at = last_token_line(lines)
@@ -313,7 +324,7 @@ def test_bad_token_line_in_the_last_shard(tmp_path, replica, pools, capsys, comm
     assert pools == [2, 3]  # read in a child
 
 
-@pytest.mark.parametrize("command", ["extract", "wsd"])
+@pytest.mark.parametrize("command", ["extract", "wsd", "tune"])
 @pytest.mark.parametrize("case", ["repeat", "repeat then bad token", "bad token then repeat",
                                   "repeat of the unnamed first document"])
 def test_repeated_id_across_shards(tmp_path, replica, pools, capsys, command, case):
@@ -337,21 +348,122 @@ def test_repeated_id_across_shards(tmp_path, replica, pools, capsys, command, ca
     assert errors == [f"templex: error: {path}:{first}\n"] * 3
 
 
-@pytest.mark.parametrize("command", ["extract", "wsd"])
+@pytest.mark.parametrize("command", ["extract", "wsd", "tune"])
 @pytest.mark.parametrize("bad", ["#DOC", "#DOC c1_d01 extra"])
 def test_bad_doc_line_at_a_shard_cut(tmp_path, replica, pools, capsys, command, bad):
     lines = replica_lines(replica)
-    cuts = shards.document_cuts(lines, "replica")
+    text = read_text(replica)
+    cuts = shards.document_cuts(text, "replica")
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]
     # the first line of the second shard at --jobs 2 and at --jobs 3
-    at = {cuts[plan_shards(sizes, jobs, 3)[1][0]] for jobs in (2, 3)}
+    at = {text.count("\n", 0, cuts[plan_shards(sizes, jobs, 3)[1][0]]) for jobs in (2, 3)}
     assert len(at) == 2 and all(lines[i].startswith("#DOC ") for i in at)
     path = edited(tmp_path, lines, {i: bad for i in at})
     errors = errors_at_each_jobs(command, path, tmp_path, capsys)
     assert errors == [f"templex: error: {path}:{min(at) + 1}: expected `#DOC <id>`\n"] * 3
 
 
-@pytest.mark.parametrize("command", ["extract", "wsd"])
+@pytest.mark.parametrize("command", ["extract", "tune"])
+@pytest.mark.parametrize("brk", ["\x0c", "\u2028"])
+def test_line_numbers_count_every_line_break(tmp_path, replica, pools, capsys, command,
+                                             brk):
+    """Line numbers count every break str.splitlines knows, also in a child
+    whose shard starts after such a break."""
+    lines = replica_lines(replica)
+    at = last_token_line(lines)
+    lines[at] = "broken"
+    # every third line ends in `brk`; so do some of those before `#DOC` lines
+    text = "".join(line + (brk if i % 3 == 0 else "\n") for i, line in enumerate(lines))
+    path = tmp_path / "breaks.vrt"
+    path.write_text(text, encoding="utf-8")
+    assert len(shards.document_cuts(text, "breaks")) == 7 * COPIES + 1
+    assert any(lines[i].startswith("#DOC") for i in range(1, len(lines), 3))
+    errors = errors_at_each_jobs(command, path, tmp_path, capsys)
+    assert errors == [f"templex: error: {path}:{at + 1}: "
+                      "expected 3 tab-separated columns, got 1\n"] * 3
+    assert pools == [2, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=corpus_texts(), doc_id=st.sampled_from(["t", "a"]))
+def test_document_cuts_are_the_line_loop_cuts(text, doc_id):
+    cuts = shards.document_cuts(text, doc_id)
+    assert cuts[0] == 0 and cuts[-1] == len(text)
+    assert [len(text[:cut].splitlines()) for cut in cuts] \
+        == document_cuts_oracle(text.splitlines(), doc_id)
+    # a block after the first starts a line with `#DOC`
+    assert all(text.startswith("#DOC", cut) for cut in cuts[1:-1])
+
+
+def comment_documents(ids, size):
+    """A `#DOC` line per id, each followed by a comment `size` long, which
+    weighs in the shard plan like text."""
+    return [line for i in ids for line in (f"#DOC {i}", "# " + "x" * size)]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("empty", "empty corpus"),
+    ("no anchors", "no training anchors found (corpus/lexicon mismatch)"),
+    ("empty shards, then no anchors",
+     "no training anchors found (corpus/lexicon mismatch)")])
+def test_tune_errors_are_judged_on_the_whole_corpus(tmp_path, pools, capsys, case,
+                                                    message):
+    lines = comment_documents(["e0", "e1", "e2"], 800)
+    if case != "empty":  # a lemma the lexicon lacks, in every document that has words
+        lines = [line for i in range(3) for line in (f"#DOC z{i}", "zzz\tzzz\tNN")]
+    if case == "empty shards, then no anchors":
+        lines = comment_documents(["e0", "e1"], 800) + lines[:2]
+    path = tmp_path / "t.vrt"
+    path.write_text("\n".join(lines) + "\n")
+    errors = errors_at_each_jobs("tune", path, tmp_path, capsys)
+    assert errors == [f"templex: error: {message}\n"] * 3
+    assert pools == [2, 3]
+
+
+def test_tune_shards_without_sentences_join_the_rest(tmp_path, replica, pools):
+    """Shards of comments only count nothing, and the corpus is not empty."""
+    text = fixture_text("succession.vrt")
+    path = tmp_path / "mixed.vrt"
+    path.write_text("\n".join(comment_documents(["e0", "e1"], len(text))) + "\n" + text)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"out{jobs}"
+        assert main([*run_args("tune", path, out), "--jobs", jobs]) == 0
+        outputs.append(out.read_bytes())
+    assert pools == [2, 3]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert b"\ndisc bank noun s1 " in outputs[0]
+
+
+def test_tune_unites_the_contexts_of_every_shard(tmp_path, pools):
+    """`bank` occurs in both corpora, in other words: each shard sees
+    contexts the others do not."""
+    path = tmp_path / "two.vrt"
+    path.write_text(fixture_text("succession.vrt") + fixture_text("banking.vrt"))
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"out{jobs}"
+        args = [*run_args("tune", path, out), "--jobs", jobs, "--min-occurrences", "2"]
+        assert main(args) == 0
+        outputs.append(out.read_bytes())
+    assert pools == [2, 3]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd", "tune"])
+def test_no_jobs_runs_a_shard_per_cpu(tmp_path, replica, pools, command):
+    """Without `--jobs`, `wsd` and `tune` fork a child per CPU after the
+    first; `extract` runs in one process."""
+    outputs = []
+    for jobs in (["--jobs", "1"], []):
+        out = tmp_path / f"out{len(jobs)}"
+        assert main([*run_args(command, replica, out), *jobs]) == 0
+        outputs.append(out.read_bytes())
+    assert pools == ([] if command == "extract" else [3])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd", "tune"])
 def test_child_killed_between_the_phases(tmp_path, replica, pools, capsys, monkeypatch,
                                          alarm, command):
     """A child dies after it sent its counts and before it gets the merged
@@ -398,9 +510,9 @@ def test_the_parent_reads_only_its_own_shard(tmp_path, replica, pools, monkeypat
     from templex import textpipe
     read, calls = textpipe.read_corpus, []
 
-    def noting_read(lines, **kwargs):
-        calls.append((len(lines), kwargs["first_line"]))
-        return read(lines, **kwargs)
+    def noting_read(text, **kwargs):
+        calls.append((len(text.splitlines()), kwargs["first_line"]))
+        return read(text, **kwargs)
 
     monkeypatch.setattr(textpipe, "read_corpus", noting_read)
     for jobs in ("1", "2"):

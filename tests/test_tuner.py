@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from templex import (BayesModel, BgLexicon, Document, ParseError, TunedLexicon,
                      TuneParams, apply_tuning, load_bayes_model, load_tuned_lexicon,
                      save_bayes_model, save_tuned_lexicon, tune, wsd)
-from helpers import fixture_text, training_sets
+from helpers import discriminator_oracle, fixture_text, training_sets
 
 
 @pytest.fixture(scope="module")
@@ -286,3 +286,23 @@ def test_tune_calls_the_classifier_through_wsd(bg, corpus, monkeypatch):
         monkeypatch.setattr(wsd, name, counted)
     tune(bg, corpus, TuneParams())
     assert calls == ["train_bayes", "disambiguate_background", "apply_ospd"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=training_sets(),
+       params=st.builds(TuneParams, st.integers(1, 3), st.integers(1, 4),
+                        st.sampled_from([0.1, 2.0]), st.integers(1, 4)),
+       use_ospd=st.booleans())
+def test_discriminators_are_the_brute_force_ranking(data, params, use_ospd):
+    docs, bg = data
+    try:
+        tuned = tune(bg, docs, params, use_ospd=use_ospd)
+    except ValueError as exc:
+        assert "anchors" in str(exc)
+        return
+    model = wsd.train_bayes(docs, bg, params.window, params.alpha)
+    tags = wsd.disambiguate_background(model, docs, bg)
+    if use_ospd:
+        tags = wsd.apply_ospd(tags, bg)
+    assert tuned.discriminators == discriminator_oracle(
+        docs, bg, model, tags, tuned.ejected, params.window, params.top_k)
