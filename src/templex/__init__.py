@@ -36,8 +36,7 @@ _EXPORTS = {
                   "pattern_report"),
     "wsd": ("BayesModel", "FgMatch", "SALIENT", "UNFILLED",
             "apply_foreground_priority", "apply_ospd", "classify_bayes",
-            "disambiguate_background", "dump_tagged_corpus", "load_bayes_model",
-            "match_foreground", "save_bayes_model",
+            "disambiguate_background", "dump_tagged_corpus", "match_foreground",
             "surviving_sense_count", "train_bayes"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -56,16 +56,6 @@ class BgLexicon:
         """Full sense records for the key, in sense-id order; empty if unknown."""
         return list(self.senses_by_key.get((lemma.lower(), pos), ()))
 
-    def senses(self, lemma: str, pos: str) -> tuple[list[tuple[str, str]], bool]:
-        """(sense_id, coarse class) pairs plus an ambiguity flag.
-
-        Only meaningful on a collapsed lexicon; raises otherwise.
-        """
-        if not self.collapsed:
-            raise RuntimeError("senses requires a collapsed lexicon")
-        out = [(s.sense_id, s.coarse_class) for s in self.entries(lemma, pos)]
-        return out, len(out) > 1
-
     def coarse_classes(self) -> list[str]:
         """Sorted coarse classes attested anywhere in the lexicon."""
         seen = {s.coarse_class for ss in self.senses_by_key.values() for s in ss

@@ -30,10 +30,6 @@ LEXICON_POS = {
 }
 
 
-def lexicon_pos(tag: str) -> str | None:
-    return LEXICON_POS.get(tag)
-
-
 class Token(NamedTuple):
     surface: str
     lemma: str
@@ -200,8 +196,8 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
 
 
 def _check_field(name: str, value: str, path: str, lineno: int) -> None:
-    # the model and lexicon files split their lines at any whitespace, so a
-    # field that is empty or holds whitespace would not read back
+    # the lexicon and tuned-lexicon files split their lines at any whitespace,
+    # so a field that is empty or holds whitespace would not read back
     if not value:
         raise ParseError(f"empty {name} field", path=path, line=lineno)
     if value.split() != [value]:

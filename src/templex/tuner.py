@@ -53,10 +53,6 @@ class TunedLexicon:
         self.corpus_id = corpus_id
         self.params = params
 
-    def discriminators_for(self, lemma: str, pos: str,
-                           sense_id: str) -> list[tuple[str, float]]:
-        return list(self.discriminators.get((lemma.lower(), pos, sense_id), ()))
-
 
 def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
          *, corpus_id: str = "", use_ospd: bool = True,
@@ -134,8 +130,10 @@ def finish(bg: BgLexicon, parts: list, model: BayesModel, params: TuneParams,
             ejected[key] = gone
 
     discriminators: dict[tuple[str, str, str], list[tuple[str, float]]] = {}
+    vocab = model.vocab
     for key, senses in bg.senses_by_key.items():
-        context = cooc.get(key)
+        # a lemma holding "," would split its item of the `disc` line
+        context = [w for w in cooc.get(key, ()) if w in vocab and "," not in w]
         if not context:
             continue
         gone = ejected.get(key, set())
@@ -143,10 +141,9 @@ def finish(bg: BgLexicon, parts: list, model: BayesModel, params: TuneParams,
             table = model.by_class.get(s.coarse_class)
             if s.sense_id in gone or table is None:
                 continue
-            lemmas = table.lemmas()
             # heaviest first, ties by lemma: sorting (-weight, lemma) pairs
             # needs no key function, and fixes the order the set gave
-            ranked = sorted([(-table[w], w) for w in context if w in lemmas])
+            ranked = sorted([(-table[w], w) for w in context])
             top = [(w, -neg) for neg, w in ranked[:params.top_k]]
             if top:
                 discriminators[(key[0], key[1], s.sense_id)] = top
@@ -237,7 +234,11 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
                 pairs = []
                 for item in parts[4].split(","):
                     w, _, weight = item.rpartition(":")
-                    pairs.append((w, parse_number(float, weight, path=path, line=lineno)))
+                    weight = parse_number(float, weight, path=path, line=lineno)
+                    if not w:
+                        raise ParseError(f"empty lemma in disc item {item!r}",
+                                         path=path, line=lineno)
+                    pairs.append((w, weight))
                 if ref in tuned.discriminators:
                     raise ParseError(f"second disc line for {'/'.join(ref)}",
                                      path=path, line=lineno)

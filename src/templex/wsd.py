@@ -17,7 +17,6 @@ import math
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, format_float, parse_number
 # load_tagged_corpus is re-exported: it reads the tagged corpus in textpipe
 from .textpipe import (LEXICON_POS, DocAnalysis, Document, SenseTag, Token,
                        TokenKey, is_passive_vg, load_tagged_corpus)
@@ -34,28 +33,19 @@ SALIENT = "SALIENT"
 class _ClassWeights(dict):
     """lemma -> weight(lemma, c) for one class c.
 
-    A trained model keeps only c's observed context counts `counts`, its
-    context total `n_c` and the unigram probabilities `p` of the
-    vocabulary; each weight is computed on first read and kept.  A model
-    with explicit weights (loaded, or built by hand) stores them all, has
-    no `p`, and a vocabulary lemma without a weight weighs 0.
+    The table keeps only c's observed context counts `counts`, its context
+    total `n_c` and the unigram probabilities `p` of the vocabulary; each
+    weight is computed on first read and kept.
     """
 
-    def __init__(self, counts: Counter | None = None, n_c: int = 0,
-                 p: dict[str, float] | None = None, alpha: float = 0.0):
+    def __init__(self, counts: Counter, n_c: int, p: dict[str, float], alpha: float):
         super().__init__()
         self.counts = counts
         self.n_c = n_c
         self.p = p
         self.alpha = alpha
 
-    def lemmas(self):
-        """The lemmas that have a weight for this class."""
-        return self.keys() if self.p is None else self.p.keys()
-
     def __missing__(self, lemma: str) -> float:
-        if self.p is None:
-            return 0.0
         alpha = self.alpha
         weight = self[lemma] = math.log((self.counts.get(lemma, 0) + alpha)
                                         / (self.n_c * self.p[lemma] + alpha))
@@ -65,30 +55,23 @@ class _ClassWeights(dict):
 class BayesModel:
     """Class priors and per-class context weights of the background classifier.
 
-    `by_class` maps each class to its lemma -> weight table; `weights` copies
-    every pair of the same tables into a (lemma, class) -> weight dict.
-    Explicit `weights` given here fill the tables as they are.
+    `by_class` maps each class to its lemma -> weight table, which
+    `train_bayes` fills; `weights` copies every vocabulary lemma's weight
+    in every table into a (lemma, class) -> weight dict.
     """
 
-    def __init__(self, class_priors: dict[str, float] | None = None,
-                 weights: dict[tuple[str, str], float] | None = None,
-                 window: int = 10, alpha: float = 0.1,
-                 vocab: set[str] | None = None):
-        self.class_priors = {} if class_priors is None else class_priors
+    def __init__(self, class_priors: dict[str, float], window: int, alpha: float,
+                 vocab: set[str]):
+        self.class_priors = class_priors
         self.window = window
         self.alpha = alpha
-        self.vocab = set() if vocab is None else vocab
+        self.vocab = vocab
         self.by_class: dict[str, _ClassWeights] = {}
-        for (lemma, cls), weight in (weights or {}).items():
-            table = self.by_class.get(cls)
-            if table is None:
-                table = self.by_class[cls] = _ClassWeights()
-            table[lemma] = weight
 
     @property
     def weights(self) -> dict[tuple[str, str], float]:
         return {(lemma, cls): table[lemma]
-                for cls, table in self.by_class.items() for lemma in table.lemmas()}
+                for cls, table in self.by_class.items() for lemma in self.vocab}
 
 
 class FgMatch:
@@ -217,7 +200,7 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
     vocab: set[str] = set().union(*contexts.values())
     total_tokens = sum(unigram.values())
     p = {w: unigram[w] / total_tokens for w in vocab}
-    model = BayesModel(priors, None, window, alpha, vocab)
+    model = BayesModel(priors, window, alpha, vocab)
     for c in classes:
         ctx = contexts.get(c, Counter())
         model.by_class[c] = _ClassWeights(ctx, sum(ctx.values()), p, alpha)
@@ -528,7 +511,10 @@ def surviving_sense_count(fg: FgLexicon, bg: BgLexicon | None, onto: Ontology,
 
     Counts how many senses (foreground realizations plus general background
     senses) are compatible with the given subject/object classes; a None
-    class constrains nothing.  Returns (total survivors, surviving
+    class constrains nothing.  Only the subject and object restrictions are
+    checked: unlike the matcher's `_fit_realization`, this does not ask that
+    every required role be filled, so a foreground sense that lacks another
+    required role still counts.  Returns (total survivors, surviving
     foreground sense ids).
     """
     fg_survivors: list[str] = []
@@ -552,46 +538,6 @@ def surviving_sense_count(fg: FgLexicon, bg: BgLexicon | None, onto: Ontology,
             if _bg_sense_survives(sense, observed, onto):
                 total += 1
     return total, fg_survivors
-
-
-# ---------------------------------------------------------- persistence
-
-def save_bayes_model(model: BayesModel) -> str:
-    """Versioned text dump: sorted keys, 6-decimal weights; bit-stable."""
-    lines = ["bayesmodel v1",
-             f"window {model.window}",
-             f"alpha {format_float(model.alpha)}"]
-    for c in sorted(model.class_priors):
-        lines.append(f"prior {c} {model.class_priors[c]:.6f}")
-    weights = model.weights
-    for (w, c) in sorted(weights):
-        lines.append(f"weight {w} {c} {weights[(w, c)]:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def load_bayes_model(text: str, path: str = "<string>") -> BayesModel:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "bayesmodel v1":
-        raise ParseError("not a bayesmodel v1 file", path=path, line=1)
-    model = BayesModel()
-    weights: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "window" and len(parts) == 2:
-            model.window = parse_number(int, parts[1], path=path, line=lineno)
-        elif parts[0] == "alpha" and len(parts) == 2:
-            model.alpha = parse_number(float, parts[1], path=path, line=lineno)
-        elif parts[0] == "prior" and len(parts) == 3:
-            model.class_priors[parts[1]] = parse_number(float, parts[2], path=path, line=lineno)
-        elif parts[0] == "weight" and len(parts) == 4:
-            weights[(parts[1], parts[2])] = parse_number(float, parts[3], path=path,
-                                                         line=lineno)
-        else:
-            raise ParseError(f"bad model line {line!r}", path=path, line=lineno)
-    return BayesModel(model.class_priors, weights, model.window, model.alpha,
-                      {w for w, _ in weights})
 
 
 # ------------------------------------------------------- tagged corpus io
@@ -620,6 +566,5 @@ __all__ = [
     "BayesModel", "SenseTag", "FgMatch", "TokenKey", "UNFILLED", "SALIENT",
     "train_bayes", "classify_bayes", "disambiguate_background", "apply_ospd",
     "match_foreground", "apply_foreground_priority", "surviving_sense_count",
-    "save_bayes_model", "load_bayes_model",
     "dump_tagged_corpus", "load_tagged_corpus",
 ]

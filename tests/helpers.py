@@ -30,7 +30,7 @@ from templex.decisionlist import DecisionRule
 from templex.fg_lexicon import (ArgSpec, ConceptNode, FgLexicon, RawArg, RawConcept,
                                 RawLexicon, Realization, StateAssertion)
 from templex.ontology import Ontology, SemClass
-from templex.textpipe import analyze, lexicon_pos
+from templex.textpipe import LEXICON_POS, analyze
 from templex.wsd import UNFILLED, SenseTag
 
 
@@ -466,7 +466,7 @@ def two_pass_tagged_read(text: str):
             sense_id, cls, method = column.split("/")
             tags[(tok.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(
                 tok.doc_id, tok.sent_idx, tok.tok_idx, tok.lemma,
-                lexicon_pos(tok.pos) or "noun", sense_id, cls, 0.0, method)
+                LEXICON_POS.get(tok.pos) or "noun", sense_id, cls, 0.0, method)
     return docs, tags
 
 
@@ -582,7 +582,7 @@ def matcher_cases(draw):
     for d in range(draw(st.integers(1, 2))):
         doc = make_doc(f"d{d}", draw(st.lists(sentence, min_size=1, max_size=3)))
         for tok in doc.tokens():
-            if lexicon_pos(tok.pos) == "noun":
+            if LEXICON_POS.get(tok.pos) == "noun":
                 tag_class = draw(st.one_of(st.none(), cls, cls))
                 if tag_class is not None:
                     tags[(doc.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(

@@ -135,8 +135,9 @@ def test_criterion_5_tuning_ejection(bg, corpus):
     bank_count = sum(1 for d in corpus for t in d.tokens() if t.lemma == "bank")
     assert bank_count >= 5
     assert tuned.ejected[("bank", "noun")] == {"s2"}
-    senses, ambiguous = apply_tuning(tuned).senses("bank", "noun")
-    assert senses == [("s1", "ORGANISATION")] and not ambiguous
+    senses = [(s.sense_id, s.coarse_class)
+              for s in apply_tuning(tuned).entries("bank", "noun")]
+    assert senses == [("s1", "ORGANISATION")]
     for key, gone in tuned.ejected.items():
         assert gone < {s.sense_id for s in bg.senses_by_key[key]}
     previous = None

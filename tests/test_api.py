@@ -7,15 +7,31 @@ from pathlib import Path
 import pytest
 
 import templex
+from helpers import fixture_path, fixture_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def readme_library_names():
+def readme_library_example():
     text = README.read_text(encoding="utf-8")
-    snippet = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    names = re.search(r"from templex import \(([^)]*)\)", snippet).group(1)
+    return text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def readme_library_names():
+    names = re.search(r"from templex import \(([^)]*)\)", readme_library_example()).group(1)
     return [n.strip() for n in names.split(",") if n.strip()]
+
+
+def test_readme_library_example_prints_the_golden_instances(capsys):
+    # the example's files are the succession domain's fixtures
+    files = {f"domain.{ext}": f"succession.{ext}" for ext in ("onto", "fglex", "bglex",
+                                                               "collapse")}
+    files["corpus.vrt"] = "succession.vrt"
+    code = re.sub(r'"([\w.]+)"', lambda m: repr(fixture_path(files[m.group(1)])),
+                  readme_library_example())
+    exec(code, {})
+    golden = fixture_text("succession_gold.jsonl").split("\n", 1)[1]
+    assert capsys.readouterr().out == golden
 
 
 def test_readme_library_names_are_exported():

@@ -41,18 +41,16 @@ def test_collapse_distinct_coarse_classes():
     onto = load_ontology(TINY_ONTO)
     lex = load_bg_lexicon("bank noun s1 FINANCIAL_INSTITUTION\nbank noun s2 LANDFORM\n")
     out = collapse(lex, load_collapse_map(TINY_MAP), onto)
-    senses, ambiguous = out.senses("bank", "noun")
+    senses = [(s.sense_id, s.coarse_class) for s in out.entries("bank", "noun")]
     assert senses == [("s1", "ORGANISATION"), ("s2", "LOCATION")]
-    assert ambiguous
 
 
 def test_collapse_merges_same_coarse_class_keeping_lowest_id():
     onto = load_ontology(TINY_ONTO)
     lex = load_bg_lexicon("school noun s2 BUILDING\nschool noun s1 LANDFORM\n")
     out = collapse(lex, load_collapse_map(TINY_MAP), onto)
-    senses, ambiguous = out.senses("school", "noun")
+    senses = [(s.sense_id, s.coarse_class) for s in out.entries("school", "noun")]
     assert senses == [("s1", "LOCATION")]
-    assert not ambiguous
 
 
 def test_collapse_idempotent(bg, cmap, onto):
@@ -85,20 +83,14 @@ def test_collapse_unmappable_class_rejected():
         collapse(lex, load_collapse_map(TINY_MAP), onto)
 
 
-def test_bg_senses_requires_collapse(bg_raw):
-    with pytest.raises(RuntimeError, match="collapsed"):
-        bg_raw.senses("bank", "noun")
-
-
 def test_unknown_lemma_empty(bg):
-    senses, ambiguous = bg.senses("aardvark", "noun")
-    assert senses == [] and not ambiguous
+    assert bg.entries("aardvark", "noun") == []
 
 
 def test_ancestor_walk_supplies_mapping(bg):
     # EDUCATIONAL_INSTITUTION -> EMPLOYER -> ORGANISATION via the taxonomy
-    senses, _ = bg.senses("school", "noun")
-    assert senses == [("s1", "ORGANISATION")]
+    assert [(s.sense_id, s.coarse_class) for s in bg.entries("school", "noun")] \
+        == [("s1", "ORGANISATION")]
 
 
 def test_default_scheme_sizes():

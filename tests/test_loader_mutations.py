@@ -1,29 +1,18 @@
-"""One-line mutations of every lexicon and model file format.
+"""One-line mutations of every file the CLI reads.
 
 Each loader either returns or raises a ParseError that names the path and
 a line of the mutated file; a fault found only after parsing (a cycle, a
 concept without a schema) may raise CycleError or LexiconError instead.
 """
 
-from functools import lru_cache
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from templex import (collapse, load_bg_lexicon, load_collapse_map, load_fg_lexicon,
-                     load_ontology, load_tuned_lexicon, read_corpus, train_bayes)
+from templex import (load_bg_lexicon, load_collapse_map, load_fg_lexicon, load_ontology,
+                     load_tagged_corpus, load_tuned_lexicon, read_corpus)
 from templex.errors import CycleError, LexiconError, ParseError
-from templex.wsd import load_bayes_model, save_bayes_model
 from helpers import fixture_text, one_line_mutations
-
-
-@lru_cache(maxsize=None)
-def bayes_model_text() -> str:
-    onto = load_ontology(fixture_text("succession.onto"))
-    bg = collapse(load_bg_lexicon(fixture_text("succession.bglex")),
-                  load_collapse_map(fixture_text("succession.collapse")), onto)
-    return save_bayes_model(train_bayes(read_corpus(fixture_text("succession.vrt")), bg))
 
 
 LOADERS = {
@@ -32,7 +21,9 @@ LOADERS = {
     "bg_lexicon": (load_bg_lexicon, lambda: fixture_text("succession.bglex")),
     "collapse_map": (load_collapse_map, lambda: fixture_text("succession.collapse")),
     "tuned_lexicon": (load_tuned_lexicon, lambda: fixture_text("succession_min2.tunedlex")),
-    "bayes_model": (load_bayes_model, bayes_model_text),
+    "corpus": (lambda text, path: read_corpus(text, path=path),
+               lambda: fixture_text("succession.vrt")),
+    "tagged_corpus": (load_tagged_corpus, lambda: fixture_text("succession_tuned_gold.vrt")),
 }
 
 

@@ -6,7 +6,7 @@ from templex import (UNFILLED, analyze_corpus, apply_foreground_priority,
                      load_bg_lexicon, load_collapse_map, load_fg_lexicon,
                      match_foreground, read_corpus, surviving_sense_count,
                      train_bayes)
-from helpers import matcher_cases, matcher_oracle
+from helpers import fixture_text, matcher_cases, matcher_oracle
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,24 @@ def test_direct_filter_arithmetic(fg, bg, onto):
 def test_filter_without_constraints_keeps_everything(fg, bg, onto):
     total, fg_fits = surviving_sense_count(fg, bg, onto, "dismiss")
     assert total == 5 and fg_fits == ["fg1"]
+
+
+def test_filter_counts_a_sense_that_lacks_a_required_role(fg, bg, onto, corpus):
+    # the count checks only the subject and object restrictions; the matcher
+    # also asks for every required role, here a `post` that nothing fills
+    text = fixture_text("succession.fglex")
+    assert "arg post : POST -> POST optional\n" in text
+    strict = load_fg_lexicon(text.replace("arg post : POST -> POST optional\n",
+                                          "arg post : POST -> POST\n"))
+    docs = read_corpus("#DOC x\nThe\tthe\tDET\nbank\tbank\tNN\nremoved\tremove\tVBD\n"
+                       "the\tthe\tDET\nmanager\tmanager\tNN\n.\t.\tPUNCT\n")
+    tags = disambiguate_background(train_bayes(corpus, bg), docs, bg)
+    assert [tags[("x", 0, i)].coarse_class for i in (1, 4)] == ["ORGANISATION", "PERSON"]
+    analyses = analyze_corpus(docs)
+    for lexicon, matched in ((fg, 1), (strict, 0)):
+        assert surviving_sense_count(lexicon, bg, onto, "remove", "ORGANISATION",
+                                     "PERSON") == (3, ["fg1"])
+        assert len(match_foreground(analyses, lexicon, tags, onto, bg)[0]) == matched
 
 
 def test_passive_lone_trigger_flag(onto, fg, bg):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from templex import (BayesModel, BgLexicon, Document, ParseError, TunedLexicon,
-                     TuneParams, apply_tuning, load_bayes_model, load_tuned_lexicon,
-                     save_bayes_model, save_tuned_lexicon, tune, wsd)
+from templex import (BgLexicon, BgSense, Document, ParseError, TunedLexicon, TuneParams,
+                     apply_tuning, load_tuned_lexicon, read_corpus, save_tuned_lexicon,
+                     tune, wsd)
 from helpers import discriminator_oracle, fixture_text, training_sets
 
 
@@ -42,14 +42,14 @@ def test_tuned_inventory_subset_of_base(tuned, bg):
 def test_every_retained_sense_of_attested_lemma_assigned(tuned, bg, corpus):
     from collections import Counter
     from templex import apply_ospd, disambiguate_background, train_bayes
-    from templex.textpipe import lexicon_pos
+    from templex.textpipe import LEXICON_POS
     model = train_bayes(corpus, bg, tuned.params.window, tuned.params.alpha)
     tags = apply_ospd(disambiguate_background(model, corpus, bg), bg)
     occ = Counter()
     assigned = Counter()
     for d in corpus:
         for t in d.tokens():
-            pos = lexicon_pos(t.pos)
+            pos = LEXICON_POS.get(t.pos)
             if pos and bg.entries(t.lemma, pos):
                 occ[(t.lemma, pos)] += 1
                 tag = tags.get((d.doc_id, t.sent_idx, t.tok_idx))
@@ -76,12 +76,10 @@ def test_monotone_threshold(bg, corpus):
 
 def test_view_hides_ejected_senses(tuned):
     view = apply_tuning(tuned)
-    senses, ambiguous = view.senses("bank", "noun")
-    assert senses == [("s1", "ORGANISATION")]
-    assert not ambiguous
+    assert [(s.sense_id, s.coarse_class) for s in view.entries("bank", "noun")] \
+        == [("s1", "ORGANISATION")]
     # base untouched
-    base_senses, base_amb = tuned.base.senses("bank", "noun")
-    assert len(base_senses) == 2 and base_amb
+    assert len(tuned.base.entries("bank", "noun")) == 2
 
 
 def test_view_without_ejections_equals_base(bg, corpus):
@@ -93,7 +91,7 @@ def test_view_without_ejections_equals_base(bg, corpus):
 
 
 def test_discriminators_queryable_and_ranked(tuned):
-    discs = tuned.discriminators_for("bank", "noun", "s1")
+    discs = tuned.discriminators.get(("bank", "noun", "s1"), [])
     assert discs
     assert len(discs) <= tuned.params.top_k
     weights = [w for _, w in discs]
@@ -109,7 +107,7 @@ def test_discriminators_restricted_to_cooccurring_words(tuned, corpus):
                 for j in range(max(0, i - 10), min(len(flat), i + 10 + 1)):
                     if j != i and flat[j].pos != "PUNCT":
                         cooc.add(flat[j].lemma)
-    for w, _ in tuned.discriminators_for("bank", "noun", "s1"):
+    for w, _ in tuned.discriminators.get(("bank", "noun", "s1"), []):
         assert w in cooc
 
 
@@ -142,8 +140,8 @@ def test_file_roundtrip_bit_exact(tuned):
     assert reloaded.ejected == tuned.ejected
     assert reloaded.corpus_id == tuned.corpus_id
     view = apply_tuning(reloaded)
-    senses, _ = view.senses("bank", "noun")
-    assert senses == [("s1", "ORGANISATION")]
+    assert [(s.sense_id, s.coarse_class) for s in view.entries("bank", "noun")] \
+        == [("s1", "ORGANISATION")]
 
 
 def test_golden_tuned_lexicon_resaves_byte_identically():
@@ -181,6 +179,35 @@ def test_tuned_eject_and_disc_lines_name_declared_senses(line, message):
                                "sense bank noun s1 ORGANISATION\n")
     assert tuned.ejected == {("bank", "noun"): {"s2"}}
     assert tuned.discriminators == {("bank", "noun", "s1"): [("loan", 0.5)]}
+
+
+@pytest.mark.parametrize("items, message", [
+    (":0.5", "x.tl:3: empty lemma in disc item ':0.5'"),
+    ("loan:0.5,0.25", "x.tl:3: empty lemma in disc item '0.25'"),
+    ("loan:0.5,rate", "x.tl:3: bad number 'rate'"),
+])
+def test_disc_item_without_lemma_names_path_and_line(items, message):
+    # `tune` never writes an empty lemma, so reading one back would change the list
+    with pytest.raises(ParseError) as info:
+        load_tuned_lexicon(f"tunedlex v1\nsense bank noun s1 ORGANISATION\n"
+                           f"disc bank noun s1 {items}\n", "x.tl")
+    assert str(info.value) == message
+
+
+def test_tune_never_ranks_a_lemma_holding_a_comma():
+    # a number such as `1,000` enters context windows, but a lemma holding
+    # "," would split its item of the `disc` line
+    bg = BgLexicon(collapsed=True)
+    bg.senses_by_key[("firm", "noun")] = [BgSense("firm", "noun", "s1", "ORG", "ORG")]
+    bg.senses_by_key[("bank", "noun")] = [BgSense("bank", "noun", "s1", "LOC", "LOC"),
+                                          BgSense("bank", "noun", "s2", "ORG", "ORG")]
+    docs = read_corpus("firm\tfirm\tNN\n1,000\t1,000\tNUM\nbank\tbank\tNN\n"
+                       "u:s\tu:s\tNN\n")
+    tuned = tune(bg, docs, TuneParams(min_occurrences=1, window=3))
+    ranked = {w for pairs in tuned.discriminators.values() for w, _ in pairs}
+    assert "u:s" in ranked and "1,000" not in ranked
+    text = save_tuned_lexicon(tuned)
+    assert save_tuned_lexicon(load_tuned_lexicon(text)) == text
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -226,9 +253,6 @@ def test_every_valid_params_line_reloads_as_written(params):
     again = load_tuned_lexicon(text)
     assert again.params == params
     assert save_tuned_lexicon(again) == text
-    # the classifier model file writes alpha the same way
-    assert load_bayes_model(save_bayes_model(BayesModel(alpha=params.alpha))).alpha \
-        == params.alpha
 
 
 def test_tuned_sense_lines_use_background_case():

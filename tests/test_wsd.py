@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from templex import (BgLexicon, BgSense, Document, TuneParams, apply_ospd,
-                     classify_bayes, disambiguate_background, load_bayes_model,
-                     save_bayes_model, train_bayes, tune)
+                     classify_bayes, disambiguate_background, load_tuned_lexicon,
+                     save_tuned_lexicon, train_bayes, tune)
 from templex.errors import ParseError
-from templex.textpipe import TAGSET, lexicon_pos, read_corpus
+from templex.textpipe import LEXICON_POS, TAGSET, read_corpus
 from templex.wsd import (BayesModel, count_training, dump_tagged_corpus, load_tagged_corpus,
                         merge_counts)
 from helpers import make_doc, ospd_noisy_tags, training_sets
@@ -33,7 +33,7 @@ def naive_train(docs, bg, window, alpha):
                 unigram[t.lemma] += 1
                 total += 1
         for i, t in enumerate(flat):
-            pos = lexicon_pos(t.pos)
+            pos = LEXICON_POS.get(t.pos)
             if pos is None:
                 continue
             entries = bg.entries(t.lemma, pos)
@@ -123,8 +123,7 @@ def test_classify_empty_context_falls_back_to_priors(banking_corpus, banking_bg)
 
 
 def test_classify_uniform_priors_ties_break_lexicographically():
-    from templex.wsd import BayesModel
-    m = BayesModel({"B": 0.5, "A": 0.5}, {}, 10, 0.1, set())
+    m = BayesModel({"B": 0.5, "A": 0.5}, 10, 0.1, set())
     ranking = classify_bayes(m, [], {"A", "B"})
     assert [c for c, _ in ranking] == ["A", "B"]
 
@@ -174,7 +173,7 @@ def test_disambiguate_matches_score_recompute(banking_corpus, banking_bg):
     for doc in banking_corpus:
         flat = [t for s in doc.sentences for t in s]
         for i, tok in enumerate(flat):
-            pos = lexicon_pos(tok.pos)
+            pos = LEXICON_POS.get(tok.pos)
             if pos is None:
                 continue
             entries = banking_bg.entries(tok.lemma, pos)
@@ -220,16 +219,6 @@ def test_ospd_noisy_corpus_accuracy_and_idempotence():
     assert apply_ospd(out) == out
 
 
-def test_model_file_roundtrip(banking_corpus, banking_bg):
-    m = train_bayes(banking_corpus, banking_bg)
-    text = save_bayes_model(m)
-    assert text.startswith("bayesmodel v1\n")
-    again = load_bayes_model(text)
-    assert save_bayes_model(again) == text
-    assert again.window == m.window
-    assert set(again.weights) == set(m.weights)
-
-
 def test_tagged_corpus_roundtrip(corpus, bg):
     m = train_bayes(corpus, bg)
     tags = apply_ospd(disambiguate_background(m, corpus, bg), bg)
@@ -242,15 +231,6 @@ def test_tagged_corpus_roundtrip(corpus, bg):
         assert tags2[key].sense_id == tags[key].sense_id
         assert tags2[key].method == tags[key].method
     assert dump_tagged_corpus(docs2, tags2, {"window": 10}) == text
-
-
-def test_model_file_bad_number_names_path_and_line():
-    text = "bayesmodel v1\nalpha 0.100000\nwindow 3@\n"
-    with pytest.raises(ParseError, match=r"^m\.bm:3: bad number '3@'$"):
-        load_bayes_model(text, "m.bm")
-    for line in ("alpha x", "prior ORG x", "weight loan ORG -"):
-        with pytest.raises(ParseError, match=r"^m\.bm:2: bad number"):
-            load_bayes_model(f"bayesmodel v1\n{line}\n", "m.bm")
 
 
 def test_tagged_corpus_duplicate_document_id_rejected():
@@ -343,14 +323,14 @@ def test_one_line_mutation_loads_or_names_path_and_line(text, tagged, data):
 
 
 # every str.split() whitespace that survives splitlines() and the tab split
-_FIELD = st.one_of(st.text("ab", min_size=1, max_size=3),
-                   st.text("ab #.\x1f\xa0\u2003\u3000", max_size=4))
+_FIELD = st.one_of(st.text("ab,", min_size=1, max_size=3),
+                   st.text("ab, #.\x1f\xa0\u2003\u3000", max_size=4))
 
 
 @st.composite
 def readable_training_texts(draw):
     """Vertical text around an anchor lemma, with drawn surface and lemma
-    fields that may be empty or hold any kind of whitespace."""
+    fields that may be empty, hold `,` or hold any kind of whitespace."""
     lines = ["firm\tfirm\tNN", "bank\tbank\tNN"]
     for _ in range(draw(st.integers(1, 6))):
         lines.insert(draw(st.integers(0, len(lines))),
@@ -360,7 +340,7 @@ def readable_training_texts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(text=readable_training_texts())
-def test_every_readable_corpus_trains_a_model_that_reloads(text):
+def test_every_readable_corpus_tunes_a_lexicon_that_reloads(text):
     bg = BgLexicon(collapsed=True)
     bg.senses_by_key[("firm", "noun")] = [BgSense("firm", "noun", "s1", "ORG", "ORG")]
     bg.senses_by_key[("bank", "noun")] = [BgSense("bank", "noun", "s1", "LOC", "LOC"),
@@ -370,8 +350,8 @@ def test_every_readable_corpus_trains_a_model_that_reloads(text):
     except ParseError as exc:
         assert exc.line is not None
         return
-    dump = save_bayes_model(train_bayes(docs, bg, window=3))
-    assert save_bayes_model(load_bayes_model(dump)) == dump
+    dump = save_tuned_lexicon(tune(bg, docs, TuneParams(min_occurrences=1, window=3)))
+    assert save_tuned_lexicon(load_tuned_lexicon(dump)) == dump
 
 
 # ------------------------------------------ properties of the sparse model
@@ -382,7 +362,7 @@ def naive_observed_pairs(docs, bg, window):
     for doc in docs:
         flat = [t for s in doc.sentences for t in s]
         for i, t in enumerate(flat):
-            pos = lexicon_pos(t.pos)
+            pos = LEXICON_POS.get(t.pos)
             entries = bg.entries(t.lemma, pos) if pos else []
             if len(entries) != 1:
                 continue
@@ -414,7 +394,7 @@ _ALPHA = st.sampled_from([0.1, 0.5, 2.0])
 @given(data=training_sets(), window=_WINDOW, alpha=_ALPHA)
 def test_sparse_training_equals_dense_oracle(data, window, alpha):
     docs, bg = data
-    if not any(len(bg.entries(t.lemma, lexicon_pos(t.pos) or "")) == 1
+    if not any(len(bg.entries(t.lemma, LEXICON_POS.get(t.pos) or "")) == 1
                for d in docs for t in d.tokens()):
         with pytest.raises(ValueError, match="anchor"):
             train_bayes(docs, bg, window, alpha)
@@ -443,29 +423,13 @@ def test_sparse_ranking_equals_dense_table_ranking(data, window, alpha, draw):
     vocab = {w for w, _ in weights}
     words = sorted({t.lemma for d in docs for t in d.tokens()} | {"unseen"})
     classes = bg.coarse_classes() + ["UNTRAINED"]
-    explicit = BayesModel(m.class_priors, weights, window, alpha, vocab)
     for _ in range(5):
         context = draw.draw(st.lists(st.sampled_from(words), max_size=8))
         candidates = draw.draw(st.sets(st.sampled_from(classes), min_size=1))
         dense = dense_classify(priors, weights, vocab, context, candidates)
-        for model in (m, explicit):
-            ranking = classify_bayes(model, context, candidates)
-            assert [c for c, _ in ranking] == [c for c, _ in dense]
-            assert [s for _, s in ranking] == pytest.approx([s for _, s in dense], rel=1e-12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=training_sets(), window=_WINDOW, alpha=_ALPHA)
-def test_model_file_is_byte_stable(data, window, alpha):
-    docs, bg = data
-    try:
-        m = train_bayes(docs, bg, window, alpha)
-    except ValueError:
-        return
-    text = save_bayes_model(m)
-    again = load_bayes_model(text)
-    assert save_bayes_model(again) == text
-    assert set(again.weights) == set(m.weights)
+        ranking = classify_bayes(m, context, candidates)
+        assert [c for c, _ in ranking] == [c for c, _ in dense]
+        assert [s for _, s in ranking] == pytest.approx([s for _, s in dense], rel=1e-12)
 
 
 # ------------------------------------------- training counts merged by shard
@@ -480,7 +444,7 @@ def contiguous_runs(draw, docs):
 
 
 def has_anchor(docs, bg):
-    return any(len(bg.entries(t.lemma, lexicon_pos(t.pos) or "")) == 1
+    return any(len(bg.entries(t.lemma, LEXICON_POS.get(t.pos) or "")) == 1
                for d in docs for t in d.tokens())
 
 
