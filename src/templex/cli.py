@@ -47,7 +47,6 @@ _SETTINGS = {
     "window": (int, 10, "echo", None),
     "alpha": (float, 0.1, "echo", None),
     "min_occurrences": (int, 5, "echo", None),
-    "top_k": (int, 10, "echo", None),
     "ospd": (bool, True, "echo", None),
     "passive_implicature": (bool, True, "echo", None),
     "order": (("bg-first", "fg-first"), "bg-first", "echo", None),
@@ -230,13 +229,13 @@ def _cmd_tune(cfg: argparse.Namespace) -> int:
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
     bg = _load_background(cfg, onto)
-    params = tunemod.TuneParams(cfg.min_occurrences, cfg.window, cfg.alpha, cfg.top_k)
+    params = tunemod.TuneParams(cfg.min_occurrences, cfg.window, cfg.alpha)
 
     def render(shard, analyses, tags, matches):
-        return tunemod.count_senses(shard, tags, cfg.window)
+        return tunemod.count_senses(tags)
 
-    parts, model = shards.shard_texts(cfg, onto, bg, None, render)
-    tuned = tunemod.finish(bg, parts, model, params, os.path.basename(cfg.corpus))
+    parts = shards.shard_texts(cfg, onto, bg, None, render)
+    tuned = tunemod.finish(bg, parts, params, os.path.basename(cfg.corpus))
     _write_out(cfg, tunemod.save_tuned_lexicon(tuned))
     return 0
 
@@ -258,7 +257,7 @@ def _cmd_wsd(cfg: argparse.Namespace) -> int:
             tags = wsdmod.apply_foreground_priority(tags, matches)
         return wsdmod.dump_tagged_corpus(shard, tags)
 
-    texts, _ = shards.shard_texts(cfg, onto, bg, fg, render)
+    texts = shards.shard_texts(cfg, onto, bg, fg, render)
     # the `#CONFIG` line alone; documents are separated by a blank line,
     # so shard texts are joined by one too
     header = wsdmod.dump_tagged_corpus([], {}, _echo(cfg))
@@ -288,7 +287,7 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
         return exmod.write_output(
             exmod.fill_templates(matches, tags, analyses, onto))
 
-    texts, _ = shards.shard_texts(cfg, onto, bg, fg, render)
+    texts = shards.shard_texts(cfg, onto, bg, fg, render)
     header = json.dumps({"config": _echo(cfg)}, ensure_ascii=False)
     _write_out(cfg, header + "\n" + "".join(texts))
     return 0

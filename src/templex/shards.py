@@ -159,9 +159,9 @@ def document_cuts(text: str, doc_id: str) -> list[int]:
     return [0, *(match.start() for match in starts[1:]), len(text)]
 
 
-def shard_texts(cfg, onto, bg, fg, render) -> tuple:
+def shard_texts(cfg, onto, bg, fg, render) -> list:
     """Read, train, tag, match and render the corpus by shard: the results in
-    order, and the model of the parent's shard, which every shard's equals.
+    order.
 
     Shards hold about equal numbers of characters.  bg-first feeds the final
     background tags into the matcher; fg-first matches on the
@@ -177,10 +177,9 @@ def shard_texts(cfg, onto, bg, fg, render) -> tuple:
     doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
     # raw text is one document: one block
     cuts = [0, len(text)] if cfg.raw else document_cuts(text, doc_id)
-    model = None
 
     def job(lo: int, hi: int, share):
-        nonlocal text, model
+        nonlocal text
         start = cuts[lo]
         docs = textpipe.read_corpus(text[start:cuts[hi]], raw=cfg.raw, doc_id=doc_id,
                                     path=cfg.corpus,
@@ -203,4 +202,4 @@ def shard_texts(cfg, onto, bg, fg, render) -> tuple:
         return render(docs, analyses, tags, matches)
 
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]
-    return run_shards(job, sizes, cfg.jobs, wsdmod.merge_counts), model
+    return run_shards(job, sizes, cfg.jobs, wsdmod.merge_counts)

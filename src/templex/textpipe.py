@@ -196,8 +196,8 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
 
 
 def _check_field(name: str, value: str, path: str, lineno: int) -> None:
-    # the lexicon and tuned-lexicon files split their lines at any whitespace,
-    # so a field that is empty or holds whitespace would not read back
+    # lexicon and tuned-lexicon lines and queries split at any whitespace, so
+    # none could name a field that is empty or holds whitespace
     if not value:
         raise ParseError(f"empty {name} field", path=path, line=lineno)
     if value.split() != [value]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import random
 import re
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -691,34 +692,32 @@ def matcher_oracle(analyses, fg, tags, onto, bg, passive_lone, window):
 
 # ----------------------------------------------------------------- tuner
 
-def discriminator_oracle(docs, bg, model, tags, ejected, window, top_k):
-    """Brute-force discriminator lists.  Every lemma within `window` tokens
-    of a tagged token, in its document, is context of the tag's (lemma,
-    pos), except the token itself and punctuation.  Each sense not ejected
-    weighs every context lemma that has a weight for its class, ranks them
-    heaviest first, ties by lemma, and keeps the first `top_k`."""
-    weights = model.weights
-    context: dict = {}
+def ejection_oracle(docs, bg, tags, min_occurrences):
+    """Brute-force ejections.  Every token whose lemma has senses under its
+    lexicon part of speech is an occurrence; a lemma that occurs at least
+    `min_occurrences` times loses each sense no occurrence is tagged with,
+    but keeps its lowest sense id when it would lose them all."""
+    occurrences, assigned = Counter(), set()
     for doc in docs:
-        flat = [tok for sent in doc.sentences for tok in sent]
-        for i, tok in enumerate(flat):
+        for tok in doc.tokens():
+            pos = LEXICON_POS.get(tok.pos)
+            if pos is None or not bg.entries(tok.lemma, pos):
+                continue
+            key = (tok.lemma.lower(), pos)
+            occurrences[key] += 1
             tag = tags.get((doc.doc_id, tok.sent_idx, tok.tok_idx))
-            if tag is None:
-                continue
-            near = context.setdefault((tag.lemma.lower(), tag.pos), set())
-            for j, other in enumerate(flat):
-                if j != i and abs(j - i) <= window and other.pos != "PUNCT":
-                    near.add(other.lemma)
+            if tag is not None:
+                assigned.add((*key, tag.sense_id))
     out = {}
-    for key, near in context.items():
-        for sense in bg.senses_by_key.get(key, []):
-            if sense.sense_id in ejected.get(key, set()):
-                continue
-            scored = [(w, weights[(w, sense.coarse_class)]) for w in near
-                      if (w, sense.coarse_class) in weights]
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            if scored:
-                out[(*key, sense.sense_id)] = scored[:top_k]
+    for key, count in occurrences.items():
+        if count < min_occurrences:
+            continue
+        ids = sorted(s.sense_id for s in bg.senses_by_key[key])
+        gone = {sid for sid in ids if (*key, sid) not in assigned}
+        if len(gone) == len(ids):
+            gone.discard(ids[0])
+        if gone:
+            out[key] = gone
     return out
 
 

@@ -306,7 +306,7 @@ def test_tuned_lexicon_with_a_tiny_alpha_reloads(tmp_path):
     targs, tuned = base_args(tmp_path, "tune", "t.tl",
                              ["--min-occurrences", "2", "--alpha", "0.0000001"])
     assert run(targs) == 0
-    assert " alpha=1e-07 " in tuned.read_text()
+    assert " alpha=1e-07\n" in tuned.read_text()
     code, _ = _extract_with_tuned(tmp_path, tuned.read_text())
     assert code == 0
 
@@ -323,17 +323,21 @@ def test_config_bad_number_exit_two(tmp_path, capsys):
 def test_tuned_lexicon_bad_param_exit_two(tmp_path, capsys):
     rc, path = _extract_with_tuned(
         tmp_path, "tunedlex v1\ncorpus -\n"
-                  "params min_occurrences=5 window=10 alpha=x top_k=10\n")
+                  "params min_occurrences=5 window=10 alpha=x\n")
     assert rc == 2
     assert f"{path}:3: bad number 'x'" in capsys.readouterr().err
 
 
-def test_tuned_lexicon_bad_discriminator_weight_exit_two(tmp_path, capsys):
-    rc, path = _extract_with_tuned(
-        tmp_path, "tunedlex v1\nsense bank noun s1 ORGANISATION\n"
-                  "disc bank noun s1 loan:0.5,rate:high\n")
+@pytest.mark.parametrize("lines, message", [
+    ("corpus -\nparams min_occurrences=5 window=10 alpha=0.100000 top_k=10\n",
+     "3: unknown param 'top_k'"),
+    ("sense bank noun s1 ORGANISATION\ndisc bank noun s1 loan:0.5,rate:high\n",
+     "3: disc lines are no longer read; re-run tune"),
+])
+def test_tuned_lexicon_from_an_older_tune_exit_two(tmp_path, capsys, lines, message):
+    rc, path = _extract_with_tuned(tmp_path, "tunedlex v1\n" + lines)
     assert rc == 2
-    assert f"{path}:3: bad number 'high'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"templex: error: {path}:{message}\n"
 
 
 @pytest.mark.parametrize("senses, message", [
@@ -343,7 +347,7 @@ def test_tuned_lexicon_bad_discriminator_weight_exit_two(tmp_path, capsys):
     ("eject bank noun s9\nsense bank noun b1 ORGANISATION\n",
      "2: undeclared sense bank/noun/s9"),
     ("sense bank noun b1 ORGANISATION\ndisc bank noun s7 loan:0.5\n",
-     "3: undeclared sense bank/noun/s7"),
+     "3: disc lines are no longer read; re-run tune"),
 ])
 def test_tuned_lexicon_bad_sense_line_exit_two(tmp_path, capsys, senses, message):
     rc, path = _extract_with_tuned(tmp_path, "tunedlex v1\n" + senses)
@@ -354,8 +358,6 @@ def test_tuned_lexicon_bad_sense_line_exit_two(tmp_path, capsys, senses, message
 @pytest.mark.parametrize("lines, message", [
     ("corpus a.vrt\ncorpus b.vrt\n", "3: second corpus line"),
     ("params window=3\nparams window=7\n", "3: param 'window' given twice"),
-    ("sense bank noun b1 ORGANISATION\ndisc bank noun b1 loan:0.5\n"
-     "disc bank noun b1 rate:0.9\n", "4: second disc line for bank/noun/b1"),
     ("params alpha=nan\n", "2: alpha must be finite"),
     ("params alpha=inf\n", "2: alpha must be finite"),
 ])

@@ -38,7 +38,6 @@ _RUN = [
     (("--window",), "window", "int", None, None, False, None, None),
     (("--alpha",), "alpha", "float", None, None, False, None, None),
     (("--min-occurrences",), "min_occurrences", "int", None, None, False, None, None),
-    (("--top-k",), "top_k", "int", None, None, False, None, None),
     (("--ospd",), "ospd", None, _ON_OFF, None, False, None, None),
     (("--passive-implicature",), "passive_implicature", None, _ON_OFF, None, False,
      None, None),
@@ -122,7 +121,7 @@ def _wsd_header(tmp_path, config: str, *flags: str) -> str:
 def test_defaults_are_echoed(tmp_path):
     assert _wsd_header(tmp_path, _inputs()) == (
         "#CONFIG alpha=0.1 lang=en min_occurrences=5 order=bg-first ospd=true "
-        "passive_implicature=true top_k=10 window=10")
+        "passive_implicature=true window=10")
 
 
 @pytest.mark.parametrize("key, file_value, flag, flag_value, from_file, from_flag", [
@@ -168,8 +167,8 @@ def test_raw_from_config_file(tmp_path):
     ("ospd = maybe", ":7: bad boolean 'maybe'"),
     ("raw = 1", ":7: bad boolean '1'"),
     ("window 4", ":7: expected `key = value`"),
-    ("window = 0", "window, alpha, min-occurrences, top-k and jobs must be positive"),
-    ("jobs = -1", "window, alpha, min-occurrences, top-k and jobs must be positive"),
+    ("window = 0", "window, alpha, min-occurrences and jobs must be positive"),
+    ("jobs = -1", "window, alpha, min-occurrences and jobs must be positive"),
     ("order = sideways", "bad pipeline order 'sideways'"),
 ])
 def test_bad_config_file_exit_two(tmp_path, capsys, line, message):
@@ -209,7 +208,7 @@ def test_alpha_must_be_finite_and_positive(tmp_path, capsys, value, message):
         cfg.write_text(_inputs(fg_lexicon=fixture_path("succession.fglex"), alpha=alpha))
         assert main(["extract", *argv, "--output", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "templex: error: window, alpha, min-occurrences, top-k and jobs "
+            "templex: error: window, alpha, min-occurrences and jobs "
             f"{message}\n")
         assert not out.exists()
 

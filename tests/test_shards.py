@@ -105,7 +105,7 @@ def test_output_identical_across_jobs(tmp_path, replica, pools, command, order):
     elif command == "tune":
         # `bank` occurs in every copy, so its counts come from every shard
         assert text.startswith("tunedlex v1\ncorpus replica.vrt\n")
-        assert "\neject bank noun s2\n" in text and "\ndisc bank noun s1 " in text
+        assert "\neject bank noun s2\n" in text
     else:
         assert text.count("#DOC ") == 7 * COPIES
         # documents stay separated by one blank line at the shard seams
@@ -432,22 +432,24 @@ def test_tune_shards_without_sentences_join_the_rest(tmp_path, replica, pools):
         outputs.append(out.read_bytes())
     assert pools == [2, 3]
     assert outputs[0] == outputs[1] == outputs[2]
-    assert b"\ndisc bank noun s1 " in outputs[0]
+    assert b"\neject bank noun s2\n" in outputs[0]
 
 
-def test_tune_unites_the_contexts_of_every_shard(tmp_path, pools):
-    """`bank` occurs in both corpora, in other words: each shard sees
-    contexts the others do not."""
-    path = tmp_path / "two.vrt"
-    path.write_text(fixture_text("succession.vrt") + fixture_text("banking.vrt"))
-    outputs = []
-    for jobs in ("1", "2", "3"):
-        out = tmp_path / f"out{jobs}"
-        args = [*run_args("tune", path, out), "--jobs", jobs, "--min-occurrences", "2"]
-        assert main(args) == 0
-        outputs.append(out.read_bytes())
-    assert pools == [2, 3]
-    assert outputs[0] == outputs[1] == outputs[2]
+def test_tune_unites_the_contexts_of_every_shard(tmp_path, replica, pools):
+    """`bank` occurs 6 times in each of the replica's 3 copies, and no shard
+    at `--jobs` 2 or 3 holds all 3: only the shards' summed counts reach 18
+    occurrences, where its unassigned sense is ejected."""
+    for threshold, ejected in (("18", True), ("19", False)):
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"out{jobs}"
+            args = [*run_args("tune", replica, out), "--jobs", jobs,
+                    "--min-occurrences", threshold]
+            assert main(args) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert (b"\neject bank noun s2\n" in outputs[0]) == ejected
+    assert pools == [2, 3, 2, 3]
 
 
 @pytest.mark.parametrize("command", ["extract", "wsd", "tune"])

@@ -51,12 +51,12 @@ def test_only_an_exact_doc_field_opens_a_document():
 
 
 def test_empty_surface_or_lemma_rejected():
-    # an empty lemma would reach a tuned lexicon as a `disc` item no loader reads
+    # lexicon lines and queries split at whitespace, so none could name an empty lemma
     with pytest.raises(ParseError, match=r"^c\.vrt:2: empty lemma field$"):
         read_corpus("firm\tfirm\tNN\nx\t\tNN\n", path="c.vrt")
     with pytest.raises(ParseError, match=r"^c\.vrt:3: empty surface field$"):
         read_corpus("#DOC d\nfirm\tfirm\tNN\n\tq\tNN\n", path="c.vrt")
-    # the tuned lexicon splits at any whitespace, also within a field
+    # nor one that holds whitespace, also within a field
     with pytest.raises(ParseError, match=r"^c\.vrt:2: whitespace in lemma field 'the firm'$"):
         read_corpus("firm\tfirm\tNN\nthe\tthe firm\tNN\n", path="c.vrt")
     with pytest.raises(ParseError, match=r"^c\.vrt:1: whitespace in surface field 'a\\xa0b'$"):

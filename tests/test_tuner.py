@@ -4,10 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from templex import (BgLexicon, BgSense, Document, ParseError, TunedLexicon, TuneParams,
-                     apply_tuning, load_tuned_lexicon, read_corpus, save_tuned_lexicon,
-                     tune, wsd)
-from helpers import discriminator_oracle, fixture_text, training_sets
+from templex import (BgLexicon, Document, ParseError, TunedLexicon, TuneParams,
+                     apply_tuning, load_tuned_lexicon, save_tuned_lexicon, tune, wsd)
+from helpers import ejection_oracle, fixture_text, training_sets
 
 
 @pytest.fixture(scope="module")
@@ -90,27 +89,6 @@ def test_view_without_ejections_equals_base(bg, corpus):
         assert view.entries(*key) == bg.entries(*key)
 
 
-def test_discriminators_queryable_and_ranked(tuned):
-    discs = tuned.discriminators.get(("bank", "noun", "s1"), [])
-    assert discs
-    assert len(discs) <= tuned.params.top_k
-    weights = [w for _, w in discs]
-    assert weights == sorted(weights, reverse=True)
-
-
-def test_discriminators_restricted_to_cooccurring_words(tuned, corpus):
-    cooc = set()
-    for d in corpus:
-        flat = list(d.tokens())
-        for i, t in enumerate(flat):
-            if t.lemma == "bank":
-                for j in range(max(0, i - 10), min(len(flat), i + 10 + 1)):
-                    if j != i and flat[j].pos != "PUNCT":
-                        cooc.add(flat[j].lemma)
-    for w, _ in tuned.discriminators.get(("bank", "noun", "s1"), []):
-        assert w in cooc
-
-
 def test_tune_empty_corpus_is_error(bg):
     with pytest.raises(ValueError, match="empty"):
         tune(bg, [], TuneParams())
@@ -164,58 +142,31 @@ def test_tuned_sense_lines_checked_like_background_lines(lines, message):
     ("eject bank xyz s1", "x.tl:3: bad pos 'xyz'"),
     ("eject bank noun s9", "x.tl:3: undeclared sense bank/noun/s9"),
     ("eject bank verb s1", "x.tl:3: undeclared sense bank/verb/s1"),
-    ("disc bank noun s7 loan:0.5", "x.tl:3: undeclared sense bank/noun/s7"),
-    ("disc bank nouns s1 loan:0.5", "x.tl:3: bad pos 'nouns'"),
+    ("disc bank noun s7 loan:0.5", "x.tl:3: disc lines are no longer read; re-run tune"),
+    ("disc bank nouns s1 loan:0.5", "x.tl:3: disc lines are no longer read; re-run tune"),
 ])
 def test_tuned_eject_and_disc_lines_name_declared_senses(line, message):
+    """An eject line names a declared sense; a disc line, which older `tune`
+    runs wrote, fails where it stands, whatever it names."""
     for lines in (["sense bank noun s1 ORGANISATION", line, "sense firm noun s1 GROUP"],
                   [line, "sense bank noun s1 ORGANISATION"]):
         with pytest.raises(ParseError) as info:
             load_tuned_lexicon("\n".join(["tunedlex v1", *lines]) + "\n", "x.tl")
         assert str(info.value) == message.replace(":3:", f":{lines.index(line) + 2}:")
     # a sense declared after the line that names it counts
-    tuned = load_tuned_lexicon("tunedlex v1\ndisc Bank noun s1 loan:0.5\n"
-                               "eject bank noun s2\nsense bank noun s2 LOCATION\n"
+    tuned = load_tuned_lexicon("tunedlex v1\neject Bank noun s2\n"
+                               "sense bank noun s2 LOCATION\n"
                                "sense bank noun s1 ORGANISATION\n")
     assert tuned.ejected == {("bank", "noun"): {"s2"}}
-    assert tuned.discriminators == {("bank", "noun", "s1"): [("loan", 0.5)]}
-
-
-@pytest.mark.parametrize("items, message", [
-    (":0.5", "x.tl:3: empty lemma in disc item ':0.5'"),
-    ("loan:0.5,0.25", "x.tl:3: empty lemma in disc item '0.25'"),
-    ("loan:0.5,rate", "x.tl:3: bad number 'rate'"),
-])
-def test_disc_item_without_lemma_names_path_and_line(items, message):
-    # `tune` never writes an empty lemma, so reading one back would change the list
-    with pytest.raises(ParseError) as info:
-        load_tuned_lexicon(f"tunedlex v1\nsense bank noun s1 ORGANISATION\n"
-                           f"disc bank noun s1 {items}\n", "x.tl")
-    assert str(info.value) == message
-
-
-def test_tune_never_ranks_a_lemma_holding_a_comma():
-    # a number such as `1,000` enters context windows, but a lemma holding
-    # "," would split its item of the `disc` line
-    bg = BgLexicon(collapsed=True)
-    bg.senses_by_key[("firm", "noun")] = [BgSense("firm", "noun", "s1", "ORG", "ORG")]
-    bg.senses_by_key[("bank", "noun")] = [BgSense("bank", "noun", "s1", "LOC", "LOC"),
-                                          BgSense("bank", "noun", "s2", "ORG", "ORG")]
-    docs = read_corpus("firm\tfirm\tNN\n1,000\t1,000\tNUM\nbank\tbank\tNN\n"
-                       "u:s\tu:s\tNN\n")
-    tuned = tune(bg, docs, TuneParams(min_occurrences=1, window=3))
-    ranked = {w for pairs in tuned.discriminators.values() for w, _ in pairs}
-    assert "u:s" in ranked and "1,000" not in ranked
-    text = save_tuned_lexicon(tuned)
-    assert save_tuned_lexicon(load_tuned_lexicon(text)) == text
 
 
 @pytest.mark.parametrize("lines, message", [
     (["corpus a.vrt", "corpus b.vrt"], "x.tl:3: second corpus line"),
     (["params window=3", "params window=7"], "x.tl:3: param 'window' given twice"),
-    (["params window=3 top_k=4 window=3"], "x.tl:2: param 'window' given twice"),
-    (["sense bank noun s1 ORGANISATION", "disc bank noun s1 loan:0.5",
-      "disc Bank noun s1 rate:0.9"], "x.tl:4: second disc line for bank/noun/s1"),
+    (["params window=3 alpha=4 window=3"], "x.tl:2: param 'window' given twice"),
+    # the setting older `tune` runs wrote
+    (["params min_occurrences=5 window=10 alpha=0.1 top_k=10"],
+     "x.tl:2: unknown param 'top_k'"),
     (["params alpha=nan"], "x.tl:2: alpha must be finite"),
     (["params alpha=inf"], "x.tl:2: alpha must be finite"),
     (["params alpha=-1"], "x.tl:2: alpha must be positive"),
@@ -229,8 +180,8 @@ def test_tuned_lexicon_reads_each_setting_once(lines, message):
 
 def test_tuned_lexicon_params_may_span_lines():
     tuned = load_tuned_lexicon("tunedlex v1\ncorpus a.vrt\nparams window=3\n"
-                               "params top_k=4 alpha=0.5\n")
-    assert (tuned.corpus_id, tuned.params) == ("a.vrt", TuneParams(5, 3, 0.5, 4))
+                               "params min_occurrences=4 alpha=0.5\n")
+    assert (tuned.corpus_id, tuned.params) == ("a.vrt", TuneParams(4, 3, 0.5))
 
 
 @pytest.mark.parametrize("alpha, message", [
@@ -243,7 +194,7 @@ def test_tune_params_reject_non_positive_or_non_finite_alpha(alpha, message):
 
 @settings(max_examples=300, deadline=None)
 @given(params=st.builds(TuneParams, st.integers(-1, 10**9), st.integers(-1, 10**9),
-                        st.floats(), st.integers(-1, 10**9)))
+                        st.floats()))
 def test_every_valid_params_line_reloads_as_written(params):
     try:
         params.validate()
@@ -267,7 +218,7 @@ def test_tuned_sense_lines_use_background_case():
 @settings(max_examples=100, deadline=None)
 @given(data=training_sets(),
        params=st.builds(TuneParams, st.integers(1, 3), st.integers(1, 4),
-                        st.sampled_from([0.1, 0.5, 2.0]), st.integers(1, 4)),
+                        st.sampled_from([0.1, 0.5, 2.0])),
        corpus_id=st.sampled_from(["", "c.vrt"]))
 def test_generated_tuned_lexicon_roundtrips(data, params, corpus_id):
     docs, bg = data
@@ -282,9 +233,6 @@ def test_generated_tuned_lexicon_roundtrips(data, params, corpus_id):
     assert again.base.senses_by_key == tuned.base.senses_by_key
     assert (again.ejected, again.corpus_id, again.params) \
         == (tuned.ejected, tuned.corpus_id, tuned.params)
-    assert again.discriminators == {
-        key: [(w, float(f"{x:.6f}")) for w, x in pairs]
-        for key, pairs in tuned.discriminators.items()}
 
 
 def test_capitalised_lemmas_tune_like_lowercase_ones(bg, corpus):
@@ -295,8 +243,6 @@ def test_capitalised_lemmas_tune_like_lowercase_ones(bg, corpus):
     lower, capital = tune(bg, corpus, params), tune(bg, upper, params)
     assert sum(len(gone) for gone in lower.ejected.values()) == 8
     assert capital.ejected == lower.ejected
-    assert len(lower.discriminators) == 51
-    assert capital.discriminators.keys() == lower.discriminators.keys()
 
 
 def test_tune_calls_the_classifier_through_wsd(bg, corpus, monkeypatch):
@@ -315,9 +261,9 @@ def test_tune_calls_the_classifier_through_wsd(bg, corpus, monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(data=training_sets(),
        params=st.builds(TuneParams, st.integers(1, 3), st.integers(1, 4),
-                        st.sampled_from([0.1, 2.0]), st.integers(1, 4)),
+                        st.sampled_from([0.1, 2.0])),
        use_ospd=st.booleans())
-def test_discriminators_are_the_brute_force_ranking(data, params, use_ospd):
+def test_ejections_are_the_brute_force_recount(data, params, use_ospd):
     docs, bg = data
     try:
         tuned = tune(bg, docs, params, use_ospd=use_ospd)
@@ -328,5 +274,4 @@ def test_discriminators_are_the_brute_force_ranking(data, params, use_ospd):
     tags = wsd.disambiguate_background(model, docs, bg)
     if use_ospd:
         tags = wsd.apply_ospd(tags, bg)
-    assert tuned.discriminators == discriminator_oracle(
-        docs, bg, model, tags, tuned.ejected, params.window, params.top_k)
+    assert tuned.ejected == ejection_oracle(docs, bg, tags, params.min_occurrences)
