@@ -85,11 +85,12 @@ def add_sense_line(lex: BgLexicon, parts: list[str], path: str, lineno: int,
         else:
             raise ParseError(f"unexpected token {tok!r}", path=path, line=lineno)
     senses = lex.senses_by_key.setdefault((lemma, pos), [])
-    if any(s.sense_id == sense_id for s in senses):
-        raise ParseError(f"duplicate sense {lemma}/{pos}/{sense_id}",
-                         path=path, line=lineno)
+    for s in senses:
+        if s.sense_id == sense_id:
+            raise ParseError(f"duplicate sense {lemma}/{pos}/{sense_id}",
+                             path=path, line=lineno)
     coarse = cls if lex.collapsed else None
-    senses.append(BgSense(lemma, pos, sense_id, cls, coarse, gloss, subj_r, obj_r))
+    senses.append(tuple.__new__(BgSense, (lemma, pos, sense_id, cls, coarse, gloss, subj_r, obj_r)))
 
 
 def sense_line(s: BgSense, collapsed: bool) -> str:
@@ -120,7 +121,8 @@ def load_bg_lexicon(text: str, path: str = "<string>") -> BgLexicon:
         if parts:
             add_sense_line(lex, parts, path, lineno, gloss)
     for ss in lex.senses_by_key.values():
-        ss.sort(key=lambda s: s.sense_id)
+        if len(ss) > 1:
+            ss.sort(key=lambda s: s.sense_id)
     return lex
 
 
@@ -204,28 +206,34 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
     Idempotent; the input lexicon is left untouched.
     """
     out = BgLexicon(collapsed=True)
+    images: dict[tuple[str, str], str] = {}  # (fine class, pos) -> its checked image
     for key, ss in lex.senses_by_key.items():
         lemma, pos = key
         by_coarse: dict[str, BgSense] = {}
         for s in ss:
-            coarse = coarse_class_for(s.fine_class, cmap, onto)
+            coarse = images.get((s.fine_class, pos))
             if coarse is None:
-                raise ParseError(
-                    f"{lemma}/{pos}/{s.sense_id}: fine class {s.fine_class} has no "
-                    f"coarse image (even via ancestors)")
-            if pos == "noun" and coarse not in cmap.noun_classes:
-                raise ParseError(
-                    f"{lemma}/{pos}/{s.sense_id}: {s.fine_class} collapses to "
-                    f"{coarse}, which is not in the noun scheme")
-            if pos == "verb" and coarse not in cmap.verb_classes:
-                raise ParseError(
-                    f"{lemma}/{pos}/{s.sense_id}: {s.fine_class} collapses to "
-                    f"{coarse}, which is not in the verb scheme")
-            collapsed = s._replace(coarse_class=coarse)
+                coarse = coarse_class_for(s.fine_class, cmap, onto)
+                if coarse is None:
+                    raise ParseError(
+                        f"{lemma}/{pos}/{s.sense_id}: fine class {s.fine_class} has no "
+                        f"coarse image (even via ancestors)")
+                if pos == "noun" and coarse not in cmap.noun_classes:
+                    raise ParseError(
+                        f"{lemma}/{pos}/{s.sense_id}: {s.fine_class} collapses to "
+                        f"{coarse}, which is not in the noun scheme")
+                if pos == "verb" and coarse not in cmap.verb_classes:
+                    raise ParseError(
+                        f"{lemma}/{pos}/{s.sense_id}: {s.fine_class} collapses to "
+                        f"{coarse}, which is not in the verb scheme")
+                images[s.fine_class, pos] = coarse
             kept = by_coarse.get(coarse)
-            if kept is None or collapsed.sense_id < kept.sense_id:
-                by_coarse[coarse] = collapsed
-        merged = sorted(by_coarse.values(), key=lambda s: s.sense_id)
+            if kept is None or s.sense_id < kept.sense_id:
+                # s._replace(coarse_class=coarse) without its Python-level overhead
+                by_coarse[coarse] = tuple.__new__(BgSense, (*s[:4], coarse, *s[5:]))
+        merged = list(by_coarse.values())
+        if len(merged) > 1:
+            merged.sort(key=lambda s: s.sense_id)
         out.senses_by_key[key] = merged
     return out
 

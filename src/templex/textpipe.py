@@ -87,13 +87,25 @@ class GrRelation(NamedTuple):
 
 
 class SentenceAnalysis:
-    __slots__ = ("tokens", "chunks", "relations")
+    """A sentence's tokens; its chunks and relations are computed on first read."""
 
-    def __init__(self, tokens: list[Token], chunks: list[Chunk],
-                 relations: list[GrRelation]):
+    __slots__ = ("tokens", "_chunks", "_relations")
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.chunks = chunks
-        self.relations = relations
+        self._chunks = self._relations = None
+
+    @property
+    def chunks(self) -> list[Chunk]:
+        if self._chunks is None:
+            self._chunks = chunk(self.tokens)
+        return self._chunks
+
+    @property
+    def relations(self) -> list[GrRelation]:
+        if self._relations is None:
+            self._relations = grammatical_relations(self.chunks, self.tokens)
+        return self._relations
 
 
 class DocAnalysis:
@@ -429,12 +441,7 @@ def grammatical_relations(chunks: list[Chunk], tokens: list[Token]) -> list[GrRe
 
 
 def analyze(doc: Document) -> DocAnalysis:
-    sentences = []
-    for sent in doc.sentences:
-        ch = chunk(sent)
-        rels = grammatical_relations(ch, sent)
-        sentences.append(SentenceAnalysis(sent, ch, rels))
-    return DocAnalysis(doc, sentences)
+    return DocAnalysis(doc, [SentenceAnalysis(sent) for sent in doc.sentences])
 
 
 def analyze_corpus(docs: list[Document]) -> list[DocAnalysis]:

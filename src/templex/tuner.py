@@ -55,7 +55,8 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
     A sense is ejected iff its lemma occurs at least min_occurrences times
     (with a part of speech the lexicon knows) and the sense was assigned to
     zero occurrences.  A lemma attested in the corpus always keeps at least
-    one sense.
+    one sense: each occurrence is tagged, and its tag names a sense of the
+    occurrence's own (lemma, pos), which is thereby assigned.
     """
     params = params or TuneParams()
     params.validate()
@@ -99,10 +100,6 @@ def finish(bg: BgLexicon, parts: list, params: TuneParams,
             continue
         gone = {s.sense_id for s in senses
                 if assigned.get((key[0], key[1], s.sense_id), 0) == 0}
-        if len(gone) == len(senses):
-            # safety: never eject every sense of an attested lemma
-            keep = min(s.sense_id for s in senses)
-            gone.discard(keep)
         if gone:
             ejected[key] = gone
     return TunedLexicon(bg, ejected, corpus_id, params)
@@ -163,7 +160,8 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
                 k, _, v = tok.partition("=")
                 number = _PARAM_TYPES.get(k)
                 if number is None:
-                    raise ParseError(f"unknown param {k!r}", path=path, line=lineno)
+                    raise ParseError(f"param {k!r} is no longer read; re-run tune" if k == "top_k"
+                                     else f"unknown param {k!r}", path=path, line=lineno)
                 if k in given:
                     raise ParseError(f"param {k!r} given twice", path=path, line=lineno)
                 given.add(k)

@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from typing import TYPE_CHECKING
 
 # load_tagged_corpus is re-exported: it reads the tagged corpus in textpipe
-from .textpipe import (LEXICON_POS, DocAnalysis, Document, SenseTag, Token,
+from .textpipe import (LEXICON_POS, VERBAL, DocAnalysis, Document, SenseTag, Token,
                        TokenKey, is_passive_vg, load_tagged_corpus)
 
 if TYPE_CHECKING:
@@ -107,19 +107,14 @@ class FgMatch:
 
 # ------------------------------------------------------------ training
 
-def _doc_positions(doc: Document) -> list[Token]:
-    return list(doc.tokens())
-
-
 def _lemma_row(flat: list[Token]) -> list[str | None]:
     """Each token's lemma, None for punctuation: the row windows are cut from."""
     return [None if tok.pos == "PUNCT" else tok.lemma for tok in flat]
 
 
-def _window(row: list[str | None], i: int, window: int) -> list[str]:
-    """The lemmas within +/-window of position i, except i and punctuation."""
-    ctx = row[max(0, i - window):i] + row[i + 1:i + window + 1]
-    return [lemma for lemma in ctx if lemma is not None]
+def _window(row: list[str | None], i: int, window: int) -> list[str | None]:
+    """The row within +/-window of position i, except i; None is punctuation."""
+    return row[max(0, i - window):i] + row[i + 1:i + window + 1]
 
 
 def _check_unique_ids(docs: list[Document]) -> None:
@@ -139,30 +134,35 @@ def count_training(docs: list[Document], bg: BgLexicon, window: int = 10) -> tup
         raise ValueError("train_bayes requires a collapsed background lexicon")
     _check_unique_ids(docs)
     anchors: Counter = Counter()
-    contexts: dict[str, Counter] = defaultdict(Counter)
+    # each class's windows (None: punctuation), counted at the end in first-seen order
+    windows: dict[str, list[str | None]] = defaultdict(list)
     unigram: Counter = Counter()
-    # (lemma, lexicon pos) -> senses: one lexicon lookup per pair, not per token
-    senses: dict[tuple[str, str], list[BgSense]] = {}
+    # (lemma, lexicon pos) -> its class if it has one sense, else None: one lookup per pair
+    anchor_of: dict[tuple[str, str], str | None] = {}
     pos_of = LEXICON_POS.get
     sentences = sum(len(doc.sentences) for doc in docs)
 
     for doc in docs:
-        flat = _doc_positions(doc)
+        flat = list(doc.tokens())
         row = _lemma_row(flat)
-        unigram.update(lemma for lemma in row if lemma is not None)
+        unigram.update(row)
         for i, tok in enumerate(flat):
             pos = pos_of(tok.pos)
             if pos is None:
                 continue
-            entries = senses.get((tok.lemma, pos))
-            if entries is None:
-                entries = senses[tok.lemma, pos] = bg.entries(tok.lemma, pos)
-            if len(entries) != 1:
+            cls = anchor_of.get((tok.lemma, pos), False)
+            if cls is False:
+                entries = bg.entries(tok.lemma, pos)
+                cls = anchor_of[tok.lemma, pos] = \
+                    entries[0].coarse_class if len(entries) == 1 else None
+            if cls is None:
                 continue
-            cls = entries[0].coarse_class
             anchors[cls] += 1
-            contexts[cls].update(_window(row, i, window))
-    return anchors, dict(contexts), unigram, sentences
+            windows[cls] += _window(row, i, window)
+    contexts = {cls: Counter(lemmas) for cls, lemmas in windows.items()}
+    for counts in (unigram, *contexts.values()):
+        counts.pop(None, None)
+    return anchors, contexts, unigram, sentences
 
 
 def merge_counts(parts: list) -> tuple:
@@ -215,16 +215,27 @@ def classify_bayes(model: BayesModel, context: list[str],
     """
     if not candidates:
         raise ValueError("no candidate classes")
-    vocab = model.vocab
-    known = [w for w in context if w in vocab]
-    scored = []
+    return _rank(model, context, _scorers(model, candidates))
+
+
+def _scorers(model: BayesModel, candidates) -> list[tuple]:
+    """(class, log prior, weight table or None) of each candidate, in class order."""
+    scorers = []
     for c in sorted(candidates):
         prior = model.class_priors.get(c, 0.0)
         # classes absent from training still rank, just last
-        score = math.log(prior) if prior > 0.0 else math.log(1e-12)
-        table = model.by_class.get(c)
+        scorers.append((c, math.log(prior) if prior > 0.0 else math.log(1e-12),
+                        model.by_class.get(c)))
+    return scorers
+
+
+def _rank(model: BayesModel, context: list[str], scorers: list[tuple]) -> list:
+    vocab = model.vocab
+    known = [w for w in context if w in vocab]  # no None: punctuation is in no vocabulary
+    scored = []
+    for c, score, table in scorers:
         if table is not None:
-            for w in known:
+            for w in known:  # left to right: the float sum depends on the order
                 score += table[w]
         scored.append((c, score))
     scored.sort(key=lambda cs: (-cs[1], cs[0]))
@@ -243,36 +254,35 @@ def disambiguate_background(model: BayesModel, docs: list[Document],
     """
     _check_unique_ids(docs)
     tags: dict[TokenKey, SenseTag] = {}
-    # (lemma, lexicon pos) -> senses: one lexicon lookup per pair, not per token
-    senses: dict[tuple[str, str], list[BgSense]] = {}
+    # (lemma, lexicon pos) -> its senses, and for two or more their classes'
+    # _scorers and each class's first sense: one lexicon lookup per pair
+    known: dict[tuple[str, str], tuple] = {}
     pos_of = LEXICON_POS.get
     for doc in docs:
-        flat = _doc_positions(doc)
+        flat = list(doc.tokens())
         row = _lemma_row(flat)
         for i, tok in enumerate(flat):
             pos = pos_of(tok.pos)
             if pos is None:
                 continue
-            entries = senses.get((tok.lemma, pos))
-            if entries is None:
-                entries = senses[tok.lemma, pos] = bg.entries(tok.lemma, pos)
-            if not entries:
+            lemma = tok.lemma
+            entry = known.get((lemma, pos))
+            if entry is None:
+                entries = bg.entries(lemma, pos)
+                sense_of = {s.coarse_class: s for s in reversed(entries)}
+                scorers = _scorers(model, sense_of) if len(entries) > 1 else None
+                entry = known[lemma, pos] = entries, scorers, sense_of
+            entries, scorers, sense_of = entry
+            if scorers is None:
+                if entries:
+                    tags[doc.doc_id, tok.sent_idx, tok.tok_idx] = tuple.__new__(SenseTag, (
+                        doc.doc_id, tok.sent_idx, tok.tok_idx, lemma, pos, entries[0].sense_id,
+                        entries[0].coarse_class, 0.0, "unambiguous"))
                 continue
-            key = (doc.doc_id, tok.sent_idx, tok.tok_idx)
-            if len(entries) == 1:
-                s = entries[0]
-                tags[key] = SenseTag(doc.doc_id, tok.sent_idx, tok.tok_idx,
-                                     tok.lemma, pos, s.sense_id, s.coarse_class,
-                                     0.0, "unambiguous")
-                continue
-            candidates = {s.coarse_class for s in entries}
-            ranking = classify_bayes(model, _window(row, i, model.window),
-                                     candidates)
-            win_class, win_score = ranking[0]
-            sense = next(s for s in entries if s.coarse_class == win_class)
-            tags[key] = SenseTag(doc.doc_id, tok.sent_idx, tok.tok_idx,
-                                 tok.lemma, pos, sense.sense_id, win_class,
-                                 win_score, "bayes")
+            win_class, win_score = _rank(model, _window(row, i, model.window), scorers)[0]
+            tags[doc.doc_id, tok.sent_idx, tok.tok_idx] = tuple.__new__(SenseTag, (
+                doc.doc_id, tok.sent_idx, tok.tok_idx, lemma, pos, sense_of[win_class].sense_id,
+                win_class, win_score, "bayes"))
     return tags
 
 
@@ -393,13 +403,15 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
     diagnostics: list[Diagnostic] = []
     # verb lemma -> its general senses: one lexicon lookup per lemma, not per verb
     general: dict[str, list[BgSense]] = {}
+    fg_verbs = {lemma for lemma, pos, lg in fg.realizations if pos == "verb" and lg == lang}
 
     for analysis in analyses:
         doc = analysis.doc
         positions = None  # the document's flat tokens and their index, on first need
         for sa in analysis.sentences:
             tokens = sa.tokens
-            if not tokens:
+            # a verb group's head is verbal: without a verbal foreground lemma, skip
+            if not any(t.pos in VERBAL and t.lemma.lower() in fg_verbs for t in tokens):
                 continue
             sent_idx = tokens[0].sent_idx
 
@@ -449,7 +461,7 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                     chosen = fits[0]
                 else:
                     if positions is None:
-                        flat = _doc_positions(doc)
+                        flat = list(doc.tokens())
                         positions = flat, {(t.sent_idx, t.tok_idx): i
                                            for i, t in enumerate(flat)}
                     chosen = _discriminate(fits, *positions,

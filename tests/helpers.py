@@ -14,8 +14,9 @@ from collections import Counter
 
 from hypothesis import strategies as st
 
-from templex import BgLexicon, DLInstance, Document, Token, read_corpus
-from templex.bg_lexicon import BgSense
+from templex import (BgLexicon, DLInstance, Document, ParseError, Token,
+                     load_bg_lexicon, load_collapse_map, read_corpus)
+from templex.bg_lexicon import BG_POS, BgSense
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -504,6 +505,80 @@ def one_line_mutations(draw, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ------------------------------------------------- background collapse
+
+@st.composite
+def collapse_cases(draw):
+    """(lexicon, collapse map, ontology): a small class forest, a noun and a
+    verb scheme over some of its classes (and a class it lacks), `map` lines,
+    and senses in shuffled order with restrictions and glosses, several often
+    landing on one coarse class."""
+    n = draw(st.integers(1, 8))
+    classes = {}
+    for i in range(n):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None
+        classes[f"C{i}"] = SemClass(f"C{i}", None if parent is None else f"C{parent}")
+    onto = Ontology(classes, {})
+    names = [*classes, "ODD"]  # ODD is in no ontology
+    noun = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    verb = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    lines = [f"scheme {pos} {' '.join(ids)}" for pos, ids in (("noun", noun), ("verb", verb))
+             if ids]
+    scheme = [*noun, *verb]
+    rest = [c for c in names if c not in scheme]
+    if scheme and rest:
+        for fine in draw(st.lists(st.sampled_from(rest), unique=True)):
+            lines.append(f"map {fine} -> {draw(st.sampled_from(scheme))}")
+    cmap = load_collapse_map("\n".join(lines) + "\n")
+    senses = []
+    for lemma in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True)):
+        for pos in draw(st.lists(st.sampled_from(BG_POS), min_size=1, max_size=2, unique=True)):
+            for sid in draw(st.lists(st.sampled_from(["s1", "s2", "s3", "s10", "x"]),
+                                     min_size=1, max_size=4, unique=True)):
+                line = f"{lemma} {pos} {sid} {draw(st.sampled_from(names))}"
+                for field in ("subj", "obj"):
+                    if draw(st.booleans()):
+                        line += f" {field}={draw(st.sampled_from(names))}"
+                if draw(st.booleans()):
+                    line += f" # gloss of {sid}"
+                senses.append(line)
+    lex = load_bg_lexicon("\n".join(draw(st.permutations(senses))) + "\n")
+    for key in lex.senses_by_key:  # collapse may get a lexicon in any order
+        lex.senses_by_key[key] = draw(st.permutations(lex.senses_by_key[key]))
+    return lex, cmap, onto
+
+
+def collapse_oracle(lex, cmap, onto):
+    """`collapse` by hand, sense by sense: each fine class's image is the
+    first mapped class up its parent chain; the first sense in list order
+    without one, or with one outside its part of speech's scheme, fails.
+    Each coarse class keeps its lowest sense id, and the key's senses are
+    in sense-id order."""
+    out = {}
+    for (lemma, pos), senses in lex.senses_by_key.items():
+        images = []
+        for s in senses:
+            cur, coarse = s.fine_class, None
+            while cur is not None and coarse is None:
+                coarse = cmap.mapping.get(cur)
+                cur = onto.classes[cur].parent if cur in onto.classes else None
+            where = f"{lemma}/{pos}/{s.sense_id}"
+            if coarse is None:
+                raise ParseError(f"{where}: fine class {s.fine_class} has no coarse "
+                                 f"image (even via ancestors)")
+            scheme = {"noun": cmap.noun_classes, "verb": cmap.verb_classes}.get(pos)
+            if scheme is not None and coarse not in scheme:
+                raise ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
+                                 f"which is not in the {pos} scheme")
+            images.append(s._replace(coarse_class=coarse))
+        lowest = {}
+        for s in images:
+            if s.coarse_class not in lowest or s.sense_id < lowest[s.coarse_class].sense_id:
+                lowest[s.coarse_class] = s
+        out[(lemma, pos)] = sorted(lowest.values(), key=lambda s: s.sense_id)
+    return out
+
+
 # ------------------------------------------- generated classifier inputs
 
 _TRAIN_CLASSES = ("ACT", "LOC", "ORG", "PER")
@@ -695,8 +770,7 @@ def matcher_oracle(analyses, fg, tags, onto, bg, passive_lone, window):
 def ejection_oracle(docs, bg, tags, min_occurrences):
     """Brute-force ejections.  Every token whose lemma has senses under its
     lexicon part of speech is an occurrence; a lemma that occurs at least
-    `min_occurrences` times loses each sense no occurrence is tagged with,
-    but keeps its lowest sense id when it would lose them all."""
+    `min_occurrences` times loses each sense no occurrence is tagged with."""
     occurrences, assigned = Counter(), set()
     for doc in docs:
         for tok in doc.tokens():
@@ -712,10 +786,8 @@ def ejection_oracle(docs, bg, tags, min_occurrences):
     for key, count in occurrences.items():
         if count < min_occurrences:
             continue
-        ids = sorted(s.sense_id for s in bg.senses_by_key[key])
-        gone = {sid for sid in ids if (*key, sid) not in assigned}
-        if len(gone) == len(ids):
-            gone.discard(ids[0])
+        gone = {s.sense_id for s in bg.senses_by_key[key]
+                if (*key, s.sense_id) not in assigned}
         if gone:
             out[key] = gone
     return out

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
 from templex import (ParseError, collapse, default_collapse_map,
                      load_bg_lexicon, load_collapse_map, load_ontology)
 from templex.bg_lexicon import dump_bg_lexicon
+from helpers import collapse_cases, collapse_oracle
 
 TINY_ONTO = """\
 class ORGANISATION
@@ -81,6 +83,22 @@ def test_collapse_unmappable_class_rejected():
     lex = load_bg_lexicon("thing noun s1 MYSTERY\n")
     with pytest.raises(ParseError, match="MYSTERY"):
         collapse(lex, load_collapse_map(TINY_MAP), onto)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=collapse_cases())
+def test_collapse_equals_the_sense_by_sense_oracle(case):
+    lex, cmap, onto = case
+    try:
+        want = collapse_oracle(lex, cmap, onto)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            collapse(lex, cmap, onto)
+        assert str(info.value) == str(exc)
+        return
+    out = collapse(lex, cmap, onto)
+    assert out.collapsed
+    assert list(out.senses_by_key.items()) == list(want.items())
 
 
 def test_unknown_lemma_empty(bg):

@@ -330,7 +330,11 @@ def test_tuned_lexicon_bad_param_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("lines, message", [
     ("corpus -\nparams min_occurrences=5 window=10 alpha=0.100000 top_k=10\n",
-     "3: unknown param 'top_k'"),
+     "3: param 'top_k' is no longer read; re-run tune"),
+    # a whole file as older runs wrote it: the params line comes first
+    ("corpus succession.vrt\nparams min_occurrences=2 window=10 alpha=0.100000 "
+     "top_k=10\nsense bank noun s1 ORGANISATION\ndisc bank noun s1 loan:0.5\n",
+     "3: param 'top_k' is no longer read; re-run tune"),
     ("sense bank noun s1 ORGANISATION\ndisc bank noun s1 loan:0.5,rate:high\n",
      "3: disc lines are no longer read; re-run tune"),
 ])

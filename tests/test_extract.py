@@ -3,8 +3,11 @@ import json
 import pytest
 
 from templex import (apply_ospd, disambiguate_background, fill_templates,
-                     match_foreground, resolve_salient, train_bayes,
-                     write_output)
+                     match_foreground, read_corpus, resolve_salient, textpipe,
+                     train_bayes, write_output)
+from templex.cli import main
+from templex.textpipe import VERBAL
+from helpers import fixture_path, fixture_text
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +133,51 @@ def test_fillers_follow_schema_slot_order(instances, onto):
     for inst in instances:
         schema = onto.schema(inst.schema)
         assert list(inst.fillers) == [s.name for s in schema.slots]
+
+
+def vertical(doc_id, *sentences):
+    """A `#DOC` block of `surface/lemma/POS` sentences."""
+    lines = [f"#DOC {doc_id}"]
+    for sent in sentences:
+        lines += ["\t".join(tok.split("/")) for tok in sent.split()] + [""]
+    return "\n".join(lines) + "\n"
+
+
+def test_extract_chunks_only_what_the_matcher_and_salience_read(tmp_path, monkeypatch):
+    few = (
+        vertical("p1", "The/the/DET firm/firm/NN announced/announce/VBD profits/profit/NN",
+                 "Mary/mary/NNP joined/join/VBD Acme/acme/NNP Corp/corp/NNP ././PUNCT",
+                 # an agent-less passive: its organisation is found a sentence back
+                 "Last/last/ADJ week/week/NN she/she/PRON was/be/BE sacked/sack/VBN",
+                 "The/the/DET bank/bank/NN announced/announce/VBD a/a/DET loan/loan/NN")
+        + vertical("p2", "The/the/DET bank/bank/NN hired/hire/VBD a/a/DET manager/manager/NN",
+                   # a foreground lemma as written, whatever its case
+                   "The/the/DET school/school/NN Dismissed/Dismiss/VBD a/a/DET teacher/teacher/NN")
+        # a foreground lemma, but not a verb
+        + vertical("p3", "The/the/DET sack/sack/NN was/be/BE full/full/ADJ ././PUNCT"))
+    corpus = tmp_path / "few.vrt"
+    corpus.write_text(fixture_text("succession.vrt") + few)
+    chunked = []
+    real_chunk = textpipe.chunk
+
+    def counting_chunk(tokens):
+        chunked.append((tokens[0].doc_id, tokens[0].sent_idx))
+        return real_chunk(tokens)
+
+    monkeypatch.setattr(textpipe, "chunk", counting_chunk)
+    out = tmp_path / "out.jsonl"
+    assert main(["extract", "--ontology", fixture_path("succession.onto"),
+                 "--fg-lexicon", fixture_path("succession.fglex"),
+                 "--bg-lexicon", fixture_path("succession.bglex"),
+                 "--collapse-map", fixture_path("succession.collapse"),
+                 "--corpus", str(corpus), "--jobs", "1", "--output", str(out)]) == 0
+    with_fg_verb = {(t.doc_id, t.sent_idx) for d in read_corpus(corpus.read_text())
+                    for t in d.tokens() if t.pos in VERBAL
+                    and t.lemma.lower() in ("sack", "dismiss", "remove")}
+    assert ("p1", 1) not in with_fg_verb and ("p2", 1) in with_fg_verb
+    # each chunked once: those sentences, and the ones a salience scan for an
+    # agent-less passive's organisation reads before it finds one
+    assert sorted(chunked) == sorted(with_fg_verb | {("d04", 0), ("p1", 1)})
+    found = [json.loads(line)["provenance"] for line in out.read_text().splitlines()[1:]]
+    assert [(p["doc"], p["sent"], p["trigger"]) for p in found[-2:]] \
+        == [("p1", 2, "sack"), ("p2", 1, "Dismiss")]

@@ -4,10 +4,11 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from templex import (ParseError, chunk, grammatical_relations, load_tagged_corpus,
-                     read_corpus)
-from templex.textpipe import (Token, analyze, is_passive_vg, strip_suffix,
+from templex import (DocAnalysis, ParseError, SenseTag, chunk, grammatical_relations,
+                     load_tagged_corpus, pattern_report, read_corpus)
+from templex.textpipe import (TAGSET, Token, analyze, is_passive_vg, strip_suffix,
                               tag_fallback)
 from helpers import make_doc, tagged_vertical_corpora, two_pass_tagged_read
 
@@ -246,3 +247,46 @@ def test_tagged_read_with_and_without_tags_equals_the_two_pass_read(text):
     assert no_tags is None
     assert bare == docs
     assert (docs, tags) == two_pass_tagged_read(text)
+
+
+class EagerSentence:
+    """A sentence analysis with its chunks and relations computed up front."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.chunks = chunk(tokens)
+        self.relations = grammatical_relations(self.chunks, tokens)
+
+
+_LAZY_WORDS = ("a", "by", "x", "y")
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences=st.lists(st.lists(st.lists(
+           st.tuples(st.sampled_from(_LAZY_WORDS), st.sampled_from(sorted(TAGSET))),
+           min_size=1, max_size=10), max_size=4), min_size=1, max_size=3),
+       tagged=st.sets(st.sampled_from(_LAZY_WORDS)),
+       target=st.sampled_from(_LAZY_WORDS), relations_first=st.booleans())
+def test_lazy_analysis_equals_the_eager_one(sentences, tagged, target, relations_first):
+    docs = [make_doc(f"d{i}", sents) for i, sents in enumerate(sentences)]
+    tags = {(t.doc_id, t.sent_idx, t.tok_idx):
+            SenseTag(t.doc_id, t.sent_idx, t.tok_idx, t.lemma, "noun", "s1",
+                     t.lemma.upper(), 0.0, "bayes")
+            for d in docs for t in d.tokens() if t.lemma in tagged}
+    eager = [DocAnalysis(d, [EagerSentence(sent) for sent in d.sentences]) for d in docs]
+
+    def report(analyses):
+        try:
+            return pattern_report(analyses, tags, target, window=2)
+        except ValueError as exc:  # the target does not occur
+            return str(exc)
+
+    # the report reads every relation of a fresh analysis, so their chunks too
+    assert report([analyze(d) for d in docs]) == report(eager)
+    for lazy, ref in zip([analyze(d) for d in docs], eager):
+        for sa, want in zip(lazy.sentences, ref.sentences):
+            if relations_first:
+                assert sa.relations == want.relations
+            assert sa.chunks == want.chunks
+            assert sa.relations == want.relations
+            assert sa.chunks is sa.chunks  # computed once

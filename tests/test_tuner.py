@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from templex import (BgLexicon, Document, ParseError, TunedLexicon, TuneParams,
                      apply_tuning, load_tuned_lexicon, save_tuned_lexicon, tune, wsd)
+from templex.textpipe import LEXICON_POS
 from helpers import ejection_oracle, fixture_text, training_sets
 
 
@@ -166,7 +168,7 @@ def test_tuned_eject_and_disc_lines_name_declared_senses(line, message):
     (["params window=3 alpha=4 window=3"], "x.tl:2: param 'window' given twice"),
     # the setting older `tune` runs wrote
     (["params min_occurrences=5 window=10 alpha=0.1 top_k=10"],
-     "x.tl:2: unknown param 'top_k'"),
+     "x.tl:2: param 'top_k' is no longer read; re-run tune"),
     (["params alpha=nan"], "x.tl:2: alpha must be finite"),
     (["params alpha=inf"], "x.tl:2: alpha must be finite"),
     (["params alpha=-1"], "x.tl:2: alpha must be positive"),
@@ -275,3 +277,12 @@ def test_ejections_are_the_brute_force_recount(data, params, use_ospd):
     if use_ospd:
         tags = wsd.apply_ospd(tags, bg)
     assert tuned.ejected == ejection_oracle(docs, bg, tags, params.min_occurrences)
+    # every occurrence's tag names a sense of its own key, so an attested
+    # lemma keeps a sense with no rule to see to it
+    occurrences = Counter((tok.lemma.lower(), LEXICON_POS[tok.pos])
+                          for doc in docs for tok in doc.tokens()
+                          if bg.entries(tok.lemma, LEXICON_POS.get(tok.pos, "")))
+    for key, count in occurrences.items():
+        if count >= params.min_occurrences:
+            ids = {s.sense_id for s in bg.senses_by_key[key]}
+            assert tuned.ejected.get(key, set()) < ids
