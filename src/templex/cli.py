@@ -287,7 +287,7 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
         return exmod.write_output(
             exmod.fill_templates(matches, tags, analyses, onto))
 
-    texts = shards.shard_texts(cfg, onto, bg, fg, render)
+    texts = shards.shard_texts(cfg, onto, bg, fg, render, on_demand=True)
     header = json.dumps({"config": _echo(cfg)}, ensure_ascii=False)
     _write_out(cfg, header + "\n" + "".join(texts))
     return 0

@@ -97,6 +97,12 @@ def _build_list(labels: dict[int, str], instances: list[DLInstance],
     return DecisionList(rules, default)
 
 
+def strict_majority(counts: Counter) -> str | None:
+    """The label of more than half of `counts`' total, else None: OSPD's vote."""
+    total = sum(counts.values())
+    return next((label for label, n in counts.items() if n * 2 > total), None)
+
+
 def _label_with_rules(dl: DecisionList, instances: list[DLInstance]) -> dict[int, str]:
     # default sense is not applied while bootstrapping: the residual stays
     # unlabelled rather than being swamped by the majority sense
@@ -114,15 +120,10 @@ def _ospd_labels(labels: dict[int, str], instances: list[DLInstance]) -> dict[in
         by_doc[instances[i].doc_id].append(i)
     out = dict(labels)
     for doc, idxs in by_doc.items():
-        counts = Counter(labels[i] for i in idxs if i in labels)
-        if not counts:
-            continue
-        total = sum(counts.values())
-        top = max(counts.values())
-        winners = sorted(s for s, c in counts.items() if c == top)
-        if len(winners) == 1 and top * 2 > total:
+        majority = strict_majority(Counter(labels[i] for i in idxs if i in labels))
+        if majority is not None:
             for i in idxs:
-                out[i] = winners[0]
+                out[i] = majority
     return out
 
 

@@ -77,7 +77,8 @@ def resolve_salient(analysis: DocAnalysis, tags: dict[TokenKey, SenseTag],
 
 def fill_templates(matches: list[FgMatch], tags: dict[TokenKey, SenseTag],
                    analyses: list[DocAnalysis], onto: Ontology) -> list[TemplateInstance]:
-    """One template instance per verified match, in document order."""
+    """One template instance per verified match, in document order; `tags`
+    is only read through `tags.get`, here and in `resolve_salient`."""
     by_doc = {a.doc.doc_id: a for a in analyses}
     instances: list[TemplateInstance] = []
     for m in matches:

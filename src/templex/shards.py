@@ -159,7 +159,7 @@ def document_cuts(text: str, doc_id: str) -> list[int]:
     return [0, *(match.start() for match in starts[1:]), len(text)]
 
 
-def shard_texts(cfg, onto, bg, fg, render) -> list:
+def shard_texts(cfg, onto, bg, fg, render, *, on_demand: bool = False) -> list:
     """Read, train, tag, match and render the corpus by shard: the results in
     order.
 
@@ -167,7 +167,8 @@ def shard_texts(cfg, onto, bg, fg, render) -> list:
     background tags into the matcher; fg-first matches on the
     coarse-unambiguous tags alone, taken before OSPD.  `render(docs,
     analyses, tags, matches)` gives a shard's result; analyses and matches
-    are None without a foreground lexicon.
+    are None without a foreground lexicon.  With `on_demand`, for a render
+    that only calls `tags.get`, each (document, lemma) group is tagged when read.
     """
     from . import textpipe
     from . import wsd as wsdmod
@@ -188,17 +189,16 @@ def shard_texts(cfg, onto, bg, fg, render) -> list:
             docs = [textpipe.tag_fallback(d) for d in docs]
         text = None  # read: free the corpus text before the run builds its records
         model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha, share=share)
-        tags = wsdmod.disambiguate_background(model, docs, bg)
-        anchors = ({k: t for k, t in tags.items() if t.method == "unambiguous"}
-                   if cfg.order == "fg-first" else None)
-        if cfg.ospd:
+        tags = (wsdmod._TagsOnDemand(docs, bg, model, cfg.ospd) if on_demand
+                else wsdmod.disambiguate_background(model, docs, bg))
+        if cfg.ospd and not on_demand:
             tags = wsdmod.apply_ospd(tags, bg)
         if fg is None:
             return render(docs, None, tags, None)
         analyses = [textpipe.analyze(d) for d in docs]
         matches, _ = wsdmod.match_foreground(
-            analyses, fg, tags if anchors is None else anchors, onto, bg, lang=cfg.lang,
-            passive_lone=cfg.passive_implicature, window=cfg.window)
+            analyses, fg, wsdmod._TagsOnDemand(docs, bg) if cfg.order == "fg-first" else tags,
+            onto, bg, lang=cfg.lang, passive_lone=cfg.passive_implicature, window=cfg.window)
         return render(docs, analyses, tags, matches)
 
     sizes = [b - a for a, b in zip(cuts, cuts[1:])]

@@ -17,6 +17,7 @@ import math
 from collections import Counter, defaultdict
 from typing import TYPE_CHECKING
 
+from .decisionlist import DecisionList, DLInstance, apply_decision_list, strict_majority
 # load_tagged_corpus is re-exported: it reads the tagged corpus in textpipe
 from .textpipe import (LEXICON_POS, VERBAL, DocAnalysis, Document, SenseTag, Token,
                        TokenKey, is_passive_vg, load_tagged_corpus)
@@ -244,6 +245,38 @@ def _rank(model: BayesModel, context: list[str], scorers: list[tuple]) -> list:
 
 # ------------------------------------------------------------- tagging
 
+def _tag_positions(model: BayesModel | None, bg: BgLexicon, known: dict, doc_id: str,
+                   flat: list[Token], row: list[str | None], positions, tags: dict) -> None:
+    """Tag `flat`'s tokens at `positions` into `tags` as `disambiguate_background`
+    says, but without a `model` leave ambiguous lemmas untagged.  `known` maps
+    (lemma, lexicon pos) to its senses, for two or more their classes'
+    _scorers, and each class's first sense: one lexicon lookup per pair."""
+    pos_of = LEXICON_POS.get
+    for i in positions:
+        tok = flat[i]
+        pos = pos_of(tok.pos)
+        if pos is None:
+            continue
+        lemma = tok.lemma
+        entry = known.get((lemma, pos))
+        if entry is None:
+            entries = bg.entries(lemma, pos)
+            sense_of = {s.coarse_class: s for s in reversed(entries)}
+            scorers = (_scorers(model, sense_of)
+                       if len(entries) > 1 and model is not None else None)
+            entry = known[lemma, pos] = entries, scorers, sense_of
+        entries, scorers, sense_of = entry
+        if len(entries) == 1:
+            tags[doc_id, tok.sent_idx, tok.tok_idx] = tuple.__new__(SenseTag, (
+                doc_id, tok.sent_idx, tok.tok_idx, lemma, pos, entries[0].sense_id,
+                entries[0].coarse_class, 0.0, "unambiguous"))
+        elif scorers is not None:
+            win_class, win_score = _rank(model, _window(row, i, model.window), scorers)[0]
+            tags[doc_id, tok.sent_idx, tok.tok_idx] = tuple.__new__(SenseTag, (
+                doc_id, tok.sent_idx, tok.tok_idx, lemma, pos, sense_of[win_class].sense_id,
+                win_class, win_score, "bayes"))
+
+
 def disambiguate_background(model: BayesModel, docs: list[Document],
                             bg: BgLexicon) -> dict[TokenKey, SenseTag]:
     """One tag per open-class token that the lexicon knows.
@@ -254,36 +287,38 @@ def disambiguate_background(model: BayesModel, docs: list[Document],
     """
     _check_unique_ids(docs)
     tags: dict[TokenKey, SenseTag] = {}
-    # (lemma, lexicon pos) -> its senses, and for two or more their classes'
-    # _scorers and each class's first sense: one lexicon lookup per pair
     known: dict[tuple[str, str], tuple] = {}
-    pos_of = LEXICON_POS.get
     for doc in docs:
         flat = list(doc.tokens())
-        row = _lemma_row(flat)
-        for i, tok in enumerate(flat):
-            pos = pos_of(tok.pos)
-            if pos is None:
-                continue
-            lemma = tok.lemma
-            entry = known.get((lemma, pos))
-            if entry is None:
-                entries = bg.entries(lemma, pos)
-                sense_of = {s.coarse_class: s for s in reversed(entries)}
-                scorers = _scorers(model, sense_of) if len(entries) > 1 else None
-                entry = known[lemma, pos] = entries, scorers, sense_of
-            entries, scorers, sense_of = entry
-            if scorers is None:
-                if entries:
-                    tags[doc.doc_id, tok.sent_idx, tok.tok_idx] = tuple.__new__(SenseTag, (
-                        doc.doc_id, tok.sent_idx, tok.tok_idx, lemma, pos, entries[0].sense_id,
-                        entries[0].coarse_class, 0.0, "unambiguous"))
-                continue
-            win_class, win_score = _rank(model, _window(row, i, model.window), scorers)[0]
-            tags[doc.doc_id, tok.sent_idx, tok.tok_idx] = tuple.__new__(SenseTag, (
-                doc.doc_id, tok.sent_idx, tok.tok_idx, lemma, pos, sense_of[win_class].sense_id,
-                win_class, win_score, "bayes"))
+        _tag_positions(model, bg, known, doc.doc_id, flat, _lemma_row(flat),
+                       range(len(flat)), tags)
     return tags
+
+
+def _revote(tags: dict, keys: list[TokenKey], bg: BgLexicon | None) -> dict:
+    """The tags of one OSPD group, `keys`, that its strict-majority class reassigns."""
+    majority = strict_majority(Counter(tags[k].coarse_class for k in keys))
+    if majority is None:
+        return {}
+    # a sense id for the majority class, per pos, from the group itself
+    sense_by_pos: dict[str, str] = {}
+    for k in keys:
+        t = tags[k]
+        if t.coarse_class == majority:
+            sense_by_pos.setdefault(t.pos, t.sense_id)
+    changed = {}
+    for k in keys:
+        t = tags[k]
+        if t.coarse_class == majority:
+            continue
+        sense_id = sense_by_pos.get(t.pos)
+        if sense_id is None and bg is not None:
+            sense_id = next((s.sense_id for s in bg.entries(t.lemma, t.pos)
+                             if s.coarse_class == majority), None)
+        if sense_id is not None:  # else the lemma has no sense of that class for this pos
+            changed[k] = t._replace(sense_id=sense_id, coarse_class=majority,
+                                    score=0.0, method="ospd")
+    return changed
 
 
 def apply_ospd(tags: dict[TokenKey, SenseTag],
@@ -296,38 +331,47 @@ def apply_ospd(tags: dict[TokenKey, SenseTag],
     groups: dict[tuple[str, str], list[TokenKey]] = defaultdict(list)
     for key, tag in tags.items():
         groups[(tag.doc_id, tag.lemma)].append(key)
-
     out = dict(tags)
-    for (doc_id, lemma), keys in groups.items():
-        if len(keys) < 2:
-            continue
-        counts = Counter(tags[k].coarse_class for k in keys)
-        top = max(counts.values())
-        winners = sorted(c for c, n in counts.items() if n == top)
-        if len(winners) != 1 or top * 2 <= len(keys):
-            continue
-        majority = winners[0]
-        # a sense id for the majority class, per pos, from the group itself
-        sense_by_pos: dict[str, str] = {}
-        for k in keys:
-            t = tags[k]
-            if t.coarse_class == majority:
-                sense_by_pos.setdefault(t.pos, t.sense_id)
-        for k in keys:
-            t = tags[k]
-            if t.coarse_class == majority:
-                continue
-            sense_id = sense_by_pos.get(t.pos)
-            if sense_id is None and bg is not None:
-                for s in bg.entries(t.lemma, t.pos):
-                    if s.coarse_class == majority:
-                        sense_id = s.sense_id
-                        break
-            if sense_id is None:
-                continue  # lemma has no sense of that class for this pos
-            out[k] = t._replace(sense_id=sense_id, coarse_class=majority,
-                                score=0.0, method="ospd")
+    for keys in groups.values():
+        if len(keys) > 1:  # one tag is its own majority
+            out.update(_revote(tags, keys, bg))
     return out
+
+
+class _TagsOnDemand:
+    """`extract`'s background tags of `docs`: the first `get` of a key tags
+    its OSPD group, the tokens of its document with its lemma as written, as
+    `disambiguate_background` does and, with `ospd`, re-votes it as
+    `apply_ospd` does.  Without a `model`, only coarse-unambiguous tags."""
+
+    def __init__(self, docs: list[Document], bg: BgLexicon,
+                 model: BayesModel | None = None, ospd: bool = False):
+        self.docs = {doc.doc_id: doc for doc in docs}
+        self.bg, self.model, self.ospd = bg, model, ospd
+        self.known, self.indexed, self.tags = {}, {}, {}  # known: as in _tag_positions
+
+    def get(self, key: TokenKey) -> SenseTag | None:
+        doc_id, sent_idx, tok_idx = key
+        try:
+            lemma = self.docs[doc_id].sentences[sent_idx][tok_idx].lemma
+        except (KeyError, IndexError):
+            return None  # no token holds the key
+        if doc_id not in self.indexed:
+            # flat tokens, lemma row, and lemma -> positions of each group not yet tagged
+            flat = list(self.docs[doc_id].tokens())
+            row, groups = _lemma_row(flat), defaultdict(list)
+            for i, row_lemma in enumerate(row):
+                groups[row_lemma].append(i)
+            self.indexed[doc_id] = flat, row, groups
+        flat, row, groups = self.indexed[doc_id]
+        positions = groups.pop(lemma, None)
+        if positions is not None:
+            group: dict[TokenKey, SenseTag] = {}
+            _tag_positions(self.model, self.bg, self.known, doc_id, flat, row, positions, group)
+            if self.ospd and len(group) > 1:
+                group.update(_revote(group, list(group), self.bg))
+            self.tags.update(group)
+        return self.tags.get(key)
 
 
 # ------------------------------------------------------ foreground match
@@ -396,6 +440,7 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
     passive_lone a bare passive with no filled roles still triggers.
     Exactly one fit emits a match; several fits consult the concept's
     discriminator rules; a remaining tie abstains with a diagnostic.
+    `tags` is only read through `tags.get`.
     """
     from .fg_lexicon import Diagnostic
 
@@ -484,8 +529,6 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
 
 
 def _discriminate(fits, flat, flat_pos, verb_key, window):
-    from .decisionlist import DecisionList, DLInstance, apply_decision_list
-
     # every fitting sense's rules in order: the first one whose feature occurs wins
     rules = [rule for real, _, _ in fits for rule in real.effective.discriminators]
     if not rules:

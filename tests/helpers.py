@@ -586,19 +586,23 @@ _TRAIN_POS = ("NN", "NN", "NNP", "VBD", "DET", "PUNCT")
 
 
 @st.composite
-def training_sets(draw):
+def training_sets(draw, verbs: bool = False):
     """(docs, collapsed background lexicon): a few lemmas, each with zero to
-    two noun senses over a few coarse classes, in short documents."""
+    two noun senses over a few coarse classes, in short documents.  With
+    `verbs`, each lemma also gets zero to two verb senses, so a document's
+    tokens of one lemma can hold tags of both parts of speech."""
     classes = draw(st.lists(st.sampled_from(_TRAIN_CLASSES), min_size=1,
                             max_size=len(_TRAIN_CLASSES), unique=True))
     lemmas = draw(st.lists(st.text("abcde", min_size=1, max_size=2), min_size=2,
                            max_size=10, unique=True))
     bg = BgLexicon(collapsed=True)
     for lemma in lemmas:
-        own = draw(st.lists(st.sampled_from(classes), max_size=2, unique=True))
-        if own:
-            bg.senses_by_key[(lemma, "noun")] = [
-                BgSense(lemma, "noun", f"s{i}", cls, cls) for i, cls in enumerate(own, 1)]
+        for pos, prefix in (("noun", "s"), ("verb", "v"))[:1 + verbs]:
+            own = draw(st.lists(st.sampled_from(classes), max_size=2, unique=True))
+            if own:
+                bg.senses_by_key[(lemma, pos)] = [
+                    BgSense(lemma, pos, f"{prefix}{i}", cls, cls)
+                    for i, cls in enumerate(own, 1)]
     token = st.tuples(st.sampled_from(lemmas), st.sampled_from(_TRAIN_POS))
     docs = [make_doc(f"d{d}", draw(st.lists(st.lists(token, min_size=1, max_size=12),
                                             min_size=1, max_size=3)))

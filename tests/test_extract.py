@@ -4,7 +4,7 @@ import pytest
 
 from templex import (apply_ospd, disambiguate_background, fill_templates,
                      match_foreground, read_corpus, resolve_salient, textpipe,
-                     train_bayes, write_output)
+                     train_bayes, write_output, wsd)
 from templex.cli import main
 from templex.textpipe import VERBAL
 from helpers import fixture_path, fixture_text
@@ -181,3 +181,50 @@ def test_extract_chunks_only_what_the_matcher_and_salience_read(tmp_path, monkey
     found = [json.loads(line)["provenance"] for line in out.read_text().splitlines()[1:]]
     assert [(p["doc"], p["sent"], p["trigger"]) for p in found[-2:]] \
         == [("p1", 2, "sack"), ("p2", 1, "Dismiss")]
+
+
+@pytest.mark.parametrize("order", ["bg-first", "fg-first"])
+def test_extract_ranks_only_the_groups_it_reads(tmp_path, monkeypatch, bg, order):
+    """`extract` ranks the tokens of the (document, lemma) groups that the
+    matcher and the filler read, and no others: those of an ambiguous noun
+    that a salience scan reads, but none of a document whose ambiguous nouns
+    no foreground verb and no salience scan reaches."""
+    corpus = tmp_path / "quiet.vrt"
+    corpus.write_text(
+        fixture_text("succession.vrt")
+        # an agent-less passive: the scan for its organisation reads `bank`
+        + vertical("q0", "The/the/DET bank/bank/NN lent/lend/VBD money/money/NN ././PUNCT",
+                   "She/she/PRON was/be/BE sacked/sack/VBN ././PUNCT")
+        + vertical("q1", "The/the/DET bank/bank/NN stood/stand/VBD by/by/PREP the/the/DET "
+                         "bank/bank/NN ././PUNCT"))
+    ranked, read = [], set()
+    real_rank, real_get = wsd._rank, wsd._TagsOnDemand.get
+
+    def counting_rank(*args):
+        ranked.append(args)
+        return real_rank(*args)
+
+    def noting_get(self, key):
+        if self.model is not None:  # not fg-first's anchors, which rank nothing
+            read.add(key)
+        return real_get(self, key)
+
+    monkeypatch.setattr(wsd, "_rank", counting_rank)
+    monkeypatch.setattr(wsd._TagsOnDemand, "get", noting_get)
+    assert main(["extract", "--ontology", fixture_path("succession.onto"),
+                 "--fg-lexicon", fixture_path("succession.fglex"),
+                 "--bg-lexicon", fixture_path("succession.bglex"),
+                 "--collapse-map", fixture_path("succession.collapse"),
+                 "--corpus", str(corpus), "--order", order, "--jobs", "1",
+                 "--output", str(tmp_path / "out.jsonl")]) == 0
+    monkeypatch.undo()
+    docs = read_corpus(corpus.read_text())
+    eager = disambiguate_background(train_bayes(docs, bg), docs, bg)
+    lemma_of = {(t.doc_id, t.sent_idx, t.tok_idx): t.lemma for d in docs for t in d.tokens()}
+    groups = {(key[0], lemma_of[key]) for key in read}
+    ranked_in_groups = [key for key, tag in eager.items()
+                        if tag.method == "bayes" and (tag.doc_id, tag.lemma) in groups]
+    assert len(ranked) == len(ranked_in_groups)
+    assert ("q0", "bank") in groups and all(key[0] != "q1" for key in read)
+    assert [tag.lemma for key, tag in eager.items()
+            if key[0] == "q1" and tag.method == "bayes"] == ["bank", "bank"]

@@ -4,7 +4,7 @@ import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from templex import (BgLexicon, BgSense, Document, TuneParams, apply_ospd,
@@ -12,8 +12,8 @@ from templex import (BgLexicon, BgSense, Document, TuneParams, apply_ospd,
                      save_tuned_lexicon, train_bayes, tune)
 from templex.errors import ParseError
 from templex.textpipe import LEXICON_POS, TAGSET, read_corpus
-from templex.wsd import (BayesModel, count_training, dump_tagged_corpus, load_tagged_corpus,
-                        merge_counts)
+from templex.wsd import (BayesModel, _TagsOnDemand, count_training, dump_tagged_corpus,
+                        load_tagged_corpus, merge_counts)
 from helpers import make_doc, ospd_noisy_tags, training_sets
 
 
@@ -496,3 +496,46 @@ def test_no_anchors_is_judged_on_the_merged_counts(banking_corpus, banking_bg):
     docs = [*anchorless, *banking_corpus[:1]]
     assert has_anchor(docs[2:], banking_bg)
     check_merged_training(docs, banking_bg, [docs[:1], docs[1:2], docs[2:]], 10, 0.1)
+
+
+# ------------------------------------------------ tags made as they are read
+
+@settings(max_examples=200, deadline=None)
+@given(data=training_sets(verbs=True), window=_WINDOW, alpha=_ALPHA, draw=st.data())
+def test_tags_on_demand_equal_the_eager_tags(data, window, alpha, draw):
+    """`extract`'s tag map, read key by key in any order, gives the tags that
+    tagging every token and then smoothing every group would; without a
+    model, the coarse-unambiguous ones."""
+    docs, bg = data
+    assume(has_anchor(docs, bg))
+    model = train_bayes(docs, bg, window, alpha)
+    eager = disambiguate_background(model, docs, bg)
+    keys = draw.draw(st.permutations([(d.doc_id, t.sent_idx, t.tok_idx)
+                                      for d in docs for t in d.tokens()]))
+    keys += [(docs[0].doc_id, 9, 0), ("no such doc", 0, 0)]  # keys no token holds
+    anchors = {k: t for k, t in eager.items() if t.method == "unambiguous"}
+    for want, lazy in ((apply_ospd(eager, bg), _TagsOnDemand(docs, bg, model, True)),
+                       (eager, _TagsOnDemand(docs, bg, model, False)),
+                       (anchors, _TagsOnDemand(docs, bg))):
+        assert [lazy.get(k) for k in keys] == [want.get(k) for k in keys]
+
+
+def test_tags_on_demand_vote_over_every_part_of_speech():
+    """A lemma's noun and verb tags in one document are one OSPD group
+    (the group key is the document and the lemma as written), on demand too."""
+    bg = BgLexicon(collapsed=True)
+    bg.senses_by_key[("x", "noun")] = [BgSense("x", "noun", "s1", "ACT", "ACT")]
+    bg.senses_by_key[("x", "verb")] = [BgSense("x", "verb", "v1", "ACT", "ACT"),
+                                       BgSense("x", "verb", "v2", "LOC", "LOC")]
+    bg.senses_by_key[("b", "noun")] = [BgSense("b", "noun", "s1", "LOC", "LOC")]
+    docs = [make_doc("d0", [[("x", "NN"), ("x", "NN"), ("x", "VBD")],
+                            [("b", "NN"), ("b", "NN"), ("b", "NN")]])]
+    # no context: the verb takes the class with more anchors, LOC, and the
+    # two ACT nouns out-vote it
+    model = train_bayes(docs, bg, window=0)
+    eager = disambiguate_background(model, docs, bg)
+    assert eager[("d0", 0, 2)].coarse_class == "LOC"
+    smoothed = apply_ospd(eager, bg)
+    assert smoothed[("d0", 0, 2)][5:] == ("v1", "ACT", 0.0, "ospd")
+    lazy = _TagsOnDemand(docs, bg, model, True)
+    assert lazy.get(("d0", 0, 2)) == smoothed[("d0", 0, 2)]
