@@ -1,4 +1,5 @@
-"""Shared exception types for file formats and lexicon resolution."""
+"""Shared exception types for file formats and lexicon resolution, and the
+input-file reader that reports a byte that is not UTF-8 as a ParseError."""
 
 from __future__ import annotations
 
@@ -52,6 +53,21 @@ def parse_number(kind: type, text: str, *, path: str | None, line: int):
         return kind(text)
     except ValueError:
         raise ParseError(f"bad number {text!r}", path=path, line=line) from None
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; a byte sequence that is not
+    UTF-8 is a ParseError at its line, counted as `str.splitlines` counts."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # a whole-file read decodes all the bytes at once, so `start` is the
+        # bad byte's offset in the file; its line is the lines before it, plus one
+        data = exc.object
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                         path=path, line=line) from None
 
 
 def format_float(x: float) -> str:

@@ -8,6 +8,8 @@ import re
 from bisect import bisect_left
 from itertools import accumulate
 
+from .errors import read_text
+
 _BREAK = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"  # str.splitlines's line ends
 # a whole `#DOC` line: the literal first, which the scan seeks fast
 _DOC_LINE = re.compile(rf"#DOC(?<![^{_BREAK}]#DOC)(?=\s|\Z)[^{_BREAK}]*")
@@ -173,8 +175,7 @@ def shard_texts(cfg, onto, bg, fg, render, *, on_demand: bool = False) -> list:
     from . import textpipe
     from . import wsd as wsdmod
 
-    with open(cfg.corpus, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(cfg.corpus)
     doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
     # raw text is one document: one block
     cuts = [0, len(text)] if cfg.raw else document_cuts(text, doc_id)

@@ -8,6 +8,7 @@ import pytest
 
 import templex
 from templex.cli import main
+from templex.errors import ParseError, read_text
 from helpers import fixture_path, fixture_text
 
 
@@ -390,6 +391,7 @@ def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):
 _PROBE = """
 import json, os, sys
 from templex.cli import main
+from templex.errors import ParseError, read_text
 
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("templex")
@@ -487,3 +489,157 @@ def test_sharded_runs_import_no_process_pool_package(tmp_path, command):
     forked = _modules([*args, "--jobs", "2"])
     assert len(forked["at_fork"]) == 1
     assert [m for m in forked["end"] if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
+
+
+# ------------------------------------------------------ non-UTF-8 input files
+
+def _with_latin1_byte(tmp_path, name):
+    """A copy of fixture `name` whose last line opens with a Latin-1 byte: its
+    path, and that line's number."""
+    lines = fixture_text(name).splitlines()
+    lines[-1] = "\xe9" + lines[-1]
+    path = tmp_path / f"latin1-{name}"
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    return str(path), len(lines)
+
+
+_ONTO, _FG, _BG = (fixture_path(f"succession.{ext}") for ext in ("onto", "fglex", "bglex"))
+_VALIDATE = ["validate", "--ontology", _ONTO, "--fg-lexicon", _FG, "--bg-lexicon", _BG]
+_EXTRACT = ["extract", "--ontology", _ONTO, "--fg-lexicon", _FG, "--bg-lexicon", _BG,
+            "--collapse-map", fixture_path("succession.collapse"),
+            "--corpus", fixture_path("succession.vrt")]
+_TAGGED = fixture_path("succession_tuned_gold.vrt")
+
+
+@pytest.mark.parametrize("argv, flag, name", [
+    (_VALIDATE, "--ontology", "succession.onto"),
+    (_VALIDATE, "--fg-lexicon", "succession.fglex"),
+    (_VALIDATE, "--bg-lexicon", "succession.bglex"),
+    (_EXTRACT, "--bg-lexicon", "succession.bglex"),
+    (_EXTRACT, "--collapse-map", "succession.collapse"),
+    (_EXTRACT, "--corpus", "succession.vrt"),
+    (["extract", "--ontology", _ONTO, "--fg-lexicon", _FG,
+      "--tuned-lexicon", fixture_path("succession_min2.tunedlex"),
+      "--corpus", fixture_path("succession.vrt")], "--tuned-lexicon", "succession_min2.tunedlex"),
+    (["kwic", "--query", "lemma=bank", "--corpus", fixture_path("succession.vrt")],
+     "--corpus", "succession.vrt"),
+    (["kwic", "--query", "lemma=bank", "--tagged", _TAGGED],
+     "--tagged", "succession_tuned_gold.vrt"),
+    (["patterns", "--target", "bank", "--tagged", _TAGGED],
+     "--tagged", "succession_tuned_gold.vrt"),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_non_utf8_input_file_exit_two(tmp_path, capsys, argv, flag, name):
+    path, line = _with_latin1_byte(tmp_path, name)
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = path
+    assert run([*argv, "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"templex: error: {path}:{line}: "
+                                       "not UTF-8: byte 0xe9 (invalid continuation byte)\n")
+
+
+def test_non_utf8_config_file_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(f"ontology = {_ONTO}\r\n# caf\xe9\nwindow = 6\n".encode("latin-1"))
+    assert run(["validate", "--config", str(cfg), "--fg-lexicon", _FG]) == 2
+    assert capsys.readouterr() == (
+        "", f"templex: error: {cfg}:2: not UTF-8: byte 0xe9 (invalid continuation byte)\n")
+
+
+def test_non_utf8_line_is_counted_as_splitlines_counts(tmp_path):
+    path = tmp_path / "breaks.txt"
+    path.write_bytes(b"a\r\nb\rc\x0cd\x1ee\n\xe9f\n")
+    with pytest.raises(ParseError) as info:
+        read_text(str(path))
+    assert (info.value.path, info.value.line) == (str(path), 6)
+
+
+# -------------------------------------------- the program and its hard exit
+
+def _program_cases(tmp_path):
+    typo = tmp_path / "typo.fglex"
+    typo.write_text(fixture_text("succession.fglex").replace("EMPLOYER", "EMPLOYR"))
+    return {
+        "validate-0": _VALIDATE,
+        "validate-1": ["validate", "--ontology", _ONTO, "--fg-lexicon", str(typo)],
+        "kwic-stdout": ["kwic", "--tagged", _TAGGED, "--query", "lemma=dismiss"],
+        "extract-stdout": _EXTRACT,
+        "missing-file": ["validate", "--ontology", "/nonexistent/x.onto", "--fg-lexicon", _FG],
+        "help": ["extract", "--help"],
+    }
+
+
+@pytest.mark.parametrize("case", ["validate-0", "validate-1", "kwic-stdout",
+                                  "extract-stdout", "missing-file", "help"])
+def test_program_equals_main_in_process(tmp_path, capsys, monkeypatch, case):
+    argv = _program_cases(tmp_path)[case]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's help width, in both
+    src = os.path.dirname(os.path.dirname(templex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "templex.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert code == {"validate-1": 1, "missing-file": 2}.get(case, 0)
+
+
+class _Stdout:
+    def __init__(self, events, error=None):
+        self.events, self.error = events, error
+
+    def write(self, text):
+        self.events.append(("write", text))
+
+    def flush(self):
+        self.events.append("flush")
+        if self.error:
+            raise self.error
+
+
+def test_run_flushes_stdout_then_exits_with_mains_code(capsys, monkeypatch):
+    from templex import cli
+    events = []
+
+    def writing():
+        sys.stdout.write("out\n")
+        return 1
+
+    monkeypatch.setattr(sys, "stdout", _Stdout(events))
+    monkeypatch.setattr(cli, "main", writing)
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+    cli.run()
+    assert events == [("write", "out\n"), "flush", ("exit", 1)]
+
+
+def test_run_reports_a_failed_flush_as_exit_two(capsys, monkeypatch):
+    from templex import cli
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Stdout(events, BrokenPipeError(32, "Broken pipe")))
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))
+    cli.run()
+    assert events == ["flush", ("exit", 2)]
+    assert capsys.readouterr().err == "templex: error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), SystemExit(0), KeyboardInterrupt()])
+def test_run_lets_an_escaping_exception_propagate(monkeypatch, exc):
+    from templex import cli
+
+    def failing():
+        raise exc
+
+    codes = []
+    monkeypatch.setattr(cli, "main", failing)
+    monkeypatch.setattr(os, "_exit", codes.append)
+    with pytest.raises(type(exc)):
+        cli.run()
+    assert codes == []
+
+
+def test_console_script_is_run():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert 'templex = "templex.cli:run"' in pyproject.read_text().splitlines()

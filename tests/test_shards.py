@@ -329,6 +329,19 @@ def test_bad_token_line_in_the_last_shard(tmp_path, replica, pools, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["extract", "wsd", "tune"])
+def test_non_utf8_byte_in_the_last_shard(tmp_path, replica, pools, capsys, command):
+    lines = replica_lines(replica)
+    at = last_token_line(lines)
+    path = tmp_path / "latin1.vrt"
+    lines[at] = lines[at].replace("\t", "\xe9\t", 1)
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    errors = errors_at_each_jobs(command, path, tmp_path, capsys)
+    assert errors == [f"templex: error: {path}:{at + 1}: "
+                      "not UTF-8: byte 0xe9 (invalid continuation byte)\n"] * 3
+    assert pools == []  # read whole in the parent, before any fork
+
+
+@pytest.mark.parametrize("command", ["extract", "wsd", "tune"])
 @pytest.mark.parametrize("case", ["repeat", "repeat then bad token", "bad token then repeat",
                                   "repeat of the unnamed first document"])
 def test_repeated_id_across_shards(tmp_path, replica, pools, capsys, command, case):
