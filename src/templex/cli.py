@@ -1,13 +1,12 @@
 """Single command-line entry point for the extraction engine.
 
-Subcommands: validate, tune, wsd, extract, kwic, patterns.  Every run is a
-deterministic function of its input files and flags; the effective semantic
-parameters are echoed into each output's provenance.  Exit codes: 0 success,
-1 diagnostics with errors, 2 usage or I/O errors.
+Subcommands: validate, tune, wsd, extract, kwic, patterns.  Each takes only
+the settings it reads.  Every run is a deterministic function of its input
+files and flags, and echoes the settings that shaped its output into it.
+Exit codes: 0 success, 1 diagnostics with errors, 2 usage or I/O errors.
 
-`wsd`, `tune` and `extract` run a document shard per CPU, or per `--jobs`
-(`templex.shards`; `extract` runs one unless asked): each reads and counts
-its own documents, and all train on the merged counts.
+`wsd`, `tune` and `extract` run a document shard per CPU or per `--jobs`
+(`templex.shards`); each shard reads and counts its own documents.
 """
 
 from __future__ import annotations
@@ -28,30 +27,33 @@ if TYPE_CHECKING:
 
 _ON_OFF = ("on", "off")
 
-# Every run setting: name -> (type, default, role, help).  The flags, the
-# config-file keys, the defaults, the layering and the checks all come from
-# here, in this order.  A bool that defaults to off is a bare switch; one
-# that defaults to on takes `on|off`.  A tuple type lists the choices of a
-# str.  Role "input" names a file that must exist; the "echo" settings shape
-# the output, which echoes them in table order.  `jobs` is never echoed: it
-# may not change an output byte.  Its default, None, runs a shard per CPU.
+# Every run setting: name -> (type, default, role, readers, help).  Its flag,
+# config key, default, layering, checks and echo all come from here, in table
+# order, for its `readers` (subcommands) alone.  A bool that defaults to off
+# is a bare switch; one that defaults to on takes `on|off`.  A tuple type
+# lists the choices of a str.  Role "input" names a file that must exist;
+# "echo" settings shape the output, which echoes them, and so do "match" ones
+# if the foreground matcher ran.  `jobs` is never echoed: it may not change an
+# output byte.  Its default, None, runs a shard per CPU.
 _SETTINGS = {
-    "ontology": (str, None, "input", None),
-    "fg_lexicon": (str, None, "input", None),
-    "bg_lexicon": (str, None, "input", None),
-    "collapse_map": (str, None, "input", None),
-    "tuned_lexicon": (str, None, "input", None),
-    "corpus": (str, None, "input", None),
-    "raw": (bool, False, None, "corpus is raw text, not vertical format"),
-    "output": (str, None, None, "output path (default: stdout)"),
-    "window": (int, 10, "echo", None),
-    "alpha": (float, 0.1, "echo", None),
-    "min_occurrences": (int, 5, "echo", None),
-    "ospd": (bool, True, "echo", None),
-    "passive_implicature": (bool, True, "echo", None),
-    "order": (("bg-first", "fg-first"), "bg-first", "echo", None),
-    "jobs": (int, None, None, None),
-    "lang": (str, "en", "echo", None),
+    "ontology": (str, None, "input", "validate tune wsd extract", None),
+    "fg_lexicon": (str, None, "input", "validate wsd extract", None),
+    "bg_lexicon": (str, None, "input", "validate tune wsd extract", None),
+    "collapse_map": (str, None, "input", "tune wsd extract", None),
+    "tuned_lexicon": (str, None, "input", "tune wsd extract", None),
+    "corpus": (str, None, "input", "tune wsd extract kwic patterns", None),
+    "raw": (bool, False, None, "tune wsd extract kwic patterns",
+            "corpus is raw text, not vertical format"),
+    "output": (str, None, None, "validate tune wsd extract kwic patterns",
+               "output path (default: stdout)"),
+    "window": (int, 10, "echo", "tune wsd extract patterns", None),
+    "alpha": (float, 0.1, "echo", "tune wsd extract", None),
+    "min_occurrences": (int, 5, "echo", "tune", None),
+    "ospd": (bool, True, "echo", "tune wsd extract", None),
+    "passive_implicature": (bool, True, "match", "wsd extract", None),
+    "order": (("bg-first", "fg-first"), "bg-first", "match", "wsd extract", None),
+    "jobs": (int, None, None, "tune wsd extract", None),
+    "lang": (str, "en", "match", "wsd extract", None),
 }
 _BOOLEANS = {"on": True, "true": True, "off": False, "false": False}
 
@@ -97,16 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="config file (key = value lines)")
-        for key, (kind, default, _, text) in _SETTINGS.items():
-            if name == "validate" and key in ("corpus", "raw"):
+        for key, (kind, default, _, readers, text) in _SETTINGS.items():
+            if name not in readers.split():
                 continue
             flag = "--" + key.replace("_", "-")
             if kind is bool and not default:
                 p.add_argument(flag, action="store_true", default=None, help=text)
-            elif kind is bool:
-                p.add_argument(flag, choices=_ON_OFF, help=text)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, choices=kind, help=text)
+            elif kind is bool or isinstance(kind, tuple):
+                p.add_argument(flag, choices=_ON_OFF if kind is bool else kind, help=text)
             else:
                 p.add_argument(flag, type=None if kind is str else kind, help=text)
 
@@ -122,10 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(cfg: argparse.Namespace) -> None:
-    """Set every setting in `cfg`: its flag, else the config file, else its default."""
+    """Set each setting `cfg.command` reads: its flag, else the config file, else its default."""
     given = load_config_file(cfg.config) if cfg.config else {}
-    for name, (kind, default, role, _) in _SETTINGS.items():
-        value = getattr(cfg, name, None)
+    for name, (kind, default, role, readers, _) in _SETTINGS.items():
+        if cfg.command not in readers.split():
+            continue
+        value = getattr(cfg, name)
         if value is None:
             value = given.get(name, default)
         elif kind is bool and value in _ON_OFF:
@@ -133,23 +135,18 @@ def _configure(cfg: argparse.Namespace) -> None:
         if role == "input" and value is not None and not os.path.exists(value):
             raise OSError(f"{name.replace('_', '-')} file not found: {value}")
         if kind in (int, float) and value is not None and not 0 < value < math.inf:
-            numbers = [n.replace("_", "-") for n, row in _SETTINGS.items()
-                       if row[0] in (int, float)]
-            raise ValueError(f"{', '.join(numbers[:-1])} and {numbers[-1]} must be "
+            raise ValueError(f"{name.replace('_', '-')} must be "
                              + ("positive" if value <= 0 else "finite"))
+        if name == "order" and value not in kind:
+            raise ValueError(f"bad pipeline order {value!r}")
         setattr(cfg, name, value)
-    if cfg.order not in _SETTINGS["order"][0]:
-        raise ValueError(f"bad pipeline order {cfg.order!r}")
 
 
-def _echo(cfg: argparse.Namespace) -> dict:
-    """The settings that shape the output, as `wsd` and `extract` echo them."""
-    echo = {}
-    for name, (kind, _, role, _) in _SETTINGS.items():
-        if role == "echo":
-            value = getattr(cfg, name)
-            echo[name] = str(value).lower() if kind is bool else value
-    return echo
+def _echo(cfg: argparse.Namespace, matched: bool) -> dict:
+    """The settings that shaped a `wsd` or `extract` output: the matcher's if it `matched`."""
+    return {name: str(getattr(cfg, name)).lower() if kind is bool else getattr(cfg, name)
+            for name, (kind, _, role, readers, _) in _SETTINGS.items()
+            if cfg.command in readers.split() and (role == "echo" or role == "match" and matched)}
 
 
 def _write_out(cfg: argparse.Namespace, text: str) -> None:
@@ -210,9 +207,7 @@ def _cmd_validate(cfg: argparse.Namespace) -> int:
         bg = bgmod.load_bg_lexicon(read_text(cfg.bg_lexicon), cfg.bg_lexicon)
         for problem in bgmod.validate_bg(bg, onto):
             diags.append(fgmod.Diagnostic("error", cfg.bg_lexicon, problem))
-    out = "".join(f"{d}\n" for d in diags)
-    out += f"{len(diags)} diagnostic(s)\n"
-    _write_out(cfg, out)
+    _write_out(cfg, "".join(f"{d}\n" for d in diags) + f"{len(diags)} diagnostic(s)\n")
     return 1 if any(d.severity == "error" for d in diags) else 0
 
 
@@ -229,7 +224,8 @@ def _cmd_tune(cfg: argparse.Namespace) -> int:
         return tunemod.count_senses(tags)
 
     parts = shards.shard_texts(cfg, onto, bg, None, render)
-    tuned = tunemod.finish(bg, parts, params, os.path.basename(cfg.corpus))
+    corpus_id = "_".join(os.path.basename(cfg.corpus).split())  # as the reader splits
+    tuned = tunemod.finish(bg, parts, params, corpus_id)
     _write_out(cfg, tunemod.save_tuned_lexicon(tuned))
     return 0
 
@@ -254,7 +250,7 @@ def _cmd_wsd(cfg: argparse.Namespace) -> int:
     texts = shards.shard_texts(cfg, onto, bg, fg, render)
     # the `#CONFIG` line alone; documents are separated by a blank line,
     # so shard texts are joined by one too
-    header = wsdmod.dump_tagged_corpus([], {}, _echo(cfg))
+    header = wsdmod.dump_tagged_corpus([], {}, _echo(cfg, fg is not None))
     _write_out(cfg, "\n".join([header, *texts]))
     return 0
 
@@ -282,7 +278,7 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
             exmod.fill_templates(matches, tags, analyses, onto))
 
     texts = shards.shard_texts(cfg, onto, bg, fg, render, on_demand=True)
-    header = json.dumps({"config": _echo(cfg)}, ensure_ascii=False)
+    header = json.dumps({"config": _echo(cfg, True)}, ensure_ascii=False)
     _write_out(cfg, header + "\n" + "".join(texts))
     return 0
 
@@ -293,9 +289,8 @@ def _load_query_corpus(cfg: argparse.Namespace, with_tags: bool = True):
         return textpipe.load_tagged_corpus(read_text(cfg.tagged), cfg.tagged,
                                            with_tags=with_tags)
     _require(cfg, "corpus")
-    doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
-    docs = textpipe.read_corpus(read_text(cfg.corpus), raw=cfg.raw, doc_id=doc_id,
-                                path=cfg.corpus)
+    docs = textpipe.read_corpus(read_text(cfg.corpus), raw=cfg.raw,
+                                doc_id=textpipe.doc_id_of(cfg.corpus), path=cfg.corpus)
     return [textpipe.tag_fallback(d) for d in docs] if cfg.raw else docs, None
 
 
@@ -318,8 +313,7 @@ def _cmd_patterns(cfg: argparse.Namespace) -> int:
     analyses = [textpipe.analyze(d) for d in docs]
     entries = workbench.pattern_report(analyses, tags, cfg.target,
                                        window=cfg.window, top=cfg.top)
-    out = (f"# patterns target={cfg.target} top={cfg.top} "
-           f"window={cfg.window}\n")
+    out = f"# patterns target={cfg.target} top={cfg.top} window={cfg.window}\n"
     out += workbench.format_report(entries, tsv=cfg.tsv)
     _write_out(cfg, out)
     return 0

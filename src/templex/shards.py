@@ -176,7 +176,7 @@ def shard_texts(cfg, onto, bg, fg, render, *, on_demand: bool = False) -> list:
     from . import wsd as wsdmod
 
     text = read_text(cfg.corpus)
-    doc_id = os.path.splitext(os.path.basename(cfg.corpus))[0]
+    doc_id = textpipe.doc_id_of(cfg.corpus)
     # raw text is one document: one block
     cuts = [0, len(text)] if cfg.raw else document_cuts(text, doc_id)
 

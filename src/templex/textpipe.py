@@ -9,6 +9,7 @@ acceptance fixtures bound.
 
 from __future__ import annotations
 
+import os
 import re
 from typing import NamedTuple
 
@@ -135,6 +136,11 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
     if raw:
         return [_read_raw(text, doc_id)]
     return _read_vertical(text, 3, doc_id, path, None, first_line)
+
+
+def doc_id_of(path: str) -> str:
+    """The `doc_id` of `read_corpus` for a file: its stem, each whitespace run one `_`."""
+    return re.sub(r"\s+", "_", os.path.splitext(os.path.basename(path))[0])
 
 
 def load_tagged_corpus(text: str, path: str = "<string>", *, with_tags: bool = True) \

@@ -230,17 +230,18 @@ def test_criterion_8_decision_list():
 
 
 def test_criterion_9_determinism(tmp_path):
+    fg = ["--fg-lexicon", fixture_path("succession.fglex")]  # `tune` reads none
     common = ["--ontology", fixture_path("succession.onto"),
-              "--fg-lexicon", fixture_path("succession.fglex"),
               "--bg-lexicon", fixture_path("succession.bglex"),
               "--collapse-map", fixture_path("succession.collapse"),
               "--corpus", fixture_path("succession.vrt")]
     outputs = {}
     for cmd in ("extract", "tune", "wsd"):
         blobs = []
+        args = common if cmd == "tune" else [*common, *fg]
         for run_idx, jobs in ((0, "1"), (1, "1"), (2, "8")):
             out = tmp_path / f"{cmd}{run_idx}"
-            rc = cli_main([cmd, *common, "--jobs", jobs, "--output", str(out)])
+            rc = cli_main([cmd, *args, "--jobs", jobs, "--output", str(out)])
             assert rc == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]

@@ -17,14 +17,16 @@ def run(args):
 
 
 def base_args(tmp_path, command, out_name, extra=()):
+    """A run over the succession fixture; `tune` takes no foreground lexicon."""
     out = tmp_path / out_name
     args = [command,
             "--ontology", fixture_path("succession.onto"),
-            "--fg-lexicon", fixture_path("succession.fglex"),
             "--bg-lexicon", fixture_path("succession.bglex"),
             "--collapse-map", fixture_path("succession.collapse"),
             "--corpus", fixture_path("succession.vrt"),
             "--output", str(out)]
+    if command != "tune":
+        args += ["--fg-lexicon", fixture_path("succession.fglex")]
     args.extend(extra)
     return args, out
 
@@ -255,6 +257,30 @@ def test_config_file_layering(tmp_path):
     assert run(["wsd", "--config", str(cfg), "--window", "4",
                 "--output", str(out2)]) == 0
     assert "window=4" in out2.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("raw", [True, False])
+def test_a_file_name_with_whitespace_gives_ids_that_read_back(tmp_path, raw):
+    # a document that no `#DOC` line opens is named after its file
+    corpus = tmp_path / "my \t corpus.x.txt"
+    if raw:
+        corpus.write_text("The school dismissed the teacher.\n")
+    else:
+        # the fixture's first document, without its `#DOC` line
+        corpus.write_text(fixture_text("succession.vrt").split("#DOC ")[1].split("\n", 1)[1])
+    inputs = ["--ontology", fixture_path("succession.onto"),
+              "--corpus", str(corpus), *(["--raw"] if raw else [])]
+    bg = ["--bg-lexicon", fixture_path("succession.bglex")]
+    tagged, tuned = tmp_path / "t.vrt", tmp_path / "t.tl"
+    assert run(["wsd", *inputs, *bg, "--output", str(tagged)]) == 0
+    assert tagged.read_text().splitlines()[1] == "#DOC my_corpus.x"
+    assert run(["kwic", "--tagged", str(tagged), "--query", "lemma=the",
+                "--output", str(tmp_path / "k.txt")]) == 0
+    assert "my_corpus.x:0 " in (tmp_path / "k.txt").read_text()
+    # and so is a tuned lexicon's corpus
+    assert run(["tune", *inputs, *bg, "--output", str(tuned)]) == 0
+    assert tuned.read_text().splitlines()[1] == "corpus my_corpus.x.txt"
+    assert run(["wsd", *inputs, "--tuned-lexicon", str(tuned), "--output", str(tagged)]) == 0
 
 
 def test_raw_mode_end_to_end(tmp_path):

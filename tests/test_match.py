@@ -206,6 +206,48 @@ def test_multiple_fits_resolved_by_discriminators(onto):
     assert retagged[("x", 0, 3)].method == "decision_list"
 
 
+def _three_boots(rules_a: str, rules_b: str) -> object:
+    """`boot` with senses fga, fgb and fgc, in that order, of concepts A, B
+    and C; A and B carry `rules_a` and `rules_b` (`<sense> when <feature>`
+    lines), and C wants a PERSON subject, so it never fits a firm's boot."""
+    concept = ("concept {}-EVENT\n  template SUCCESSION\n  arg org : {} -> ORGANIZATION\n"
+               "  arg person : INDIVIDUAL -> PERSON_OUT\n")
+    return load_fg_lexicon(
+        concept.format("A", "EMPLOYER") + "".join(f"  discriminate {r}\n" for r in rules_a)
+        + concept.format("B", "EMPLOYER") + "".join(f"  discriminate {r}\n" for r in rules_b)
+        + concept.format("C", "INDIVIDUAL")
+        + "".join(f"word boot verb sense fg{x} -> {x.upper()}-EVENT\n"
+                  "  map subj -> org\n  map dobj -> person\n" for x in "abc"))
+
+
+@pytest.mark.parametrize("rules_a, rules_b, chosen", [
+    # the first matching rule decides, in rule order...
+    (["fgb when window:politely", "fga when left:firm"], [], "fgb"),
+    # ...over the fitting senses' rules joined in lexicon order
+    (["fgb when window:politely"], ["fga when left:firm"], "fgb"),
+    ([], ["fga when left:firm", "fgb when window:politely"], "fga"),
+    # the window crosses the sentence end: `politely` is 4 tokens on
+    (["fgb when window:politely"], [], "fgb"),
+    (["fgb when window:unheard"], [], None),
+    # a rule that names a sense that does not fit decides for none, even
+    # when a later rule names one that does
+    (["fgc when left:firm", "fga when window:politely"], [], None),
+])
+def test_discriminators_decide_by_the_first_matching_rule(onto, rules_a, rules_b, chosen):
+    corpus = read_corpus(
+        "#DOC x\nThe\tthe\tDET\nfirm\tfirm\tNN\nbooted\tboot\tVBD\n"
+        "the\tthe\tDET\nteacher\tteacher\tNN\n.\t.\tPUNCT\n\n"
+        "Politely\tpolitely\tADV\n.\t.\tPUNCT\n")
+    tags = {("x", 0, 1): _tag("x", 1, "firm", "s1", "ORGANISATION"),
+            ("x", 0, 4): _tag("x", 4, "teacher", "s1", "PERSON")}
+    matches, diags = match_foreground(analyze_corpus(corpus), _three_boots(rules_a, rules_b),
+                                      tags, onto, None)
+    assert [m.sense_id for m in matches] == ([chosen] if chosen else [])
+    assert len(diags) == (chosen is None)
+    if chosen:
+        assert matches[0].competitors == 1  # fga and fgb fit; fgc does not
+
+
 def _tag(doc, idx, lemma, sid, cls):
     from templex.wsd import SenseTag
     return SenseTag(doc, 0, idx, lemma, "noun", sid, cls, 0.0, "unambiguous")

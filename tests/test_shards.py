@@ -87,12 +87,16 @@ def alarm():
     pytest.param("fg-first --ospd off", id="fg-first-ospd-off")])
 @pytest.mark.parametrize("command", ["extract", "wsd", "wsd-fg", "tune"])
 def test_output_identical_across_jobs(tmp_path, replica, pools, command, order):
+    pipeline, *ospd = order.split()
     args = [command.split("-")[0],
             "--ontology", fixture_path("succession.onto"),
             "--bg-lexicon", fixture_path("succession.bglex"),
             "--collapse-map", fixture_path("succession.collapse"),
-            "--corpus", replica, "--order", *order.split()]
-    if command != "wsd":
+            "--corpus", replica, *ospd]
+    # `tune` runs no foreground matcher, the only reader of --order
+    if command != "tune":
+        args += ["--order", pipeline]
+    if command not in ("wsd", "tune"):
         args += ["--fg-lexicon", fixture_path("succession.fglex")]
     outputs = []
     for jobs in ("1", "2", "3"):
@@ -137,12 +141,12 @@ def test_one_job_starts_no_pool(tmp_path, replica, pools, monkeypatch):
 
     for name in ("dump", "dumps", "load", "loads"):
         monkeypatch.setattr(pickle, name, refuse)
-    args = ["extract", "--ontology", fixture_path("succession.onto"),
-            "--fg-lexicon", fixture_path("succession.fglex"),
-            "--bg-lexicon", fixture_path("succession.bglex"),
-            "--collapse-map", fixture_path("succession.collapse")]
+    lexicons = ["--ontology", fixture_path("succession.onto"),
+                "--bg-lexicon", fixture_path("succession.bglex"),
+                "--collapse-map", fixture_path("succession.collapse")]
+    args = ["extract", *lexicons, "--fg-lexicon", fixture_path("succession.fglex")]
     assert main([*args, "--corpus", replica, "--jobs", "1", "--output", str(tmp_path / "o")]) == 0
-    assert main(["tune", *args[1:], "--corpus", replica, "--jobs", "1",
+    assert main(["tune", *lexicons, "--corpus", replica, "--jobs", "1",
                  "--output", str(tmp_path / "t")]) == 0
     # a raw-text corpus is one document, so one shard at any --jobs
     raw = tmp_path / "raw.txt"
