@@ -237,16 +237,3 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
         out.senses_by_key[key] = merged
     return out
 
-
-def dump_bg_lexicon(lex: BgLexicon) -> str:
-    """Serialise sense lines (sorted) in the load format.
-
-    On a collapsed lexicon the class column holds the coarse class, so a
-    reload yields an already-collapsed lexicon under an identity scheme.
-    """
-    lines = []
-    for key in sorted(lex.senses_by_key):
-        for s in lex.senses_by_key[key]:
-            line = sense_line(s, lex.collapsed)
-            lines.append(f"{line} # {s.gloss}" if s.gloss else line)
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -7,22 +7,17 @@ from __future__ import annotations
 class ParseError(ValueError):
     """Malformed input in one of the line-oriented file formats."""
 
-    def __init__(self, message: str, *, path: str | None = None,
-                 line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         self.message = message
         self.path = path
         self.line = line
-        self.column = column
         where = path or "<input>"
         if line is not None:
             where += f":{line}"
-            if column is not None:
-                where += f":{column}"
         super().__init__(f"{where}: {message}")
 
     def __reduce__(self):
-        return _rebuild, (type(self), (self.message,),
-                          {"path": self.path, "line": self.line, "column": self.column})
+        return _rebuild, (type(self), (self.message,), {"path": self.path, "line": self.line})
 
 
 class CycleError(ValueError):

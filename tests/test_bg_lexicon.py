@@ -3,7 +3,6 @@ from hypothesis import given, settings
 
 from templex import (ParseError, collapse, default_collapse_map,
                      load_bg_lexicon, load_collapse_map, load_ontology)
-from templex.bg_lexicon import dump_bg_lexicon
 from helpers import collapse_cases, collapse_oracle
 
 TINY_ONTO = """\
@@ -129,17 +128,3 @@ def test_map_target_must_be_scheme_class():
         load_collapse_map("scheme noun A\nmap B -> C\n")
 
 
-def test_dump_reload_roundtrip(bg):
-    text = dump_bg_lexicon(bg)
-    again = load_bg_lexicon(text)
-    assert dump_bg_lexicon(collapse_like(again)) == text
-
-
-def collapse_like(lex):
-    # a dumped collapsed lexicon reloads with the coarse class in the fine
-    # column; mark it collapsed with coarse = fine for comparison purposes
-    out_lex = type(lex)(collapsed=True)
-    for key, ss in lex.senses_by_key.items():
-        out_lex.senses_by_key[key] = [s._replace(coarse_class=s.fine_class)
-                                      for s in ss]
-    return out_lex

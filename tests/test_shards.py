@@ -550,7 +550,7 @@ def test_the_parent_reads_only_its_own_shard(tmp_path, replica, pools, monkeypat
 
 
 def test_errors_survive_the_process_boundary():
-    for exc in (ParseError("bad number 'x'", path="t.tl", line=3, column=7),
+    for exc in (ParseError("bad number 'x'", path="t.tl", line=3),
                 CycleError(["B", "A"], what="concept"),
                 LexiconError("t.tl: bank/noun/s1: unknown class X")):
         back = pickle.loads(pickle.dumps(exc))
