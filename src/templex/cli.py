@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, NoReturn
 from .errors import CycleError, LexiconError, ParseError, parse_number, read_text
 
 if TYPE_CHECKING:
-    from . import bg_lexicon as bgmod
     from . import ontology as ontomod
 
 
@@ -40,7 +39,6 @@ _SETTINGS = {
     "fg_lexicon": (str, None, "input", "validate wsd extract", None),
     "bg_lexicon": (str, None, "input", "validate tune wsd extract", None),
     "collapse_map": (str, None, "input", "tune wsd extract", None),
-    "tuned_lexicon": (str, None, "input", "tune wsd extract", None),
     "corpus": (str, None, "input", "tune wsd extract kwic patterns", None),
     "raw": (bool, False, None, "tune wsd extract kwic patterns",
             "corpus is raw text, not vertical format"),
@@ -168,29 +166,37 @@ def _load_ontology(cfg: argparse.Namespace) -> ontomod.Ontology:
     return ontomod.load_ontology(read_text(cfg.ontology), cfg.ontology)
 
 
-def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology):
-    """Collapsed background lexicon, tuned when a tuned lexicon is given."""
-    from . import bg_lexicon as bgmod
-    if cfg.tuned_lexicon:
+def _read_background(path: str):
+    """The `--bg-lexicon` file as (lexicon, tuned): a tuned lexicon's base and
+    the tuned lexicon if its first line is `tunedlex v1`, the test that
+    `load_tuned_lexicon` makes, else the background lexicon and None."""
+    text = read_text(path)
+    head = text.partition("\n")[0].splitlines()  # the first line, as splitlines ends it
+    if head and head[0].strip() == "tunedlex v1":
         from . import tuner as tunemod
-        tuned = tunemod.load_tuned_lexicon(read_text(cfg.tuned_lexicon), cfg.tuned_lexicon)
-        _check_classes(tuned.base, onto, cfg.tuned_lexicon)
-        return tunemod.apply_tuning(tuned)
+        tuned = tunemod.load_tuned_lexicon(text, path)
+        return tuned.base, tuned
+    from . import bg_lexicon as bgmod
+    return bgmod.load_bg_lexicon(text, path), None
+
+
+def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology):
+    """Collapsed background lexicon; a tuned lexicon is collapsed already, so
+    with one the collapse map is not read."""
+    from . import bg_lexicon as bgmod
     _require(cfg, "bg_lexicon")
-    bg = bgmod.load_bg_lexicon(read_text(cfg.bg_lexicon), cfg.bg_lexicon)
-    _check_classes(bg, onto, cfg.bg_lexicon)
+    bg, tuned = _read_background(cfg.bg_lexicon)
+    problems = bgmod.validate_bg(bg, onto)
+    if problems:
+        raise LexiconError(f"{cfg.bg_lexicon}: " + "; ".join(problems))
+    if tuned is not None:
+        from . import tuner as tunemod
+        return tunemod.apply_tuning(tuned)
     if cfg.collapse_map:
         cmap = bgmod.load_collapse_map(read_text(cfg.collapse_map), cfg.collapse_map)
     else:
         cmap = bgmod.default_collapse_map()
     return bgmod.collapse(bg, cmap, onto)
-
-
-def _check_classes(bg: bgmod.BgLexicon, onto: ontomod.Ontology, path: str) -> None:
-    from . import bg_lexicon as bgmod
-    problems = bgmod.validate_bg(bg, onto)
-    if problems:
-        raise LexiconError(f"{path}: " + "; ".join(problems))
 
 
 # ------------------------------------------------------------ subcommands
@@ -204,7 +210,7 @@ def _cmd_validate(cfg: argparse.Namespace) -> int:
     fg = fgmod.load_fg_lexicon(read_text(cfg.fg_lexicon), cfg.fg_lexicon)
     diags = fgmod.validate(fg, onto)
     if cfg.bg_lexicon:
-        bg = bgmod.load_bg_lexicon(read_text(cfg.bg_lexicon), cfg.bg_lexicon)
+        bg, _ = _read_background(cfg.bg_lexicon)
         for problem in bgmod.validate_bg(bg, onto):
             diags.append(fgmod.Diagnostic("error", cfg.bg_lexicon, problem))
     _write_out(cfg, "".join(f"{d}\n" for d in diags) + f"{len(diags)} diagnostic(s)\n")
@@ -218,7 +224,7 @@ def _cmd_tune(cfg: argparse.Namespace) -> int:
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
     bg = _load_background(cfg, onto)
-    params = tunemod.TuneParams(cfg.min_occurrences, cfg.window, cfg.alpha)
+    params = tunemod.TuneParams(cfg.min_occurrences, cfg.window, cfg.alpha, cfg.ospd)
 
     def render(shard, analyses, tags, matches):
         return tunemod.count_senses(tags)

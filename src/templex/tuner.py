@@ -26,6 +26,7 @@ class TuneParams(NamedTuple):
     min_occurrences: int = 5
     window: int = 10
     alpha: float = 0.1
+    ospd: bool = True
 
     def validate(self) -> None:
         for name in ("min_occurrences", "window"):
@@ -48,8 +49,7 @@ class TunedLexicon:
 
 
 def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
-         *, corpus_id: str = "", use_ospd: bool = True,
-         model: BayesModel | None = None) -> TunedLexicon:
+         *, corpus_id: str = "", model: BayesModel | None = None) -> TunedLexicon:
     """Eject unattested senses.
 
     A sense is ejected iff its lemma occurs at least min_occurrences times
@@ -67,7 +67,7 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
     if model is None:
         model = wsd.train_bayes(docs, bg, params.window, params.alpha)
     tags = wsd.disambiguate_background(model, docs, bg)
-    if use_ospd:
+    if params.ospd:
         tags = wsd.apply_ospd(tags, bg)
     return finish(bg, [count_senses(tags)], params, corpus_id)
 
@@ -124,7 +124,7 @@ def save_tuned_lexicon(tuned: TunedLexicon) -> str:
     lines = ["tunedlex v1",
              f"corpus {tuned.corpus_id or '-'}",
              f"params min_occurrences={p.min_occurrences} window={p.window} "
-             f"alpha={format_float(p.alpha)}"]
+             f"alpha={format_float(p.alpha)} ospd={str(p.ospd).lower()}"]
     for key in sorted(tuned.base.senses_by_key):
         lines.extend("sense " + sense_line(s, tuned.base.collapsed)
                      for s in tuned.base.senses_by_key[key])
@@ -134,7 +134,7 @@ def save_tuned_lexicon(tuned: TunedLexicon) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PARAM_TYPES = {"min_occurrences": int, "window": int, "alpha": float}
+_PARAM_TYPES = {"min_occurrences": int, "window": int, "alpha": float, "ospd": bool}
 
 
 def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
@@ -158,15 +158,17 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
         elif kind == "params":
             for tok in parts[1:]:
                 k, _, v = tok.partition("=")
-                number = _PARAM_TYPES.get(k)
-                if number is None:
+                typ = _PARAM_TYPES.get(k)
+                if typ is None:
                     raise ParseError(f"param {k!r} is no longer read; re-run tune" if k == "top_k"
                                      else f"unknown param {k!r}", path=path, line=lineno)
                 if k in given:
                     raise ParseError(f"param {k!r} given twice", path=path, line=lineno)
                 given.add(k)
-                tuned.params = tuned.params._replace(
-                    **{k: parse_number(number, v, path=path, line=lineno)})
+                if typ is bool and v not in ("true", "false"):
+                    raise ParseError(f"bad boolean {v!r}", path=path, line=lineno)
+                value = v == "true" if typ is bool else parse_number(typ, v, path=path, line=lineno)
+                tuned.params = tuned.params._replace(**{k: value})
             try:
                 tuned.params.validate()
             except ValueError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,11 +6,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import templex
+from templex import (TuneParams, apply_tuning, collapse, load_bg_lexicon, load_collapse_map,
+                     load_tuned_lexicon, read_corpus, save_tuned_lexicon, tune)
+from templex import cli
+from templex.bg_lexicon import BG_POS
 from templex.cli import main
 from templex.errors import ParseError, read_text
-from helpers import fixture_path, fixture_text
+from templex.ontology import Ontology, SemClass
+from helpers import fixture_path, fixture_text, training_sets
 
 
 def run(args):
@@ -47,19 +55,27 @@ def test_tuned_lexicon_runs_match_golden(tmp_path):
     targs, tuned = base_args(tmp_path, "tune", "t.tl", ["--min-occurrences", "2"])
     assert run(targs) == 0
     assert tuned.read_bytes() == Path(fixture_path("succession_min2.tunedlex")).read_bytes()
-    # the 8 ejected senses change background tags but no extracted instance
-    for command, gold, extra in (
-            ("extract", "succession_gold.jsonl",
-             ["--fg-lexicon", fixture_path("succession.fglex")]),
-            ("wsd", "succession_tuned_gold.vrt", [])):
-        out = tmp_path / f"{command}.out"
-        args = [command,
-                "--ontology", fixture_path("succession.onto"),
-                "--tuned-lexicon", str(tuned),
-                "--corpus", fixture_path("succession.vrt"),
-                "--output", str(out), *extra]
-        assert run(args) == 0
-        assert out.read_bytes() == Path(fixture_path(gold)).read_bytes()
+    # a tuned lexicon is a background lexicon: `--bg-lexicon` reads it, at
+    # every `--jobs`; the 8 ejected senses change background tags but no
+    # extracted instance
+    inputs = ["--ontology", fixture_path("succession.onto"), "--bg-lexicon", str(tuned),
+              "--corpus", fixture_path("succession.vrt")]
+    # `tune` reads one too, and ejects from its surviving senses
+    retuned = save_tuned_lexicon(tune(
+        apply_tuning(load_tuned_lexicon(tuned.read_text())),
+        read_corpus(fixture_text("succession.vrt")), TuneParams(2), corpus_id="succession.vrt"))
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
+        for command, gold, extra in (
+                ("extract", "succession_gold.jsonl",
+                 ["--fg-lexicon", fixture_path("succession.fglex")]),
+                ("wsd", "succession_tuned_gold.vrt", []),
+                ("tune", None, ["--min-occurrences", "2"])):
+            out = tmp_path / f"{command}.out"
+            assert run([command, *inputs, "--output", str(out), *extra, *jobs]) == 0
+            if gold is None:
+                assert out.read_text() == retuned
+            else:
+                assert out.read_bytes() == Path(fixture_path(gold)).read_bytes()
 
 
 def test_wsd_fg_lexicon_matches_golden(tmp_path):
@@ -96,6 +112,17 @@ def test_tune_deterministic(tmp_path):
     assert "eject bank noun s2" in out1.read_text()
 
 
+def test_tune_records_ospd(tmp_path):
+    args, out = base_args(tmp_path, "tune", "off.tl", ["--min-occurrences", "2", "--ospd", "off"])
+    assert run(args) == 0
+    lines, gold = out.read_text().splitlines(), fixture_text("succession_min2.tunedlex").splitlines()
+    assert lines[2] == "params min_occurrences=2 window=10 alpha=0.100000 ospd=false"
+    # without OSPD a bank token keeps the landform sense, which then stays
+    assert set(gold) - set(lines) == {gold[2], "eject bank noun s2"}
+    assert set(lines) - set(gold) == {lines[2]}
+    assert load_tuned_lexicon(out.read_text()).params.ospd is False
+
+
 def test_extract_with_tuned_lexicon(tmp_path):
     targs, tuned = base_args(tmp_path, "tune", "t.tl")
     assert run(targs) == 0
@@ -103,7 +130,7 @@ def test_extract_with_tuned_lexicon(tmp_path):
     args = ["extract",
             "--ontology", fixture_path("succession.onto"),
             "--fg-lexicon", fixture_path("succession.fglex"),
-            "--tuned-lexicon", str(tuned),
+            "--bg-lexicon", str(tuned),
             "--corpus", fixture_path("succession.vrt"),
             "--output", str(out)]
     assert run(args) == 0
@@ -230,7 +257,7 @@ def test_wsd_with_tuned_lexicon(tmp_path):
     out = tmp_path / "tagged.vrt"
     args = ["wsd",
             "--ontology", fixture_path("succession.onto"),
-            "--tuned-lexicon", str(tuned),
+            "--bg-lexicon", str(tuned),
             "--corpus", fixture_path("succession.vrt"),
             "--output", str(out)]
     assert run(args) == 0
@@ -280,7 +307,7 @@ def test_a_file_name_with_whitespace_gives_ids_that_read_back(tmp_path, raw):
     # and so is a tuned lexicon's corpus
     assert run(["tune", *inputs, *bg, "--output", str(tuned)]) == 0
     assert tuned.read_text().splitlines()[1] == "corpus my_corpus.x.txt"
-    assert run(["wsd", *inputs, "--tuned-lexicon", str(tuned), "--output", str(tagged)]) == 0
+    assert run(["wsd", *inputs, "--bg-lexicon", str(tuned), "--output", str(tagged)]) == 0
 
 
 def test_raw_mode_end_to_end(tmp_path):
@@ -323,7 +350,7 @@ def _extract_with_tuned(tmp_path, text):
     args = ["extract",
             "--ontology", fixture_path("succession.onto"),
             "--fg-lexicon", fixture_path("succession.fglex"),
-            "--tuned-lexicon", str(tuned),
+            "--bg-lexicon", str(tuned),
             "--corpus", fixture_path("succession.vrt"),
             "--output", str(tmp_path / "out.jsonl")]
     return run(args), str(tuned)
@@ -333,7 +360,7 @@ def test_tuned_lexicon_with_a_tiny_alpha_reloads(tmp_path):
     targs, tuned = base_args(tmp_path, "tune", "t.tl",
                              ["--min-occurrences", "2", "--alpha", "0.0000001"])
     assert run(targs) == 0
-    assert " alpha=1e-07\n" in tuned.read_text()
+    assert " alpha=1e-07 ospd=true\n" in tuned.read_text()
     code, _ = _extract_with_tuned(tmp_path, tuned.read_text())
     assert code == 0
 
@@ -407,6 +434,79 @@ def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}: bank/noun/s1: unknown class NOSUCH" in err
     assert "school" not in err
+
+
+def test_validate_checks_a_tuned_lexicon(tmp_path, capsys):
+    args = ["validate", "--ontology", fixture_path("succession.onto"),
+            "--fg-lexicon", fixture_path("succession.fglex"),
+            "--bg-lexicon", fixture_path("succession_min2.tunedlex")]
+    assert run(args) == 0
+    assert capsys.readouterr().out == "0 diagnostic(s)\n"
+    bad = tmp_path / "bad.tl"
+    bad.write_text(fixture_text("succession_min2.tunedlex").replace(
+        "sense bank noun s1 ORGANISATION", "sense bank noun s1 NOSUCH"))
+    args[-1] = str(bad)
+    assert run(args) == 1
+    assert capsys.readouterr().out == (f"error: {bad}: bank/noun/s1: unknown class NOSUCH\n"
+                                       "1 diagnostic(s)\n")
+
+
+_ONTO_CLASSES = ("ACT", "LOC", "ORG", "PER", "BANK")
+_LOADER_ONTO = Ontology({c: SemClass(c, "ORG" if c == "BANK" else None)
+                         for c in _ONTO_CLASSES}, {})
+_LOADER_MAP = "scheme noun LOC ORG PER\nscheme verb ACT\n"
+
+
+@st.composite
+def _bg_lexicon_texts(draw):
+    """Background lexicon text over `_LOADER_ONTO`: each sense's class has an
+    image in its part of speech's scheme; with restrictions, glosses and a
+    comment line."""
+    lines = ["# a background lexicon"]
+    for lemma in draw(st.lists(st.sampled_from(["bank", "Sack", "firm"]), min_size=1,
+                               max_size=3, unique=True)):
+        for pos in draw(st.lists(st.sampled_from(BG_POS), min_size=1, max_size=2, unique=True)):
+            classes = {"noun": ("LOC", "ORG", "PER", "BANK"), "verb": ("ACT",)}.get(
+                pos, _ONTO_CLASSES)
+            for sid in draw(st.lists(st.sampled_from(["s1", "s2", "s10"]), min_size=1,
+                                     max_size=3, unique=True)):
+                line = f"{lemma} {pos} {sid} {draw(st.sampled_from(classes))}"
+                if draw(st.booleans()):
+                    line += f" obj={draw(st.sampled_from(_ONTO_CLASSES))}"
+                if draw(st.booleans()):
+                    line += f" # gloss of {sid}"
+                lines.append(line)
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def _tuned_lexicon_texts(draw):
+    """`save_tuned_lexicon(tune(...))` over a generated corpus and lexicon."""
+    docs, bg = draw(training_sets(verbs=True))
+    params = TuneParams(draw(st.integers(1, 3)), draw(st.integers(1, 4)), 0.1,
+                        draw(st.booleans()))
+    try:
+        return save_tuned_lexicon(tune(bg, docs, params, corpus_id="c.vrt"))
+    except ValueError as exc:
+        assert "anchors" in str(exc)
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(_bg_lexicon_texts(), _tuned_lexicon_texts()))
+def test_the_background_loader_reads_either_format(tmp_path_factory, text):
+    lexicon = tmp_path_factory.getbasetemp() / "either.lex"
+    lexicon.write_text(text)
+    cmap = tmp_path_factory.getbasetemp() / "either.collapse"
+    cmap.write_text(_LOADER_MAP)
+    got = cli._load_background(
+        argparse.Namespace(bg_lexicon=str(lexicon), collapse_map=str(cmap)), _LOADER_ONTO)
+    if text.startswith("tunedlex v1\n"):
+        want = apply_tuning(load_tuned_lexicon(text))
+    else:
+        want = collapse(load_bg_lexicon(text), load_collapse_map(_LOADER_MAP), _LOADER_ONTO)
+    assert got.collapsed and want.collapsed
+    assert list(got.senses_by_key.items()) == list(want.senses_by_key.items())
 
 
 # ------------------------------------------------- what each command imports
@@ -545,8 +645,10 @@ _TAGGED = fixture_path("succession_tuned_gold.vrt")
     (_EXTRACT, "--collapse-map", "succession.collapse"),
     (_EXTRACT, "--corpus", "succession.vrt"),
     (["extract", "--ontology", _ONTO, "--fg-lexicon", _FG,
-      "--tuned-lexicon", fixture_path("succession_min2.tunedlex"),
-      "--corpus", fixture_path("succession.vrt")], "--tuned-lexicon", "succession_min2.tunedlex"),
+      "--bg-lexicon", fixture_path("succession_min2.tunedlex"),
+      "--corpus", fixture_path("succession.vrt")], "--bg-lexicon", "succession_min2.tunedlex"),
+    ([*_VALIDATE[:-1], fixture_path("succession_min2.tunedlex")],
+     "--bg-lexicon", "succession_min2.tunedlex"),
     (["kwic", "--query", "lemma=bank", "--corpus", fixture_path("succession.vrt")],
      "--corpus", "succession.vrt"),
     (["kwic", "--query", "lemma=bank", "--tagged", _TAGGED],

@@ -27,7 +27,6 @@ _OPTIONS = {row[1]: row for row in [
     (("--fg-lexicon",), "fg_lexicon", None, None, None, False, None, None),
     (("--bg-lexicon",), "bg_lexicon", None, None, None, False, None, None),
     (("--collapse-map",), "collapse_map", None, None, None, False, None, None),
-    (("--tuned-lexicon",), "tuned_lexicon", None, None, None, False, None, None),
     (("--corpus",), "corpus", None, None, None, False, None, None),
     (("--raw",), "raw", None, None, None, False, 0,
      "corpus is raw text, not vertical format"),
@@ -51,11 +50,11 @@ _OPTIONS = {row[1]: row for row in [
     (("--tsv",), "tsv", None, None, False, False, 0, None),
 ]}
 # the options each command takes, in order: exactly the settings it reads
-_PIPELINE = "ontology fg_lexicon bg_lexicon collapse_map tuned_lexicon corpus raw output " \
+_PIPELINE = "ontology fg_lexicon bg_lexicon collapse_map corpus raw output " \
             "window alpha ospd passive_implicature order jobs lang"
 TAKES = {
     "validate": "config ontology fg_lexicon bg_lexicon output",
-    "tune": "config ontology bg_lexicon collapse_map tuned_lexicon corpus raw output "
+    "tune": "config ontology bg_lexicon collapse_map corpus raw output "
             "window alpha min_occurrences ospd jobs",
     "wsd": "config " + _PIPELINE,
     "extract": "config " + _PIPELINE,
@@ -87,9 +86,9 @@ def test_parser_surface_is_pinned():
                        a.required, a.nargs, a.help) for a in p._actions]
                for name, p in sub.choices.items()}
     assert surface == SURFACE
-    # 67 options in all, not counting --help
+    # 64 options in all, not counting --help
     assert {name: len(options) - 1 for name, options in surface.items()} == {
-        "validate": 5, "tune": 13, "wsd": 16, "extract": 16, "kwic": 8, "patterns": 9}
+        "validate": 5, "tune": 12, "wsd": 15, "extract": 15, "kwic": 8, "patterns": 9}
 
 
 # a value for each option, or None for a bare switch
@@ -99,7 +98,8 @@ _VALUE = {"raw": None, "tsv": None, "window": "3", "alpha": "0.5", "min_occurren
 _REQUIRED = {"kwic": ["--query", "lemma=bank"], "patterns": ["--target", "bank"]}
 
 
-@pytest.mark.parametrize("dest", list(_OPTIONS))
+# `tuned_lexicon` is no option: `--bg-lexicon` reads a tuned lexicon
+@pytest.mark.parametrize("dest", [*_OPTIONS, "tuned_lexicon"])
 @pytest.mark.parametrize("command", list(TAKES))
 def test_a_command_takes_a_flag_if_and_only_if_it_reads_it(capsys, command, dest):
     value = _VALUE.get(dest, "x")
@@ -201,8 +201,23 @@ def test_raw_from_config_file(tmp_path):
     assert '"lemma": "school"' in lines[1]
 
 
+def test_a_config_naming_a_collapse_map_serves_a_tuned_lexicon(tmp_path):
+    # a tuned lexicon is collapsed already: its runs skip the collapse map
+    config = _inputs(bg_lexicon=fixture_path("succession_min2.tunedlex"))
+    assert "collapse_map = " in config
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    for argv, gold in ((["extract", "--fg-lexicon", fixture_path("succession.fglex")],
+                        "succession_gold.jsonl"),
+                       (["wsd"], "succession_tuned_gold.vrt")):
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--output", str(out)]) == 0
+        assert out.read_bytes() == open(fixture_path(gold), "rb").read()
+
+
 @pytest.mark.parametrize("line, message", [
     ("windows = 4", ":7: unknown config key 'windows'"),
+    ("tuned_lexicon = x", ":7: unknown config key 'tuned_lexicon'"),
     ("ospd = maybe", ":7: bad boolean 'maybe'"),
     ("raw = 1", ":7: bad boolean '1'"),
     ("window 4", ":7: expected `key = value`"),

@@ -35,6 +35,19 @@ def test_query_output_matches_golden(tmp_path, gold, argv):
     assert out.read_bytes() == Path(fixture_path(gold)).read_bytes()
 
 
+@pytest.mark.parametrize("gold, argv", GOLDENS, ids=[g for g, _ in GOLDENS])
+def test_tagged_wins_over_corpus_and_raw(tmp_path, gold, argv):
+    # a shared config file may name a corpus; given `--tagged`, neither it nor
+    # `--corpus` or `raw` is read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {fixture_path('succession.onto')}\nraw = on\n")
+    out = tmp_path / "out"
+    for given in (["--corpus", fixture_path("succession.onto"), "--raw"],
+                  ["--config", str(cfg)]):
+        assert main([*argv, *given, "--tagged", TAGGED, "--output", str(out)]) == 0
+        assert out.read_bytes() == Path(fixture_path(gold)).read_bytes()
+
+
 QUERIES = [["kwic", "--query", q] for q in
            ("lemma=x", "x", "word=/x|y/", "pos=NN", "pos=NN lemma=y", "class=ORG")] \
     + [["patterns", "--target", "x"]]

@@ -173,6 +173,8 @@ def test_tuned_eject_and_disc_lines_name_declared_senses(line, message):
     (["params alpha=inf"], "x.tl:2: alpha must be finite"),
     (["params alpha=-1"], "x.tl:2: alpha must be positive"),
     (["corpus -", "params window=0"], "x.tl:3: window must be positive"),
+    (["params ospd=on"], "x.tl:2: bad boolean 'on'"),
+    (["params ospd=false", "params ospd=true"], "x.tl:3: param 'ospd' given twice"),
 ])
 def test_tuned_lexicon_reads_each_setting_once(lines, message):
     with pytest.raises(ParseError) as info:
@@ -184,6 +186,8 @@ def test_tuned_lexicon_params_may_span_lines():
     tuned = load_tuned_lexicon("tunedlex v1\ncorpus a.vrt\nparams window=3\n"
                                "params min_occurrences=4 alpha=0.5\n")
     assert (tuned.corpus_id, tuned.params) == ("a.vrt", TuneParams(4, 3, 0.5))
+    # a file without `ospd` was written with it on
+    assert tuned.params.ospd is True
 
 
 @pytest.mark.parametrize("alpha, message", [
@@ -196,7 +200,7 @@ def test_tune_params_reject_non_positive_or_non_finite_alpha(alpha, message):
 
 @settings(max_examples=300, deadline=None)
 @given(params=st.builds(TuneParams, st.integers(-1, 10**9), st.integers(-1, 10**9),
-                        st.floats()))
+                        st.floats(), st.booleans()))
 def test_every_valid_params_line_reloads_as_written(params):
     try:
         params.validate()
@@ -220,7 +224,7 @@ def test_tuned_sense_lines_use_background_case():
 @settings(max_examples=100, deadline=None)
 @given(data=training_sets(),
        params=st.builds(TuneParams, st.integers(1, 3), st.integers(1, 4),
-                        st.sampled_from([0.1, 0.5, 2.0])),
+                        st.sampled_from([0.1, 0.5, 2.0]), st.booleans()),
        corpus_id=st.sampled_from(["", "c.vrt"]))
 def test_generated_tuned_lexicon_roundtrips(data, params, corpus_id):
     docs, bg = data
@@ -235,6 +239,16 @@ def test_generated_tuned_lexicon_roundtrips(data, params, corpus_id):
     assert again.base.senses_by_key == tuned.base.senses_by_key
     assert (again.ejected, again.corpus_id, again.params) \
         == (tuned.ejected, tuned.corpus_id, tuned.params)
+
+
+def test_tune_params_ospd_decides_whether_ospd_runs(bg, corpus):
+    # OSPD re-votes bank's landform tags to the organisation sense, so the
+    # landform sense is ejected only with it
+    on = tune(bg, corpus, TuneParams(min_occurrences=2))
+    off = tune(bg, corpus, TuneParams(min_occurrences=2, ospd=False))
+    assert on.ejected[("bank", "noun")] == {"s2"}
+    assert ("bank", "noun") not in off.ejected
+    assert (on.params.ospd, off.params.ospd) == (True, False)
 
 
 def test_capitalised_lemmas_tune_like_lowercase_ones(bg, corpus):
@@ -263,18 +277,17 @@ def test_tune_calls_the_classifier_through_wsd(bg, corpus, monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(data=training_sets(),
        params=st.builds(TuneParams, st.integers(1, 3), st.integers(1, 4),
-                        st.sampled_from([0.1, 2.0])),
-       use_ospd=st.booleans())
-def test_ejections_are_the_brute_force_recount(data, params, use_ospd):
+                        st.sampled_from([0.1, 2.0]), st.booleans()))
+def test_ejections_are_the_brute_force_recount(data, params):
     docs, bg = data
     try:
-        tuned = tune(bg, docs, params, use_ospd=use_ospd)
+        tuned = tune(bg, docs, params)
     except ValueError as exc:
         assert "anchors" in str(exc)
         return
     model = wsd.train_bayes(docs, bg, params.window, params.alpha)
     tags = wsd.disambiguate_background(model, docs, bg)
-    if use_ospd:
+    if params.ospd:
         tags = wsd.apply_ospd(tags, bg)
     assert tuned.ejected == ejection_oracle(docs, bg, tags, params.min_occurrences)
     # every occurrence's tag names a sense of its own key, so an attested
