@@ -26,7 +26,6 @@ class BgSense(NamedTuple):
     sense_id: str
     fine_class: str
     coarse_class: str | None = None
-    gloss: str | None = None
     subj_restriction: str | None = None
     obj_restriction: str | None = None
 
@@ -45,12 +44,17 @@ class CollapseMap:
 
 
 class BgLexicon:
-    __slots__ = ("senses_by_key", "collapsed")
+    """Senses by (lemma, pos).  `load_bg_lexicon` sets the file's `path` and
+    each sense's line, by which `collapse` names a sense it rejects."""
+
+    __slots__ = ("senses_by_key", "collapsed", "path", "lines")
 
     def __init__(self, senses_by_key: dict[tuple[str, str], list[BgSense]] | None = None,
-                 collapsed: bool = False):
+                 collapsed: bool = False, path: str | None = None):
         self.senses_by_key = {} if senses_by_key is None else senses_by_key
         self.collapsed = collapsed
+        self.path = path
+        self.lines: dict[BgSense, int] = {}
 
     def entries(self, lemma: str, pos: str) -> list[BgSense]:
         """Full sense records for the key, in sense-id order; empty if unknown."""
@@ -63,9 +67,9 @@ class BgLexicon:
         return sorted(seen)
 
 
-def add_sense_line(lex: BgLexicon, parts: list[str], path: str, lineno: int,
-                   gloss: str | None = None) -> None:
-    """Add a split `<lemma> <pos> <sense_id> <CLASS> [subj=C] [obj=C]` line to lex.
+def add_sense_line(lex: BgLexicon, parts: list[str], path: str, lineno: int) -> BgSense:
+    """Add a split `<lemma> <pos> <sense_id> <CLASS> [subj=C] [obj=C]` line to
+    lex and return its sense.
 
     A repeated (lemma, pos, sense_id) is rejected.  On a collapsed lexicon
     the class is the coarse class too.
@@ -90,14 +94,14 @@ def add_sense_line(lex: BgLexicon, parts: list[str], path: str, lineno: int,
             raise ParseError(f"duplicate sense {lemma}/{pos}/{sense_id}",
                              path=path, line=lineno)
     coarse = cls if lex.collapsed else None
-    senses.append(tuple.__new__(BgSense, (lemma, pos, sense_id, cls, coarse, gloss, subj_r, obj_r)))
+    sense = tuple.__new__(BgSense, (lemma, pos, sense_id, cls, coarse, subj_r, obj_r))
+    senses.append(sense)
+    return sense
 
 
 def sense_line(s: BgSense, collapsed: bool) -> str:
-    """The sense in the `add_sense_line` grammar, without a gloss.
-
-    The class column holds the coarse class when collapsed.
-    """
+    """The sense in the `add_sense_line` grammar; the class column holds the
+    coarse class when collapsed."""
     line = f"{s.lemma} {s.pos} {s.sense_id} {s.coarse_class if collapsed else s.fine_class}"
     if s.subj_restriction:
         line += f" subj={s.subj_restriction}"
@@ -107,19 +111,12 @@ def sense_line(s: BgSense, collapsed: bool) -> str:
 
 
 def load_bg_lexicon(text: str, path: str = "<string>") -> BgLexicon:
-    """Parse `<lemma> <pos> <sense_id> <FINE_CLASS> [subj=C] [obj=C] [# gloss]`."""
-    lex = BgLexicon()
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        gloss = None
-        line = rawline
-        if "#" in line:
-            line, comment = line.split("#", 1)
-            comment = comment.strip()
-            if comment and line.strip():
-                gloss = comment
-        parts = line.split()
+    """Parse `<lemma> <pos> <sense_id> <FINE_CLASS> [subj=C] [obj=C] [# comment]`."""
+    lex = BgLexicon(path=path)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split("#", 1)[0].split()
         if parts:
-            add_sense_line(lex, parts, path, lineno, gloss)
+            lex.lines[add_sense_line(lex, parts, path, lineno)] = lineno
     for ss in lex.senses_by_key.values():
         if len(ss) > 1:
             ss.sort(key=lambda s: s.sense_id)
@@ -203,7 +200,8 @@ def coarse_class_for(fine: str, cmap: CollapseMap, onto: Ontology) -> str | None
 def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
     """Rewrite every sense onto its coarse class, merging coarse duplicates.
 
-    Idempotent; the input lexicon is left untouched.
+    Idempotent; the input lexicon is left untouched.  A sense whose class
+    has no image in its part of speech's scheme is a ParseError at its line.
     """
     out = BgLexicon(collapsed=True)
     images: dict[tuple[str, str], str] = {}  # (fine class, pos) -> its checked image
@@ -214,18 +212,16 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
             coarse = images.get((s.fine_class, pos))
             if coarse is None:
                 coarse = coarse_class_for(s.fine_class, cmap, onto)
+                problem = None
                 if coarse is None:
-                    raise ParseError(
-                        f"{lemma}/{pos}/{s.sense_id}: fine class {s.fine_class} has no "
-                        f"coarse image (even via ancestors)")
-                if pos == "noun" and coarse not in cmap.noun_classes:
-                    raise ParseError(
-                        f"{lemma}/{pos}/{s.sense_id}: {s.fine_class} collapses to "
-                        f"{coarse}, which is not in the noun scheme")
-                if pos == "verb" and coarse not in cmap.verb_classes:
-                    raise ParseError(
-                        f"{lemma}/{pos}/{s.sense_id}: {s.fine_class} collapses to "
-                        f"{coarse}, which is not in the verb scheme")
+                    problem = f"fine class {s.fine_class} has no coarse image (even via ancestors)"
+                elif (pos == "noun" and coarse not in cmap.noun_classes
+                      or pos == "verb" and coarse not in cmap.verb_classes):
+                    problem = (f"{s.fine_class} collapses to {coarse}, "
+                               f"which is not in the {pos} scheme")
+                if problem is not None:
+                    raise ParseError(f"{lemma}/{pos}/{s.sense_id}: {problem}",
+                                     path=lex.path, line=lex.lines.get(s))
                 images[s.fine_class, pos] = coarse
             kept = by_coarse.get(coarse)
             if kept is None or s.sense_id < kept.sense_id:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .decisionlist import DecisionRule
-from .errors import LexiconError, ParseError
+from .errors import ParseError
 from .ontology import Ontology, check_acyclic
 
 POS_TAGS = ("verb", "noun", "adj")
@@ -353,13 +353,15 @@ def _merge_chain(chain: list[RawConcept]) -> dict:
     return merged
 
 
-def _build_node(cid: str, merged: dict, line: int, label: str) -> ConceptNode:
+def _build_node(cid: str, merged: dict, line: int, label: str, path: str,
+                at: int) -> ConceptNode:
+    """The node of a merged chain; a fault is a ParseError at line `at` of `path`."""
     if merged["schema"] is None:
-        raise LexiconError(f"{label}: no schema after resolution")
+        raise ParseError(f"{label}: no schema after resolution", path=path, line=at)
     args = []
     for ra in merged["args"] or []:
         if ra.restriction is None:
-            raise LexiconError(f"{label}: arg {ra.role} has no restriction")
+            raise ParseError(f"{label}: arg {ra.role} has no restriction", path=path, line=at)
         binding = (merged["schema"], ra.slot) if ra.slot is not None else None
         args.append(ArgSpec(ra.role, ra.restriction, binding, ra.required))
     return ConceptNode(
@@ -390,7 +392,8 @@ def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
         while cur is not None:
             chain.append(raw.concepts[cur])
             cur = raw.concepts[cur].parent
-        concepts[cid] = _build_node(cid, _merge_chain(chain), node.line, f"concept {cid}")
+        concepts[cid] = _build_node(cid, _merge_chain(chain), node.line, f"concept {cid}",
+                                    raw.path, node.line)
 
     lex = FgLexicon(concepts=concepts)
     for real in raw.realizations:
@@ -399,12 +402,13 @@ def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
             # the word's overrides are the nearest link of the concept's chain
             effective = _build_node(real.concept,
                                     _merge_chain([real.overrides, *chains[real.concept]]),
-                                    effective.line, f"word {real.lemma}/{real.pos}")
+                                    effective.line, f"word {real.lemma}/{real.pos}",
+                                    raw.path, real.line)
         for gr, role in real.complement_map.items():
             if role not in effective.roles():
-                raise LexiconError(
+                raise ParseError(
                     f"word {real.lemma}/{real.pos}: mapping {gr} -> {role}: concept "
-                    f"{real.concept} has no role {role!r}")
+                    f"{real.concept} has no role {role!r}", path=raw.path, line=real.line)
         real.effective = effective
         lex.realizations.setdefault((real.lemma, real.pos, real.lang), []).append(real)
     return lex

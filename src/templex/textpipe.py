@@ -38,7 +38,6 @@ class Token(NamedTuple):
     doc_id: str
     sent_idx: int
     tok_idx: int
-    char_span: tuple[int, int]
 
 
 TokenKey = tuple[str, int, int]  # (doc_id, sent_idx, tok_idx)
@@ -84,7 +83,6 @@ class GrRelation(NamedTuple):
     verb_idx: int
     relation: str  # subj | dobj | iobj | agent_by | pp:<prep>
     dependent_idx: int
-    voice: str  # active | passive
 
 
 class SentenceAnalysis:
@@ -159,7 +157,7 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
     docs: dict[str, Document] = {}  # by id, in input order
     cur_doc: Document | None = None
     cur_sent: list[Token] = []  # joins cur_doc.sentences at its first token
-    sent_idx = offset = 0
+    sent_idx = 0
 
     for lineno, line in enumerate(text.splitlines(), start=first_line):
         if line.startswith("#"):
@@ -173,7 +171,6 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
                 raise ParseError(f"duplicate document id {doc_id}", path=path, line=lineno)
             cur_doc = docs[doc_id] = Document(doc_id)
             cur_sent = []
-            offset = 0
             continue
         if not line.strip():
             cur_sent = []
@@ -193,14 +190,9 @@ def _read_vertical(text: str, ncols: int, doc_id: str, path: str,
                 cur_doc = docs[doc_id] = Document(doc_id)
             sent_idx = len(cur_doc.sentences)
             cur_doc.sentences.append(cur_sent)
-        # char spans index a canonical detokenisation: tokens joined by single
-        # spaces, sentences by newlines
-        end = offset + len(surface)
         tok_idx = len(cur_sent)
         # tuple.__new__ skips the named tuples' Python-level __new__
-        cur_sent.append(tuple.__new__(Token, (surface, lemma, pos, doc_id, sent_idx,
-                                              tok_idx, (offset, end))))
-        offset = end + 1
+        cur_sent.append(tuple.__new__(Token, (surface, lemma, pos, doc_id, sent_idx, tok_idx)))
         if ncols == 4 and cols[3] != "-":
             tagcol = cols[3]
             if tagcol.count("/") != 2:
@@ -225,10 +217,9 @@ def _check_field(name: str, value: str, path: str, lineno: int) -> None:
 def _read_raw(text: str, doc_id: str) -> Document:
     doc = Document(doc_id)
     sent: list[Token] = []
-    for m in _RAW_TOKEN.finditer(text):
-        surface = m.group(0)
+    for surface in _RAW_TOKEN.findall(text):
         sent.append(Token(surface, surface.lower(), "UNK", doc_id,
-                          len(doc.sentences), len(sent), (m.start(), m.end())))
+                          len(doc.sentences), len(sent)))
         if surface in _SENT_END:
             doc.sentences.append(sent)
             sent = []
@@ -408,19 +399,19 @@ def grammatical_relations(chunks: list[Chunk], tokens: list[Token]) -> list[GrRe
     """Local subject / object / agent / pp relations around each verb group.
 
     Active: nearest preceding NP head is subj, nearest following NP head not
-    inside a PP is dobj (a second adjacent NP becomes iobj).  Passive: the
-    surface subject keeps the subj label with voice=passive and a by-PP
+    inside a PP is dobj (a second adjacent NP becomes iobj).  Passive (see
+    is_passive_vg): the surface subject keeps the subj label and a by-PP
     supplies agent_by.
     """
     rels: list[GrRelation] = []
     for gi, vg in enumerate(chunks):
         if vg.kind != "VG":
             continue
-        voice = "passive" if is_passive_vg(tokens, vg) else "active"
+        passive = is_passive_vg(tokens, vg)
         verb = vg.head_idx
         for c in reversed(chunks[:gi]):
             if c.kind == "NP":
-                rels.append(GrRelation(verb, "subj", c.head_idx, voice))
+                rels.append(GrRelation(verb, "subj", c.head_idx))
                 break
         post_nps: list[tuple[int, Chunk]] = []
         k = gi + 1
@@ -430,19 +421,19 @@ def grammatical_relations(chunks: list[Chunk], tokens: list[Token]) -> list[GrRe
                 if k + 1 < len(chunks) and chunks[k + 1].kind == "NP":
                     prep = tokens[c.head_idx].lemma
                     dep = chunks[k + 1].head_idx
-                    if voice == "passive" and prep == "by":
-                        rels.append(GrRelation(verb, "agent_by", dep, voice))
+                    if passive and prep == "by":
+                        rels.append(GrRelation(verb, "agent_by", dep))
                     else:
-                        rels.append(GrRelation(verb, f"pp:{prep}", dep, voice))
+                        rels.append(GrRelation(verb, f"pp:{prep}", dep))
                     k += 2
                     continue
             elif c.kind == "NP":
                 post_nps.append((k, c))
             k += 1
         if post_nps:
-            rels.append(GrRelation(verb, "dobj", post_nps[0][1].head_idx, voice))
+            rels.append(GrRelation(verb, "dobj", post_nps[0][1].head_idx))
             if len(post_nps) >= 2 and post_nps[1][0] == post_nps[0][0] + 1:
-                rels.append(GrRelation(verb, "iobj", post_nps[1][1].head_idx, voice))
+                rels.append(GrRelation(verb, "iobj", post_nps[1][1].head_idx))
     return rels
 
 

@@ -14,7 +14,6 @@ from . import wsd
 from .bg_lexicon import BG_POS, BgLexicon, add_sense_line, sense_line
 from .errors import ParseError, format_float, parse_number
 from .textpipe import Document
-from .wsd import BayesModel
 # `tune` calls the classifier through the `wsd` module, as `cli` does, so it
 # calls what `wsd` holds at the time, even a function replaced there before
 # this module was imported.  `perfbench/tracing.py` still patches these
@@ -49,7 +48,7 @@ class TunedLexicon:
 
 
 def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
-         *, corpus_id: str = "", model: BayesModel | None = None) -> TunedLexicon:
+         *, corpus_id: str = "") -> TunedLexicon:
     """Eject unattested senses.
 
     A sense is ejected iff its lemma occurs at least min_occurrences times
@@ -64,8 +63,7 @@ def tune(bg: BgLexicon, docs: list[Document], params: TuneParams | None = None,
         raise ValueError("tune requires a collapsed background lexicon")
     if not any(doc.sentences for doc in docs):
         raise ValueError("empty corpus")
-    if model is None:
-        model = wsd.train_bayes(docs, bg, params.window, params.alpha)
+    model = wsd.train_bayes(docs, bg, params.window, params.alpha)
     tags = wsd.disambiguate_background(model, docs, bg)
     if params.ospd:
         tags = wsd.apply_ospd(tags, bg)

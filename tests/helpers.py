@@ -201,14 +201,9 @@ def merge_oracle(raw: RawLexicon, cid: str, overrides: RawConcept | None = None)
 def make_doc(doc_id: str, sentences: list[list[tuple[str, str]]]) -> Document:
     """Build a Document from (lemma, pos) sentences; surface = lemma."""
     doc = Document(doc_id)
-    offset = 0
     for si, sent in enumerate(sentences):
-        toks = []
-        for ti, (lemma, pos) in enumerate(sent):
-            toks.append(Token(lemma, lemma, pos, doc_id, si, ti,
-                              (offset, offset + len(lemma))))
-            offset += len(lemma) + 1
-        doc.sentences.append(toks)
+        doc.sentences.append([Token(lemma, lemma, pos, doc_id, si, ti)
+                              for ti, (lemma, pos) in enumerate(sent)])
     return doc
 
 
@@ -367,7 +362,7 @@ def tagged_kwic_corpora(draw):
         doc = Document(f"d{d}")
         for si, sent in enumerate(draw(st.lists(st.lists(token, min_size=1, max_size=6),
                                                 max_size=4))):
-            doc.sentences.append([Token(surface, lemma, pos, doc.doc_id, si, ti, (0, 0))
+            doc.sentences.append([Token(surface, lemma, pos, doc.doc_id, si, ti)
                                   for ti, (surface, lemma, pos, _) in enumerate(sent)])
             for ti, (_, lemma, _, cls) in enumerate(sent):
                 if cls is not None:
@@ -509,10 +504,10 @@ def one_line_mutations(draw, text: str) -> str:
 
 @st.composite
 def collapse_cases(draw):
-    """(lexicon, collapse map, ontology): a small class forest, a noun and a
-    verb scheme over some of its classes (and a class it lacks), `map` lines,
-    and senses in shuffled order with restrictions and glosses, several often
-    landing on one coarse class."""
+    """(lexicon, collapse map, ontology, lexicon text): a small class forest,
+    a noun and a verb scheme over some of its classes (and a class it lacks),
+    `map` lines, and senses in shuffled order with restrictions and trailing
+    comments, several often landing on one coarse class."""
     n = draw(st.integers(1, 8))
     classes = {}
     for i in range(n):
@@ -540,20 +535,22 @@ def collapse_cases(draw):
                     if draw(st.booleans()):
                         line += f" {field}={draw(st.sampled_from(names))}"
                 if draw(st.booleans()):
-                    line += f" # gloss of {sid}"
+                    line += f" # a comment on {sid}"
                 senses.append(line)
-    lex = load_bg_lexicon("\n".join(draw(st.permutations(senses))) + "\n")
+    text = "\n".join(draw(st.permutations(senses))) + "\n"
+    lex = load_bg_lexicon(text)
     for key in lex.senses_by_key:  # collapse may get a lexicon in any order
         lex.senses_by_key[key] = draw(st.permutations(lex.senses_by_key[key]))
-    return lex, cmap, onto
+    return lex, cmap, onto, text
 
 
-def collapse_oracle(lex, cmap, onto):
+def collapse_oracle(lex, cmap, onto, text):
     """`collapse` by hand, sense by sense: each fine class's image is the
     first mapped class up its parent chain; the first sense in list order
-    without one, or with one outside its part of speech's scheme, fails.
-    Each coarse class keeps its lowest sense id, and the key's senses are
-    in sense-id order."""
+    without one, or with one outside its part of speech's scheme, fails at
+    the line of `text` that declares it.  Each coarse class keeps its lowest
+    sense id, and the key's senses are in sense-id order."""
+    line_of = {tuple(line.split()[:3]): n for n, line in enumerate(text.splitlines(), 1)}
     out = {}
     for (lemma, pos), senses in lex.senses_by_key.items():
         images = []
@@ -563,13 +560,14 @@ def collapse_oracle(lex, cmap, onto):
                 coarse = cmap.mapping.get(cur)
                 cur = onto.classes[cur].parent if cur in onto.classes else None
             where = f"{lemma}/{pos}/{s.sense_id}"
+            at = {"path": "<string>", "line": line_of[(lemma, pos, s.sense_id)]}
             if coarse is None:
                 raise ParseError(f"{where}: fine class {s.fine_class} has no coarse "
-                                 f"image (even via ancestors)")
+                                 f"image (even via ancestors)", **at)
             scheme = {"noun": cmap.noun_classes, "verb": cmap.verb_classes}.get(pos)
             if scheme is not None and coarse not in scheme:
                 raise ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
-                                 f"which is not in the {pos} scheme")
+                                 f"which is not in the {pos} scheme", **at)
             images.append(s._replace(coarse_class=coarse))
         lowest = {}
         for s in images:
@@ -654,7 +652,7 @@ def matcher_cases(draw):
             fg.realizations[(verb, "verb", "en")] = reals
         restriction = st.sampled_from(_MATCH_CLASSES + (None, "UNKNOWN"))
         bg.senses_by_key[(verb, "verb")] = [
-            BgSense(verb, "verb", f"b{j}", "ACT", "ACT", None, draw(restriction),
+            BgSense(verb, "verb", f"b{j}", "ACT", "ACT", draw(restriction),
                     draw(restriction)) for j in range(draw(st.integers(0, 2)))]
     sentence = st.lists(st.sampled_from(_MATCH_CHUNKS), min_size=1, max_size=6).map(
         lambda chunks: [tok for chunk in chunks for tok in chunk])

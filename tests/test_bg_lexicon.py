@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from templex import (ParseError, collapse, default_collapse_map,
+from templex import (BgSense, ParseError, collapse, default_collapse_map,
                      load_bg_lexicon, load_collapse_map, load_ontology)
 from helpers import collapse_cases, collapse_oracle
 
@@ -30,12 +30,10 @@ def test_duplicate_sense_named():
         load_bg_lexicon("bank noun s1 LANDFORM\nbank noun s1 LANDFORM\n")
 
 
-def test_gloss_and_restrictions_parse():
-    lex = load_bg_lexicon("sack verb s1 LANDFORM obj=LOCATION # plunder\n")
-    s = lex.entries("sack", "verb")[0]
-    assert s.gloss == "plunder"
-    assert s.obj_restriction == "LOCATION"
-    assert s.subj_restriction is None
+def test_trailing_comment_and_restrictions_parse():
+    lex = load_bg_lexicon("# a comment line\nsack verb s1 LANDFORM obj=LOCATION # plunder\n")
+    assert lex.entries("sack", "verb") == [
+        BgSense("sack", "verb", "s1", "LANDFORM", None, None, "LOCATION")]
 
 
 def test_collapse_distinct_coarse_classes():
@@ -84,12 +82,21 @@ def test_collapse_unmappable_class_rejected():
         collapse(lex, load_collapse_map(TINY_MAP), onto)
 
 
+def test_senses_are_equal_by_value_wherever_they_are_read():
+    # the line of a sense is the lexicon's, not the sense's
+    a = load_bg_lexicon("bank noun s1 LANDFORM\n", "a.bglex")
+    b = load_bg_lexicon("# first\n\nbank noun s1 LANDFORM\n", "b.bglex")
+    assert a.senses_by_key == b.senses_by_key
+    assert [a.lines[s] for s in a.entries("bank", "noun")] == [1]
+    assert [b.lines[s] for s in b.entries("bank", "noun")] == [3]
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=collapse_cases())
 def test_collapse_equals_the_sense_by_sense_oracle(case):
-    lex, cmap, onto = case
+    lex, cmap, onto, text = case
     try:
-        want = collapse_oracle(lex, cmap, onto)
+        want = collapse_oracle(lex, cmap, onto, text)
     except ParseError as exc:
         with pytest.raises(ParseError) as info:
             collapse(lex, cmap, onto)

@@ -198,6 +198,49 @@ def test_validate_unknown_parent_concept_exit_two(tmp_path, capsys):
     assert f"{bad}:1: unknown parent concept B" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tune", "wsd", "extract"])
+@pytest.mark.parametrize("sense, message", [
+    ("widget noun s1 ORPHAN", "widget/noun/s1: fine class ORPHAN has no coarse image "
+                              "(even via ancestors)"),
+    ("widget noun s1 V_MOTION", "widget/noun/s1: V_MOTION collapses to V_MOTION, "
+                                "which is not in the noun scheme"),
+    ("widget verb s1 ARTIFACT", "widget/verb/s1: ARTIFACT collapses to ARTIFACT, "
+                                "which is not in the verb scheme"),
+])
+def test_collapse_error_names_the_lexicon_line(tmp_path, capsys, command, sense, message):
+    # the succession ontology with a class ORPHAN that maps to no coarse
+    # class, and its background lexicon with `sense` as line 75
+    onto, bg = tmp_path / "orphan.onto", tmp_path / "orphan.bglex"
+    onto.write_text(fixture_text("succession.onto") + "class ORPHAN\n")
+    text = fixture_text("succession.bglex")
+    assert len(text.splitlines()) == 74
+    bg.write_text(text + sense + "\n")
+    args, _ = base_args(tmp_path, command, "out")
+    args[args.index("--ontology") + 1] = str(onto)
+    args[args.index("--bg-lexicon") + 1] = str(bg)
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"templex: error: {bg}:75: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "extract"])
+def test_foreground_resolution_error_names_the_word_line(tmp_path, capsys, command):
+    fg = tmp_path / "bad.fglex"
+    text = fixture_text("succession.fglex")
+    word = "word sack verb sense fg1 -> DISMISS-EVENT\n"
+    assert text.splitlines(keepends=True)[24] == word
+    # the map is line 26; the error names the word's line
+    fg.write_text(text.replace(word, word + "  map iobj -> nosuchrole\n"))
+    if command == "validate":
+        args = ["validate", "--ontology", fixture_path("succession.onto"), "--fg-lexicon", str(fg)]
+    else:
+        args, _ = base_args(tmp_path, command, "out")
+        args[args.index("--fg-lexicon") + 1] = str(fg)
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"templex: error: {fg}:25: word sack/verb: mapping iobj -> nosuchrole: "
+        "concept DISMISS-EVENT has no role 'nosuchrole'\n")
+
+
 def test_kwic_cli(tmp_path):
     out = tmp_path / "kwic.txt"
     args = ["kwic", "--corpus", fixture_path("succession.vrt"),
@@ -460,8 +503,8 @@ _LOADER_MAP = "scheme noun LOC ORG PER\nscheme verb ACT\n"
 @st.composite
 def _bg_lexicon_texts(draw):
     """Background lexicon text over `_LOADER_ONTO`: each sense's class has an
-    image in its part of speech's scheme; with restrictions, glosses and a
-    comment line."""
+    image in its part of speech's scheme; with restrictions, trailing comments
+    and a comment line."""
     lines = ["# a background lexicon"]
     for lemma in draw(st.lists(st.sampled_from(["bank", "Sack", "firm"]), min_size=1,
                                max_size=3, unique=True)):
@@ -474,7 +517,7 @@ def _bg_lexicon_texts(draw):
                 if draw(st.booleans()):
                     line += f" obj={draw(st.sampled_from(_ONTO_CLASSES))}"
                 if draw(st.booleans()):
-                    line += f" # gloss of {sid}"
+                    line += f" # a comment on {sid}"
                 lines.append(line)
     return "\n".join(draw(st.permutations(lines))) + "\n"
 

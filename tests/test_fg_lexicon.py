@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from templex import (CycleError, LexiconError, ParseError, load_fg_lexicon,
+from templex import (CycleError, ParseError, load_fg_lexicon,
                      parse_fg_lexicon, resolve_inheritance, validate)
 from templex.fg_lexicon import StateAssertion
 from helpers import merge_oracle, random_hierarchy
@@ -42,9 +42,12 @@ def test_empty_file():
 
 
 def test_unknown_role_in_map_named_in_error():
+    # the word's line: line 17 of the file
     text = MINI + "word oust verb sense fg1 -> DISMISS-EVENT\n  map dobj -> boss\n"
-    with pytest.raises(LexiconError, match="boss"):
-        load_fg_lexicon(text)
+    with pytest.raises(ParseError) as info:
+        load_fg_lexicon(text, "f.fglex")
+    assert str(info.value) == ("f.fglex:17: word oust/verb: mapping dobj -> boss: "
+                               "concept DISMISS-EVENT has no role 'boss'")
 
 
 def test_undeclared_concept_rejected():
@@ -65,8 +68,9 @@ def test_parent_cycle_detected():
 
 
 def test_missing_schema_after_resolution():
-    with pytest.raises(LexiconError, match="no schema"):
-        load_fg_lexicon("concept A\n  arg x : C\n")
+    with pytest.raises(ParseError) as info:
+        load_fg_lexicon("# no template\nconcept A\n  arg x : C\n", "f.fglex")
+    assert str(info.value) == "f.fglex:2: concept A: no schema after resolution"
 
 
 def test_child_overrides_assertions_wholesale(fg):
@@ -148,7 +152,7 @@ def test_override_unknown_role_rejected():
     assert {a.role for a in oust.effective.args} == {"item"}
     # once args are overridden the old roles are gone
     bad = text.replace("map dobj -> item", "map dobj -> person")
-    with pytest.raises(LexiconError, match="person"):
+    with pytest.raises(ParseError, match="^<string>:17: word oust/verb: .*'person'$"):
         load_fg_lexicon(bad)
 
 
@@ -157,7 +161,8 @@ def test_override_arg_without_restriction_names_the_word():
     from templex.fg_lexicon import RawArg
     raw = parse_fg_lexicon(MINI)
     raw.realizations[0].overrides.args = [RawArg("org", None)]
-    with pytest.raises(LexiconError, match="^word sack/verb: arg org has no restriction$"):
+    with pytest.raises(ParseError,
+                       match="^<string>:8: word sack/verb: arg org has no restriction$"):
         resolve_inheritance(raw)
 
 

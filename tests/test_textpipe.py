@@ -14,7 +14,7 @@ from helpers import make_doc, tagged_vertical_corpora, two_pass_tagged_read
 
 
 def toks(*pairs):
-    return [Token(lemma, lemma, pos, "d", 0, i, (0, 0))
+    return [Token(lemma, lemma, pos, "d", 0, i)
             for i, (lemma, pos) in enumerate(pairs)]
 
 
@@ -75,12 +75,13 @@ def test_raw_mode_tokenizes_terminal_period():
     assert sent[0].lemma == "the"
 
 
-def test_raw_mode_char_spans_index_source():
-    text = "A fox.  A dog."
+def test_raw_mode_tokens_are_the_source_without_whitespace():
+    text = "A fox's den.  A dog-\tsled!\n"
     doc = read_corpus(text, raw=True)[0]
-    for tok in doc.tokens():
-        s, e = tok.char_span
-        assert text[s:e] == tok.surface
+    assert [t.surface for t in doc.tokens()] == [
+        "A", "fox's", "den", ".", "A", "dog", "-", "sled", "!"]
+    assert "".join(t.surface for t in doc.tokens()) == "".join(text.split())
+    assert [[t.tok_idx for t in s] for s in doc.sentences] == [[0, 1, 2, 3], [0, 1, 2, 3, 4]]
 
 
 def test_fallback_tagger_on_fixture_sentence():
@@ -162,15 +163,15 @@ def test_relations_active():
     rels = grammatical_relations(chunk(sent), sent)
     rel = {(r.relation, r.dependent_idx) for r in rels}
     assert rel == {("subj", 1), ("dobj", 4)}
-    assert all(r.voice == "active" for r in rels)
+    assert not is_passive_vg(sent, chunk(sent)[1])
 
 
 def test_relations_agentless_passive():
     sent = toks(("the", "DET"), ("teacher", "NN"), ("be", "BE"),
                 ("sacked", "VBN"))
     rels = grammatical_relations(chunk(sent), sent)
-    assert [(r.relation, r.dependent_idx, r.voice) for r in rels] == [
-        ("subj", 1, "passive")]
+    assert [(r.relation, r.dependent_idx) for r in rels] == [("subj", 1)]
+    assert is_passive_vg(sent, chunk(sent)[1])
 
 
 def test_relations_by_agent_passive():
@@ -180,7 +181,12 @@ def test_relations_by_agent_passive():
     rels = grammatical_relations(chunk(sent), sent)
     got = {(r.relation, r.dependent_idx) for r in rels}
     assert got == {("subj", 1), ("agent_by", 6)}
-    assert all(r.voice == "passive" for r in rels)
+    assert is_passive_vg(sent, chunk(sent)[1])
+    # an active verb's by-PP stays a pp relation
+    active = toks(("the", "DET"), ("firm", "NN"), ("sacked", "VBD"), ("by", "PREP"),
+                  ("the", "DET"), ("river", "NN"))
+    assert {(r.relation, r.dependent_idx) for r in grammatical_relations(chunk(active), active)} \
+        == {("subj", 1), ("pp:by", 5)}
 
 
 def test_relations_pp_not_dobj():

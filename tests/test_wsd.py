@@ -155,9 +155,8 @@ def test_duplicate_document_ids_rejected(corpus, bg):
         disambiguate_background(m, [d, twin], bg)
     with pytest.raises(ValueError, match="duplicate document id d01"):
         train_bayes([*corpus, twin], bg)
-    for model in (None, m):
-        with pytest.raises(ValueError, match="duplicate document id d01"):
-            tune(bg, [*corpus, twin], TuneParams(), model=model)
+    with pytest.raises(ValueError, match="duplicate document id d01"):
+        tune(bg, [*corpus, twin], TuneParams())
 
 
 def test_disambiguate_skips_unknown_words(corpus, bg):
@@ -289,7 +288,7 @@ def vertical_corpora(draw):
 def test_tagged_dump_of_a_corpus_reloads_as_the_corpus(text):
     docs = read_corpus(text)
     docs2, tags = load_tagged_corpus(dump_tagged_corpus(docs, {}))
-    # Token equality covers sentence and token indices and char_span
+    # Token equality covers sentence and token indices
     assert docs2 == docs
     assert tags == {}
 
