@@ -18,7 +18,7 @@ _EXPORTS = {
                    "default_collapse_map", "load_bg_lexicon", "load_collapse_map"),
     "decisionlist": ("DecisionList", "DecisionRule", "DLInstance", "DLParams",
                      "apply_decision_list", "learn_decision_list"),
-    "errors": ("CycleError", "LexiconError", "ParseError"),
+    "errors": ("CycleError", "ParseError"),
     "extract": ("SlotFiller", "TemplateInstance", "fill_templates",
                 "resolve_salient", "write_output"),
     "fg_lexicon": ("ArgSpec", "ConceptNode", "Diagnostic", "FgLexicon",

@@ -44,8 +44,9 @@ class CollapseMap:
 
 
 class BgLexicon:
-    """Senses by (lemma, pos).  `load_bg_lexicon` sets the file's `path` and
-    each sense's line, by which `collapse` names a sense it rejects."""
+    """Senses by (lemma, pos).  `load_bg_lexicon` and `load_tuned_lexicon`
+    set the file's `path` and each sense's line, by which `validate_bg` and
+    `collapse` name a sense they reject."""
 
     __slots__ = ("senses_by_key", "collapsed", "path", "lines")
 
@@ -123,16 +124,18 @@ def load_bg_lexicon(text: str, path: str = "<string>") -> BgLexicon:
     return lex
 
 
-def validate_bg(lex: BgLexicon, onto: Ontology) -> list[str]:
-    """Fine classes and restriction classes that do not resolve in the ontology."""
+def validate_bg(lex: BgLexicon, onto: Ontology) -> list[ParseError]:
+    """Fine classes and restriction classes that do not resolve in the
+    ontology, in file order, each a ParseError at its sense's line."""
     problems = []
     for ss in lex.senses_by_key.values():
         for s in ss:
-            if s.fine_class not in onto.classes:
-                problems.append(f"{s.lemma}/{s.pos}/{s.sense_id}: unknown class {s.fine_class}")
-            for r in (s.subj_restriction, s.obj_restriction):
-                if r is not None and r not in onto.classes:
-                    problems.append(f"{s.lemma}/{s.pos}/{s.sense_id}: unknown class {r}")
+            for cls in (s.fine_class, s.subj_restriction, s.obj_restriction):
+                if cls is not None and cls not in onto.classes:
+                    problems.append(ParseError(
+                        f"{s.lemma}/{s.pos}/{s.sense_id}: unknown class {cls}",
+                        path=lex.path, line=lex.lines.get(s)))
+    problems.sort(key=lambda p: p.line or 0)
     return problems
 
 

@@ -18,7 +18,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
-from .errors import CycleError, LexiconError, ParseError, parse_number, read_text
+from .errors import CycleError, ParseError, parse_number, read_text
 
 if TYPE_CHECKING:
     from . import ontology as ontomod
@@ -188,7 +188,7 @@ def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology):
     bg, tuned = _read_background(cfg.bg_lexicon)
     problems = bgmod.validate_bg(bg, onto)
     if problems:
-        raise LexiconError(f"{cfg.bg_lexicon}: " + "; ".join(problems))
+        raise problems[0]
     if tuned is not None:
         from . import tuner as tunemod
         return tunemod.apply_tuning(tuned)
@@ -212,7 +212,8 @@ def _cmd_validate(cfg: argparse.Namespace) -> int:
     if cfg.bg_lexicon:
         bg, _ = _read_background(cfg.bg_lexicon)
         for problem in bgmod.validate_bg(bg, onto):
-            diags.append(fgmod.Diagnostic("error", cfg.bg_lexicon, problem))
+            diags.append(fgmod.Diagnostic("error", f"{problem.path}:{problem.line}",
+                                          problem.message))
     _write_out(cfg, "".join(f"{d}\n" for d in diags) + f"{len(diags)} diagnostic(s)\n")
     return 1 if any(d.severity == "error" for d in diags) else 0
 
@@ -337,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         gc.collect(1)
         _configure(cfg)
         return cfg.func(cfg)
-    except (ParseError, CycleError, LexiconError, ValueError, KeyError, OSError) as exc:
+    except (ParseError, CycleError, ValueError, KeyError, OSError) as exc:
         print(f"templex: error: {exc}", file=sys.stderr)
         return 2
     finally:

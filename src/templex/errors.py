@@ -32,10 +32,6 @@ class CycleError(ValueError):
         return _rebuild, (type(self), (self.members,), {"what": self.what})
 
 
-class LexiconError(ValueError):
-    """A lexicon violates a structural constraint after parsing."""
-
-
 def _rebuild(cls, args, kwargs):
     # exceptions with keyword-only fields pickle through here, so one raised
     # in a shard worker reaches the parent with its message intact

@@ -48,12 +48,6 @@ class ConceptNode(NamedTuple):
     discriminators: tuple[DecisionRule, ...] = ()
     line: int = 0
 
-    def arg(self, role: str) -> ArgSpec | None:
-        for a in self.args:
-            if a.role == role:
-                return a
-        return None
-
     def roles(self) -> set[str]:
         return {a.role for a in self.args}
 
@@ -337,20 +331,10 @@ def _discriminator_rules(specs: list[tuple[str, str, str]]) -> tuple[DecisionRul
 
 
 def _merge_chain(chain: list[RawConcept]) -> dict:
-    """Nearest-set-value field merge, self first then up the parent chain."""
-    merged: dict = {name: None for name in _FIELD_NAMES}
-    for node in chain:
-        if merged["schema"] is None and node.schema is not None:
-            merged["schema"] = node.schema
-        if merged["args"] is None and node.args:
-            merged["args"] = node.args
-        if merged["assertions"] is None and node.assertions:
-            merged["assertions"] = node.assertions
-        if merged["instigator"] is None and node.instigator is not None:
-            merged["instigator"] = node.instigator
-        if merged["discriminators"] is None and node.discriminators:
-            merged["discriminators"] = node.discriminators
-    return merged
+    """Nearest-set-value field merge, self first then up the parent chain:
+    each field's first truthy value, or None."""
+    return {name: next((value for node in chain if (value := getattr(node, name))), None)
+            for name in _FIELD_NAMES}
 
 
 def _build_node(cid: str, merged: dict, line: int, label: str, path: str,

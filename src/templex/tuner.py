@@ -139,7 +139,7 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "tunedlex v1":
         raise ParseError("not a tunedlex v1 file", path=path, line=1)
-    base = BgLexicon(collapsed=True)
+    base = BgLexicon(collapsed=True, path=path)
     tuned = TunedLexicon(base)
     refs = []  # ((lemma, pos, sense_id), line) of each eject line
     given = set()  # "corpus" and each param key read so far: each is read once
@@ -172,7 +172,7 @@ def load_tuned_lexicon(text: str, path: str = "<string>") -> TunedLexicon:
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno) from None
         elif kind == "sense":
-            add_sense_line(base, parts[1:], path, lineno)
+            base.lines[add_sense_line(base, parts[1:], path, lineno)] = lineno
         elif kind == "eject" and len(parts) == 4:
             # keyed like the sense lines, whose lemmas are lowercased
             ref = (parts[1].lower(), parts[2], parts[3])

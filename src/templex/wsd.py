@@ -5,10 +5,11 @@ trained without annotation by using coarse-unambiguous lemmas as anchors,
 then smoothed with a one-sense-per-discourse majority filter.
 
 Foreground route: no classifier at all.  A foreground sense is selected
-when its selection restrictions are satisfied by the tagged argument heads;
-disambiguation falls out of finding the one sense that fits.  General verb
-senses from the background lexicon take part in the same restriction filter
-so the surviving-sense arithmetic is observable per match.
+when its selection restrictions are satisfied by the tagged argument heads
+and its required roles are filled; disambiguation falls out of finding the
+one sense that fits.  General verb senses from the background lexicon take
+part in the same restriction filter, so each match counts its surviving
+senses, and `surviving_sense_count` runs that one filter on given classes.
 """
 
 from __future__ import annotations
@@ -376,55 +377,74 @@ class _TagsOnDemand:
 
 # ------------------------------------------------------ foreground match
 
-def _transform_key(relation: str, voice: str) -> str:
-    if voice == "passive":
-        if relation == "subj":
-            return "dobj"
-        if relation == "agent_by":
-            return "subj"
-    return relation
+# a passive verb's surface relations as read in active voice
+_ACTIVE_READING = {"subj": "dobj", "agent_by": "subj"}
 
 
-def _fit_realization(real: Realization, fills: dict[str, int], voice: str,
-                     passive_lone: bool, head_class, onto: Ontology):
-    """Check one foreground sense against the filled roles.
+def _fitting_senses(reals: list[Realization], deps: list[tuple[str, int]], voice: str,
+                    passive_lone: bool, head_class, onto: Ontology) -> list[tuple]:
+    """The foreground senses of `reals` that fit, as (sense, bindings,
+    passive_implicature).
 
-    Returns (fits, bindings, passive_implicature).
+    `deps` holds the verb's (relation as read in active voice, head index)
+    pairs; each fills the role its relation maps to, first pair first.  A
+    sense fits when every filled role's head has a class compatible with
+    the role's restriction and every required role is filled, except a
+    passive's agent, or with `passive_lone` every role of a bare passive.
     """
-    eff = real.effective
-    subj_role = real.complement_map.get("subj")
-    bindings: dict[str, int | str] = {}
-    implicature = False
-    for arg in eff.args:
-        idx = fills.get(arg.role)
-        if idx is not None:
-            cls = head_class(idx)
-            if cls is None or not onto.compatible(cls, arg.restriction):
-                return False, {}, False
-            bindings[arg.role] = idx
-        elif arg.required:
-            if voice == "passive" and (arg.role == subj_role
-                                       or (passive_lone and not fills)):
+    fits = []
+    for real in reals:
+        cmap = real.complement_map
+        fills: dict[str, int] = {}
+        for relation, idx in deps:
+            role = cmap.get(relation)
+            if role is not None and role not in fills:
+                fills[role] = idx
+        bindings: dict[str, int | str] = {}
+        implicature = False
+        for arg in real.effective.args:
+            idx = fills.get(arg.role)
+            if idx is not None:
+                cls = head_class(idx)
+                if cls is None or not onto.compatible(cls, arg.restriction):
+                    break
+                bindings[arg.role] = idx
+            elif not arg.required:
+                bindings[arg.role] = UNFILLED
+            elif voice == "passive" and (arg.role == cmap.get("subj")
+                                         or (passive_lone and not fills)):
                 implicature = True
                 bindings[arg.role] = UNFILLED
             else:
-                return False, {}, False
+                break
         else:
-            bindings[arg.role] = UNFILLED
-    return True, bindings, implicature
+            fits.append((real, bindings, implicature))
+    return fits
 
 
-def _bg_sense_survives(sense: BgSense, observed: dict[str, str | None],
-                       onto: Ontology) -> bool:
-    # an absent or untagged argument never eliminates a general sense;
-    # only a present, incompatible one does
-    for gr, restriction in (("subj", sense.subj_restriction),
-                            ("dobj", sense.obj_restriction)):
-        cls = observed.get(gr)
-        if restriction is not None and cls is not None:
-            if restriction not in onto.classes or not onto.compatible(cls, restriction):
-                return False
-    return True
+def _general_survivors(senses: list[BgSense], deps: list[tuple[str, int]], head_class,
+                       onto: Ontology) -> int:
+    """How many general `senses` no present, tagged subject or object contradicts.
+
+    The first `subj` and the first `dobj` of `deps` are the arguments.  An
+    absent or untagged one eliminates nothing; a tagged one eliminates a
+    sense whose restriction is incompatible with its class or names no class.
+    """
+    observed: dict[str, str | None] = {}
+    for relation, idx in deps:
+        if relation in ("subj", "dobj") and relation not in observed:
+            observed[relation] = head_class(idx)
+    subj, obj = observed.get("subj"), observed.get("dobj")
+    survivors = 0
+    for sense in senses:
+        for cls, restriction in ((subj, sense.subj_restriction),
+                                 (obj, sense.obj_restriction)):
+            if restriction is not None and cls is not None and (
+                    restriction not in onto.classes or not onto.compatible(cls, restriction)):
+                break
+        else:
+            survivors += 1
+    return survivors
 
 
 def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
@@ -472,36 +492,18 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                 if not reals:
                     continue
                 voice = "passive" if is_passive_vg(tokens, vg) else "active"
-                rels_v = [r for r in sa.relations if r.verb_idx == vg.head_idx]
-
-                fits: list[tuple[Realization, dict[str, int | str], bool]] = []
-                for real in reals:
-                    fills: dict[str, int] = {}
-                    for rel in rels_v:
-                        key = _transform_key(rel.relation, voice)
-                        role = real.complement_map.get(key)
-                        if role is not None and role not in fills:
-                            fills[role] = rel.dependent_idx
-                    ok, bindings, implicature = _fit_realization(
-                        real, fills, voice, passive_lone, head_class, onto)
-                    if ok:
-                        fits.append((real, bindings, implicature))
-
+                swap = _ACTIVE_READING if voice == "passive" else {}
+                deps = [(swap.get(rel.relation, rel.relation), rel.dependent_idx)
+                        for rel in sa.relations if rel.verb_idx == vg.head_idx]
+                fits = _fitting_senses(reals, deps, voice, passive_lone, head_class, onto)
                 if not fits:
                     continue
-                bg_survivors = 0
+                survivors = len(fits)
                 if bg is not None:
-                    observed: dict[str, str | None] = {}
-                    for rel in rels_v:
-                        key = _transform_key(rel.relation, voice)
-                        if key in ("subj", "dobj") and key not in observed:
-                            observed[key] = head_class(rel.dependent_idx)
                     senses = general.get(verb.lemma)
                     if senses is None:
                         senses = general[verb.lemma] = bg.entries(verb.lemma, "verb")
-                    for sense in senses:
-                        if _bg_sense_survives(sense, observed, onto):
-                            bg_survivors += 1
+                    survivors += _general_survivors(senses, deps, head_class, onto)
                 if len(fits) == 1:
                     chosen = fits[0]
                 else:
@@ -523,7 +525,7 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                     doc_id=doc.doc_id, sent_idx=sent_idx, verb_idx=vg.head_idx,
                     realization=real, bindings=bindings, passive_implicature=implicature,
                     competitors=len(fits) - 1,
-                    survivors=len(fits) + bg_survivors,
+                    survivors=survivors,
                     trigger_lemma=verb.lemma))
     return matches, diagnostics
 
@@ -564,35 +566,22 @@ def surviving_sense_count(fg: FgLexicon, bg: BgLexicon | None, onto: Ontology,
                           lang: str = "en") -> tuple[int, list[str]]:
     """Restriction-filter arithmetic for a verb given argument classes.
 
-    Counts how many senses (foreground realizations plus general background
-    senses) are compatible with the given subject/object classes; a None
-    class constrains nothing.  Only the subject and object restrictions are
-    checked: unlike the matcher's `_fit_realization`, this does not ask that
-    every required role be filled, so a foreground sense that lacks another
-    required role still counts.  Returns (total survivors, surviving
-    foreground sense ids).
+    The matcher's own filter, run on a made-up active clause: a given class
+    is the class of a tagged subject or object head, and None means that
+    argument is absent.  So a foreground sense survives only if its
+    restrictions admit the given classes and every role it requires is
+    filled; a general sense survives unless a given class contradicts its
+    restriction.  Returns (total survivors, surviving foreground sense ids).
     """
-    fg_survivors: list[str] = []
-    for real in fg.senses(lemma, "verb", lang):
-        eff = real.effective
-        ok = True
-        for gr, cls in (("subj", subj_class), ("dobj", obj_class)):
-            role = real.complement_map.get(gr)
-            if role is None or cls is None:
-                continue
-            arg = eff.arg(role)
-            if arg is not None and not onto.compatible(cls, arg.restriction):
-                ok = False
-                break
-        if ok:
-            fg_survivors.append(real.sense_id)
-    total = len(fg_survivors)
+    classes = (subj_class, obj_class)
+    deps = [(relation, i) for i, relation in enumerate(("subj", "dobj"))
+            if classes[i] is not None]
+    fits = _fitting_senses(fg.senses(lemma, "verb", lang), deps, "active", False,
+                           classes.__getitem__, onto)
+    total = len(fits)
     if bg is not None:
-        observed = {"subj": subj_class, "dobj": obj_class}
-        for sense in bg.entries(lemma, "verb"):
-            if _bg_sense_survives(sense, observed, onto):
-                total += 1
-    return total, fg_survivors
+        total += _general_survivors(bg.entries(lemma, "verb"), deps, classes.__getitem__, onto)
+    return total, [real.sense_id for real, _, _ in fits]
 
 
 # ------------------------------------------------------- tagged corpus io

@@ -618,15 +618,20 @@ _MATCH_CHUNKS = ([("the", "DET"), ("n0", "NN")], [("n1", "NN")], [("n2", "NNP")]
                  [("be", "BE"), ("now", "ADV"), ("v1", "VBN")], [("v1", "VB")],
                  [("by", "PREP")], [("from", "PREP")], [(".", "PUNCT")])
 _MATCH_WORDS = sorted({lemma for chunk in _MATCH_CHUNKS for lemma, _ in chunk})
+_MATCH_NPS = _MATCH_CHUNKS[:3]
+_MATCH_ACTIVE_VERBS = ([("v0", "VBD")], [("v1", "VB")])
 
 
 @st.composite
-def matcher_cases(draw):
+def matcher_cases(draw, clauses: bool = False):
     """The arguments of `match_foreground`, by name: a small class tree; up to three competing foreground
     senses per verb, each with its own restrictions, required and optional
     roles, complement map and discriminator rules; general background senses
     with subject and object restrictions, some naming no class; sentences
-    of a few chunks each, whose nouns are tagged with a class or untagged."""
+    of a few chunks each, whose nouns are tagged with a class or untagged.
+    With `clauses`, each sentence is a noun phrase, an active verb and a
+    noun phrase, a document has three to six of them, and every noun is
+    tagged."""
     cls = st.sampled_from(_MATCH_CLASSES)
     onto = Ontology({c: SemClass(c, draw(st.sampled_from(_MATCH_CLASSES[:i])) if i else None)
                      for i, c in enumerate(_MATCH_CLASSES)}, {})
@@ -654,14 +659,20 @@ def matcher_cases(draw):
         bg.senses_by_key[(verb, "verb")] = [
             BgSense(verb, "verb", f"b{j}", "ACT", "ACT", draw(restriction),
                     draw(restriction)) for j in range(draw(st.integers(0, 2)))]
-    sentence = st.lists(st.sampled_from(_MATCH_CHUNKS), min_size=1, max_size=6).map(
-        lambda chunks: [tok for chunk in chunks for tok in chunk])
+    if clauses:
+        noun_phrase = st.sampled_from(_MATCH_NPS)
+        chunks = st.tuples(noun_phrase, st.sampled_from(_MATCH_ACTIVE_VERBS), noun_phrase,
+                           st.just([(".", "PUNCT")]))
+    else:
+        chunks = st.lists(st.sampled_from(_MATCH_CHUNKS), min_size=1, max_size=6)
+    sentence = chunks.map(lambda chunks: [tok for chunk in chunks for tok in chunk])
     analyses, tags = [], {}
     for d in range(draw(st.integers(1, 2))):
-        doc = make_doc(f"d{d}", draw(st.lists(sentence, min_size=1, max_size=3)))
+        doc = make_doc(f"d{d}", draw(st.lists(sentence, min_size=1 + 2 * clauses,
+                                              max_size=3 + 3 * clauses)))
         for tok in doc.tokens():
             if LEXICON_POS.get(tok.pos) == "noun":
-                tag_class = draw(st.one_of(st.none(), cls, cls))
+                tag_class = draw(cls if clauses else st.one_of(st.none(), cls, cls))
                 if tag_class is not None:
                     tags[(doc.doc_id, tok.sent_idx, tok.tok_idx)] = SenseTag(
                         doc.doc_id, tok.sent_idx, tok.tok_idx, tok.lemma, "noun", "n",

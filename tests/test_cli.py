@@ -222,6 +222,28 @@ def test_collapse_error_names_the_lexicon_line(tmp_path, capsys, command, sense,
     assert capsys.readouterr().err == f"templex: error: {bg}:75: {message}\n"
 
 
+def test_unknown_background_classes_name_their_lines_in_file_order(tmp_path, capsys):
+    # `sack` is the lexicon's first lemma, so its new sense on line 76 comes
+    # before `widget`'s on line 75 in lexicon order, but not in file order
+    bg = tmp_path / "nosuch.bglex"
+    text = fixture_text("succession.bglex")
+    assert len(text.splitlines()) == 74
+    assert text.splitlines()[5].startswith("sack verb s1 PLUNDER_ACT ")
+    bg.write_text(text + "widget noun s1 NOSUCH\nsack verb s9 PLUNDER_ACT obj=NOTHING\n")
+    args, _ = base_args(tmp_path, "extract", "out.jsonl")
+    args[args.index("--bg-lexicon") + 1] = str(bg)
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"templex: error: {bg}:75: widget/noun/s1: unknown class NOSUCH\n")
+    args = ["validate", "--ontology", fixture_path("succession.onto"),
+            "--fg-lexicon", fixture_path("succession.fglex"), "--bg-lexicon", str(bg)]
+    assert run(args) == 1
+    assert capsys.readouterr().out == (
+        f"error: {bg}:75: widget/noun/s1: unknown class NOSUCH\n"
+        f"error: {bg}:76: sack/verb/s9: unknown class NOTHING\n"
+        "2 diagnostic(s)\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "extract"])
 def test_foreground_resolution_error_names_the_word_line(tmp_path, capsys, command):
     fg = tmp_path / "bad.fglex"
@@ -475,7 +497,7 @@ def test_tuned_lexicon_unknown_class_rejected_at_load(tmp_path, capsys):
                   "sense school noun s1 ORGANISATION\n")
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{path}: bank/noun/s1: unknown class NOSUCH" in err
+    assert f"{path}:2: bank/noun/s1: unknown class NOSUCH" in err
     assert "school" not in err
 
 
@@ -490,7 +512,7 @@ def test_validate_checks_a_tuned_lexicon(tmp_path, capsys):
         "sense bank noun s1 ORGANISATION", "sense bank noun s1 NOSUCH"))
     args[-1] = str(bad)
     assert run(args) == 1
-    assert capsys.readouterr().out == (f"error: {bad}: bank/noun/s1: unknown class NOSUCH\n"
+    assert capsys.readouterr().out == (f"error: {bad}:9: bank/noun/s1: unknown class NOSUCH\n"
                                        "1 diagnostic(s)\n")
 
 

@@ -123,14 +123,16 @@ def test_direct_filter_arithmetic(fg, bg, onto):
         assert fg_fits == ["fg1"]
 
 
-def test_filter_without_constraints_keeps_everything(fg, bg, onto):
+def test_filter_without_arguments_keeps_only_general_senses(fg, bg, onto):
+    # no subject and no object: the foreground sense lacks its required roles,
+    # while an absent argument eliminates no general sense
     total, fg_fits = surviving_sense_count(fg, bg, onto, "dismiss")
-    assert total == 5 and fg_fits == ["fg1"]
+    assert total == 4 and fg_fits == []
 
 
-def test_filter_counts_a_sense_that_lacks_a_required_role(fg, bg, onto, corpus):
-    # the count checks only the subject and object restrictions; the matcher
-    # also asks for every required role, here a `post` that nothing fills
+def test_filter_drops_a_sense_that_lacks_a_required_role(fg, bg, onto, corpus):
+    # the count and the matcher share one filter: a foreground sense whose
+    # required `post` nothing fills survives in neither
     text = fixture_text("succession.fglex")
     assert "arg post : POST -> POST optional\n" in text
     strict = load_fg_lexicon(text.replace("arg post : POST -> POST optional\n",
@@ -140,9 +142,9 @@ def test_filter_counts_a_sense_that_lacks_a_required_role(fg, bg, onto, corpus):
     tags = disambiguate_background(train_bayes(corpus, bg), docs, bg)
     assert [tags[("x", 0, i)].coarse_class for i in (1, 4)] == ["ORGANISATION", "PERSON"]
     analyses = analyze_corpus(docs)
-    for lexicon, matched in ((fg, 1), (strict, 0)):
+    for lexicon, matched, count in ((fg, 1, (3, ["fg1"])), (strict, 0, (2, []))):
         assert surviving_sense_count(lexicon, bg, onto, "remove", "ORGANISATION",
-                                     "PERSON") == (3, ["fg1"])
+                                     "PERSON") == count
         assert len(match_foreground(analyses, lexicon, tags, onto, bg)[0]) == matched
 
 
@@ -251,6 +253,36 @@ def test_discriminators_decide_by_the_first_matching_rule(onto, rules_a, rules_b
 def _tag(doc, idx, lemma, sid, cls):
     from templex.wsd import SenseTag
     return SenseTag(doc, 0, idx, lemma, "noun", sid, cls, 0.0, "unambiguous")
+
+
+def test_surviving_sense_count_agrees_with_the_matcher():
+    # on an active clause whose verb has one tagged subject and one tagged
+    # object, the count on the two heads' classes is the match's own
+    checked = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=matcher_cases(clauses=True))
+    def check(case):
+        matches, _ = match_foreground(**case)
+        analyses = {a.doc.doc_id: a for a in case["analyses"]}
+        for m in matches:
+            sa = analyses[m.doc_id].sentences[m.sent_idx]
+            # sorted, so an object comes before a subject
+            deps = sorted((r.relation, r.dependent_idx) for r in sa.relations
+                          if r.verb_idx == m.verb_idx)
+            tags = [case["tags"].get((m.doc_id, m.sent_idx, idx)) for _, idx in deps]
+            if (sa.tokens[m.verb_idx].pos == "VBN" or [rel for rel, _ in deps] != ["dobj", "subj"]
+                    or None in tags):
+                continue
+            total, fg_fits = surviving_sense_count(
+                case["fg"], case["bg"], case["onto"], m.trigger_lemma,
+                tags[1].coarse_class, tags[0].coarse_class)
+            assert total == m.survivors
+            assert len(fg_fits) == m.competitors + 1 and m.sense_id in fg_fits
+            checked.append(m)
+
+    check()
+    assert len(checked) >= 100
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from templex import shards
 from templex.cli import main
 from templex.shards import plan_shards
-from templex.errors import CycleError, LexiconError, ParseError
+from templex.errors import CycleError, ParseError
 from helpers import corpus_texts, document_cuts_oracle, fixture_path, fixture_text
 
 COPIES = 3
@@ -551,8 +551,7 @@ def test_the_parent_reads_only_its_own_shard(tmp_path, replica, pools, monkeypat
 
 def test_errors_survive_the_process_boundary():
     for exc in (ParseError("bad number 'x'", path="t.tl", line=3),
-                CycleError(["B", "A"], what="concept"),
-                LexiconError("t.tl: bank/noun/s1: unknown class X")):
+                CycleError(["B", "A"], what="concept")):
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc)
         assert str(back) == str(exc)
