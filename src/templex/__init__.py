@@ -34,7 +34,7 @@ _EXPORTS = {
     "workbench": ("KwicLine", "PatternQuery", "PatternReportEntry", "format_kwic",
                   "format_report", "kwic", "log_likelihood_ratio", "parse_query",
                   "pattern_report"),
-    "wsd": ("BayesModel", "FgMatch", "SALIENT", "UNFILLED",
+    "wsd": ("BayesModel", "FgMatch", "UNFILLED",
             "apply_foreground_priority", "apply_ospd", "classify_bayes",
             "disambiguate_background", "dump_tagged_corpus", "match_foreground",
             "surviving_sense_count", "train_bayes"),

@@ -204,7 +204,8 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
     """Rewrite every sense onto its coarse class, merging coarse duplicates.
 
     Idempotent; the input lexicon is left untouched.  A sense whose class
-    has no image in its part of speech's scheme is a ParseError at its line.
+    has no image in its part of speech's scheme, or one the ontology lacks,
+    is a ParseError at its line.
     """
     out = BgLexicon(collapsed=True)
     images: dict[tuple[str, str], str] = {}  # (fine class, pos) -> its checked image
@@ -222,6 +223,9 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
                       or pos == "verb" and coarse not in cmap.verb_classes):
                     problem = (f"{s.fine_class} collapses to {coarse}, "
                                f"which is not in the {pos} scheme")
+                elif coarse not in onto.classes:
+                    problem = (f"{s.fine_class} collapses to {coarse}, "
+                               f"which is not an ontology class")
                 if problem is not None:
                     raise ParseError(f"{lemma}/{pos}/{s.sense_id}: {problem}",
                                      path=lex.path, line=lex.lines.get(s))

@@ -199,6 +199,19 @@ def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology):
     return bgmod.collapse(bg, cmap, onto)
 
 
+def _load_foreground(cfg: argparse.Namespace, onto: ontomod.Ontology):
+    """The resolved `--fg-lexicon`, or None if `validate` finds an error:
+    then each of its diagnostics is printed to stderr."""
+    from . import fg_lexicon as fgmod
+    fg = fgmod.load_fg_lexicon(read_text(cfg.fg_lexicon), cfg.fg_lexicon)
+    diags = fgmod.validate(fg, onto)
+    if any(d.severity == "error" for d in diags):
+        for d in diags:
+            print(d, file=sys.stderr)
+        return None
+    return fg
+
+
 # ------------------------------------------------------------ subcommands
 
 def _cmd_validate(cfg: argparse.Namespace) -> int:
@@ -243,11 +256,12 @@ def _cmd_wsd(cfg: argparse.Namespace) -> int:
 
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
-    bg = _load_background(cfg, onto)
     fg = None
     if cfg.fg_lexicon:
-        from . import fg_lexicon as fgmod
-        fg = fgmod.load_fg_lexicon(read_text(cfg.fg_lexicon), cfg.fg_lexicon)
+        fg = _load_foreground(cfg, onto)
+        if fg is None:
+            return 1
+    bg = _load_background(cfg, onto)
 
     def render(shard, analyses, tags, matches):
         if matches is not None:
@@ -266,16 +280,12 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
     import json
 
     from . import extract as exmod
-    from . import fg_lexicon as fgmod
     from . import shards
 
     _require(cfg, "ontology", "fg_lexicon", "corpus")
     onto = _load_ontology(cfg)
-    fg = fgmod.load_fg_lexicon(read_text(cfg.fg_lexicon), cfg.fg_lexicon)
-    diags = fgmod.validate(fg, onto)
-    if any(d.severity == "error" for d in diags):
-        for d in diags:
-            print(d, file=sys.stderr)
+    fg = _load_foreground(cfg, onto)
+    if fg is None:
         return 1
     bg = _load_background(cfg, onto)
     cfg.jobs = cfg.jobs or 1  # one process unless asked (docs/formats.md)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .ontology import Ontology
 from .textpipe import DocAnalysis
-from .wsd import SALIENT, UNFILLED, FgMatch, SenseTag, TokenKey
+from .wsd import UNFILLED, FgMatch, SenseTag, TokenKey
 
 
 class SlotFiller(NamedTuple):
@@ -22,6 +22,9 @@ class SlotFiller(NamedTuple):
     span: str | None
     sem_class: str | None
     source: str  # direct | salient | unfilled
+
+
+_NO_FILLER = SlotFiller(None, None, None, "unfilled")
 
 
 class TemplateInstance:
@@ -96,41 +99,23 @@ def fill_templates(matches: list[FgMatch], tags: dict[TokenKey, SenseTag],
                 role_fillers[arg.role] = SlotFiller(
                     head.lemma, _np_span(analysis, m.sent_idx, binding),
                     tag.coarse_class if tag else None, "direct")
-            elif binding == SALIENT or (binding == UNFILLED and arg.required):
-                found = resolve_salient(analysis, tags, onto, arg.restriction,
-                                        m.sent_idx, m.verb_idx)
-                if found is not None:
-                    lemma, span, cls = found
-                    role_fillers[arg.role] = SlotFiller(lemma, span, cls, "salient")
-                else:
-                    role_fillers[arg.role] = SlotFiller(None, None, None, "unfilled")
-            else:
-                role_fillers[arg.role] = SlotFiller(None, None, None, "unfilled")
-            if arg.slot_binding is not None:
-                slot_for_role[arg.role] = arg.slot_binding[1]
+            else:  # UNFILLED: a required role is resolved by salience
+                found = resolve_salient(analysis, tags, onto, arg.restriction, m.sent_idx,
+                                        m.verb_idx) if arg.required else None
+                role_fillers[arg.role] = SlotFiller(*found, "salient") if found else _NO_FILLER
+            if arg.slot is not None:
+                slot_for_role[arg.role] = arg.slot
 
-        fillers: dict[str, SlotFiller] = {}
-        for slot in schema.slots:
-            bound = [r for r, s in slot_for_role.items() if s == slot.name]
-            if bound:
-                fillers[slot.name] = role_fillers[bound[0]]
-            else:
-                fillers[slot.name] = SlotFiller(None, None, None, "unfilled")
-
-        assertions = []
-        for asrt in eff.assertions:
-            args = [role_fillers[r].lemma if r in role_fillers else None
-                    for r in asrt.role_args]
-            assertions.append({
-                "predicate": asrt.predicate,
-                "args": args,
-                "polarity": asrt.polarity,
-                "phase": asrt.phase,
-            })
-
-        instigator_slot = None
-        if eff.instigator is not None:
-            instigator_slot = slot_for_role.get(eff.instigator)
+        # a slot takes the filler of the first role bound to it
+        fillers = {slot.name: next((role_fillers[r] for r, s in slot_for_role.items()
+                                    if s == slot.name), _NO_FILLER)
+                   for slot in schema.slots}
+        assertions = [{"predicate": a.predicate,
+                       "args": [role_fillers[r].lemma if r in role_fillers else None
+                                for r in a.role_args],
+                       "polarity": a.polarity, "phase": a.phase}
+                      for a in eff.assertions]
+        instigator_slot = slot_for_role.get(eff.instigator)
 
         instances.append(TemplateInstance(
             schema=schema.name, fillers=fillers, assertions=assertions,

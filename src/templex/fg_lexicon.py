@@ -26,7 +26,7 @@ _FIELD_NAMES = ("schema", "args", "assertions", "instigator", "discriminators")
 class ArgSpec(NamedTuple):
     role: str
     restriction: str
-    slot_binding: tuple[str, str] | None = None  # (schema, slot)
+    slot: str | None = None  # a slot of the resolved node's own template
     required: bool = True
 
 
@@ -52,17 +52,6 @@ class ConceptNode(NamedTuple):
         return {a.role for a in self.args}
 
 
-class RawArg:
-    __slots__ = ("role", "restriction", "slot", "required")
-
-    def __init__(self, role: str, restriction: str | None, slot: str | None = None,
-                 required: bool = True):
-        self.role = role
-        self.restriction = restriction
-        self.slot = slot
-        self.required = required
-
-
 class RawConcept:
     """A concept block as written, or a word's override block (no id, no
     parent); a field left None or empty is inherited."""
@@ -71,17 +60,16 @@ class RawConcept:
                  "discriminators", "line")
 
     def __init__(self, id: str | None, parent: str | None = None, schema: str | None = None,
-                 args: list[RawArg] | None = None,
+                 args: list[ArgSpec] | None = None,
                  assertions: list[StateAssertion] | None = None,
                  instigator: str | None = None,
-                 discriminators: list[tuple[str, str, str]] | None = None, line: int = 0):
+                 discriminators: list[DecisionRule] | None = None, line: int = 0):
         self.id = id
         self.parent = parent
         self.schema = schema
         self.args = [] if args is None else args
         self.assertions = [] if assertions is None else assertions
         self.instigator = instigator
-        # (sense, kind, value) triples
         self.discriminators = [] if discriminators is None else discriminators
         self.line = line
 
@@ -173,7 +161,7 @@ def _parse_assert(parts: list[str], path: str, lineno: int) -> StateAssertion:
     return StateAssertion(pred, roles, polarity, phase_tok[1:])
 
 
-def _parse_arg(parts: list[str], path: str, lineno: int) -> RawArg:
+def _parse_arg(parts: list[str], path: str, lineno: int) -> ArgSpec:
     # arg <role> : <CLASS> [-> <slot>] [optional]
     if len(parts) < 3 or parts[1] != ":":
         raise ParseError("expected `arg <role> : <CLASS> [-> <slot>] [optional]`",
@@ -192,10 +180,11 @@ def _parse_arg(parts: list[str], path: str, lineno: int) -> RawArg:
             rest = rest[1:]
         else:
             raise ParseError(f"unexpected token {rest[0]!r}", path=path, line=lineno)
-    return RawArg(role, restriction, slot, required)
+    return ArgSpec(role, restriction, slot, required)
 
 
-def _parse_feature(text: str, path: str, lineno: int) -> tuple[str, str]:
+def _parse_rule(sense_id: str, text: str, path: str, lineno: int) -> DecisionRule:
+    # a hand rule scores 1.0: a stable sort keeps declaration order as priority
     kinds = {"left": "word_left", "right": "word_right", "window": "word_in_window"}
     if ":" not in text:
         raise ParseError(f"bad feature pattern {text!r} (want left:/right:/window:)",
@@ -203,7 +192,7 @@ def _parse_feature(text: str, path: str, lineno: int) -> tuple[str, str]:
     kind, value = text.split(":", 1)
     if kind not in kinds or not value:
         raise ParseError(f"bad feature pattern {text!r}", path=path, line=lineno)
-    return kinds[kind], value.lower()
+    return DecisionRule(kinds[kind], value.lower(), sense_id, 1.0)
 
 
 def _parse_field(node: RawConcept, parts: list[str], path: str,
@@ -228,7 +217,7 @@ def _parse_field(node: RawConcept, parts: list[str], path: str,
         if len(rest) != 3 or rest[1] != "when":
             raise ParseError(f"expected `{prefix}discriminate <sense_id> when <feature>`",
                              path=path, line=lineno)
-        name, item = "discriminators", (rest[0], *_parse_feature(rest[2], path, lineno))
+        name, item = "discriminators", _parse_rule(rest[0], rest[2], path, lineno)
     else:
         what = "override field" if prefix else "concept directive"
         raise ParseError(f"unknown {what} {head!r}", path=path, line=lineno)
@@ -325,11 +314,6 @@ def parse_fg_lexicon(text: str, path: str = "<string>") -> RawLexicon:
 
 # ------------------------------------------------------------- resolution
 
-def _discriminator_rules(specs: list[tuple[str, str, str]]) -> tuple[DecisionRule, ...]:
-    # hand rules all score 1.0; stable sort keeps declaration order as priority
-    return tuple(DecisionRule(kind, value, sense, 1.0) for sense, kind, value in specs)
-
-
 def _merge_chain(chain: list[RawConcept]) -> dict:
     """Nearest-set-value field merge, self first then up the parent chain:
     each field's first truthy value, or None."""
@@ -342,19 +326,13 @@ def _build_node(cid: str, merged: dict, line: int, label: str, path: str,
     """The node of a merged chain; a fault is a ParseError at line `at` of `path`."""
     if merged["schema"] is None:
         raise ParseError(f"{label}: no schema after resolution", path=path, line=at)
-    args = []
-    for ra in merged["args"] or []:
-        if ra.restriction is None:
-            raise ParseError(f"{label}: arg {ra.role} has no restriction", path=path, line=at)
-        binding = (merged["schema"], ra.slot) if ra.slot is not None else None
-        args.append(ArgSpec(ra.role, ra.restriction, binding, ra.required))
     return ConceptNode(
         id=cid,
         schema=merged["schema"],
-        args=tuple(args),
+        args=tuple(merged["args"] or []),
         assertions=tuple(merged["assertions"] or []),
         instigator=merged["instigator"],
-        discriminators=_discriminator_rules(merged["discriminators"] or []),
+        discriminators=tuple(merged["discriminators"] or []),
         line=line,
     )
 
@@ -407,7 +385,7 @@ def load_fg_lexicon(text: str, path: str = "<string>") -> FgLexicon:
 def validate(lex: FgLexicon, onto: Ontology) -> list[Diagnostic]:
     """Cross-check every reference against the ontology.
 
-    Returns an empty list when every restriction, schema, slot binding, role
+    Returns an empty list when every restriction, schema, slot, role
     reference and assertion role resolves.
     """
     diags: list[Diagnostic] = []
@@ -419,25 +397,21 @@ def validate(lex: FgLexicon, onto: Ontology) -> list[Diagnostic]:
         diags.append(Diagnostic("warning", loc, msg))
 
     def check_node(node: ConceptNode, loc: str) -> None:
-        if node.schema not in onto.schemas:
+        schema = onto.schemas.get(node.schema)
+        if schema is None:
             err(loc, f"unknown template {node.schema}")
         for a in node.args:
             if a.restriction not in onto.classes:
                 err(loc, f"arg {a.role}: unknown class {a.restriction}")
-            if a.slot_binding is not None:
-                schema_name, slot_name = a.slot_binding
-                schema = onto.schemas.get(schema_name)
-                if schema is None:
-                    err(loc, f"arg {a.role}: binding to unknown template {schema_name}")
-                    continue
-                slot = schema.slot(slot_name)
+            if a.slot is not None and schema is not None:
+                slot = schema.slot(a.slot)
                 if slot is None:
-                    err(loc, f"arg {a.role}: template {schema_name} has no slot {slot_name}")
+                    err(loc, f"arg {a.role}: template {node.schema} has no slot {a.slot}")
                 elif (a.restriction in onto.classes
                       and slot.filler_class in onto.classes
                       and not onto.compatible(a.restriction, slot.filler_class)):
                     warn(loc, f"arg {a.role}: restriction {a.restriction} incompatible "
-                              f"with slot {slot_name} class {slot.filler_class}")
+                              f"with slot {a.slot} class {slot.filler_class}")
         roles = node.roles()
         for asrt in node.assertions:
             for role in asrt.role_args:

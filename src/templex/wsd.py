@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     from .ontology import Ontology
 
 UNFILLED = "UNFILLED"
-SALIENT = "SALIENT"
 
 
 class _ClassWeights(dict):
@@ -607,7 +606,7 @@ def dump_tagged_corpus(docs: list[Document], tags: dict[TokenKey, SenseTag],
 
 
 __all__ = [
-    "BayesModel", "SenseTag", "FgMatch", "TokenKey", "UNFILLED", "SALIENT",
+    "BayesModel", "SenseTag", "FgMatch", "TokenKey", "UNFILLED",
     "train_bayes", "classify_bayes", "disambiguate_background", "apply_ospd",
     "match_foreground", "apply_foreground_priority", "surviving_sense_count",
     "dump_tagged_corpus", "load_tagged_corpus",

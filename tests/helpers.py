@@ -29,8 +29,8 @@ def fixture_text(name: str) -> str:
     with open(fixture_path(name), encoding="utf-8") as fh:
         return fh.read()
 from templex.decisionlist import DecisionRule
-from templex.fg_lexicon import (ArgSpec, ConceptNode, FgLexicon, RawArg, RawConcept,
-                                RawLexicon, Realization, StateAssertion)
+from templex.fg_lexicon import (ArgSpec, ConceptNode, FgLexicon, RawConcept, RawLexicon,
+                                Realization, StateAssertion)
 from templex.ontology import Ontology, SemClass
 from templex.textpipe import LEXICON_POS, analyze
 from templex.wsd import UNFILLED, SenseTag
@@ -81,11 +81,11 @@ _SLOTS = ("S1", "S2", "S3")
 _PREDS = ("employed", "holds_post", "owns")
 
 
-def _random_args(rng: random.Random) -> list[RawArg]:
+def _random_args(rng: random.Random) -> list[ArgSpec]:
     roles = rng.sample(_ROLES, rng.randint(1, 3))
-    return [RawArg(role, rng.choice(_CLASSES),
-                   rng.choice(_SLOTS) if rng.random() < 0.7 else None,
-                   rng.random() < 0.8)
+    return [ArgSpec(role, rng.choice(_CLASSES),
+                    rng.choice(_SLOTS) if rng.random() < 0.7 else None,
+                    rng.random() < 0.8)
             for role in roles]
 
 
@@ -119,10 +119,9 @@ def random_hierarchy(rng: random.Random, n: int,
         if rng.random() < 0.3:
             node.instigator = rng.choice(_ROLES)
         if rng.random() < 0.3:
-            node.discriminators = [(f"fg{rng.randint(1, 3)}",
-                                    rng.choice(("word_left", "word_right",
-                                                "word_in_window")),
-                                    f"w{rng.randrange(20)}")]
+            sense = f"fg{rng.randint(1, 3)}"
+            kind = rng.choice(("word_left", "word_right", "word_in_window"))
+            node.discriminators = [DecisionRule(kind, f"w{rng.randrange(20)}", sense, 1.0)]
         raw.concepts[cid] = node
     if with_realizations:
         _attach_realizations(rng, raw)
@@ -145,8 +144,8 @@ def _attach_realizations(rng: random.Random, raw: RawLexicon) -> None:
             if rng.random() < 0.2:
                 real.overrides.instigator = rng.choice(_ROLES)
             if rng.random() < 0.2:
-                real.overrides.discriminators = [(f"fg{w}", "word_left",
-                                                  f"w{rng.randrange(20)}")]
+                real.overrides.discriminators = [DecisionRule(
+                    "word_left", f"w{rng.randrange(20)}", f"fg{w}", 1.0)]
         if real.overrides.args:
             roles = [a.role for a in real.overrides.args]
         else:
@@ -161,7 +160,8 @@ def merge_oracle(raw: RawLexicon, cid: str, overrides: RawConcept | None = None)
     """Brute-force root-to-leaf field merge, independent of the resolver.
 
     A word's override block, when given, is the leaf of the chain: its
-    fields replace the concept's, and a new template rebinds every slot.
+    fields replace the concept's, and a new template rebinds every slot,
+    since an arg names a slot of the resolved node's own template.
     """
     chain = []
     cur: str | None = cid
@@ -186,14 +186,43 @@ def merge_oracle(raw: RawLexicon, cid: str, overrides: RawConcept | None = None)
         if node.discriminators:
             discriminators = node.discriminators
     assert schema is not None
-    argspecs = tuple(
-        ArgSpec(a.role, a.restriction,
-                (schema, a.slot) if a.slot is not None else None, a.required)
-        for a in (args or []))
-    rules = tuple(DecisionRule(kind, value, sense, 1.0)
-                  for sense, kind, value in (discriminators or []))
-    return ConceptNode(cid, schema, argspecs, tuple(assertions or []),
-                       instigator, rules, raw.concepts[cid].line)
+    return ConceptNode(cid, schema, tuple(args or []), tuple(assertions or []),
+                       instigator, tuple(discriminators or []), raw.concepts[cid].line)
+
+
+_FEATURE_PREFIX = {"word_left": "left", "word_right": "right", "word_in_window": "window"}
+
+
+def _field_lines(node: RawConcept) -> list[str]:
+    """The DSL lines that set a concept's or an override block's fields."""
+    lines = [f"template {node.schema}"] if node.schema is not None else []
+    for a in node.args:
+        lines.append(f"arg {a.role} : {a.restriction}"
+                     + (f" -> {a.slot}" if a.slot is not None else "")
+                     + ("" if a.required else " optional"))
+    for s in node.assertions:
+        lines.append(f"assert {'' if s.polarity else 'not '}"
+                     f"{s.predicate}({','.join(s.role_args)}) @{s.phase}")
+    if node.instigator is not None:
+        lines.append(f"instigator {node.instigator}")
+    for r in node.discriminators:
+        lines.append(f"discriminate {r.sense_id} when {_FEATURE_PREFIX[r.kind]}:{r.value}")
+    return lines
+
+
+def render_fg_lexicon(raw: RawLexicon) -> str:
+    """A raw lexicon as foreground DSL text, for parser round-trip tests."""
+    out = []
+    for cid, node in raw.concepts.items():
+        out.append(f"concept {cid}" + (f" isa {node.parent}" if node.parent else ""))
+        out.extend(f"  {line}" for line in _field_lines(node))
+    for real in raw.realizations:
+        lang = "" if real.lang == "en" else f" lang {real.lang}"
+        out.append(f"word {real.lemma} {real.pos}{lang} sense {real.sense_id} "
+                   f"-> {real.concept}")
+        out.extend(f"  map {gr} -> {role}" for gr, role in real.complement_map.items())
+        out.extend(f"  override {line}" for line in _field_lines(real.overrides))
+    return "\n".join(out) + "\n"
 
 
 # -------------------------------------------------------- synthetic corpora
@@ -547,9 +576,10 @@ def collapse_cases(draw):
 def collapse_oracle(lex, cmap, onto, text):
     """`collapse` by hand, sense by sense: each fine class's image is the
     first mapped class up its parent chain; the first sense in list order
-    without one, or with one outside its part of speech's scheme, fails at
-    the line of `text` that declares it.  Each coarse class keeps its lowest
-    sense id, and the key's senses are in sense-id order."""
+    without one, with one outside its part of speech's scheme, or with one
+    the ontology lacks, fails at the line of `text` that declares it.  Each
+    coarse class keeps its lowest sense id, and the key's senses are in
+    sense-id order."""
     line_of = {tuple(line.split()[:3]): n for n, line in enumerate(text.splitlines(), 1)}
     out = {}
     for (lemma, pos), senses in lex.senses_by_key.items():
@@ -568,6 +598,9 @@ def collapse_oracle(lex, cmap, onto, text):
             if scheme is not None and coarse not in scheme:
                 raise ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
                                  f"which is not in the {pos} scheme", **at)
+            if coarse not in onto.classes:
+                raise ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
+                                 f"which is not an ontology class", **at)
             images.append(s._replace(coarse_class=coarse))
         lowest = {}
         for s in images:

@@ -156,6 +156,23 @@ def test_validate_typo_exit_one(tmp_path, capsys):
     assert "EMPLOYR" in capsys.readouterr().out
 
 
+def test_wsd_checks_the_foreground_lexicon_as_extract_does(tmp_path, capsys):
+    # a class typo is a list of diagnostics and exit 1 from both runs, not
+    # an unknown-class error in mid-match
+    bad = tmp_path / "bad.fglex"
+    bad.write_text(fixture_text("succession.fglex").replace("EMPLOYER", "EMPLOYR"))
+    errs = []
+    for command in ("extract", "wsd"):
+        args, out = base_args(tmp_path, command, "out")
+        args[args.index("--fg-lexicon") + 1] = str(bad)
+        assert run(args) == 1
+        assert not out.exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "error: concept DISMISS-EVENT: arg org: unknown class EMPLOYR\n" in errs[0]
+    assert "'unknown class:" not in errs[0]
+
+
 def test_missing_file_exit_two(capsys):
     args = ["extract", "--ontology", "/nonexistent/x.onto",
             "--fg-lexicon", fixture_path("succession.fglex"),
@@ -220,6 +237,26 @@ def test_collapse_error_names_the_lexicon_line(tmp_path, capsys, command, sense,
     args[args.index("--bg-lexicon") + 1] = str(bg)
     assert run(args) == 2
     assert capsys.readouterr().err == f"templex: error: {bg}:75: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["tune", "wsd", "extract"])
+def test_collapse_to_a_class_the_ontology_lacks_names_the_lexicon_line(tmp_path, capsys,
+                                                                       command):
+    # ZZZ is a scheme class but no ontology class; bank/noun/s2 (line 34)
+    # is the LANDFORM sense that maps to it
+    cmap = tmp_path / "zzz.collapse"
+    text = fixture_text("succession.collapse")
+    assert "scheme noun ORGANISATION " in text and "map LANDFORM -> LOCATION\n" in text
+    cmap.write_text(text.replace("scheme noun ORGANISATION ", "scheme noun ZZZ ORGANISATION ")
+                    .replace("map LANDFORM -> LOCATION", "map LANDFORM -> ZZZ"))
+    args, out = base_args(tmp_path, command, "out")
+    args[args.index("--collapse-map") + 1] = str(cmap)
+    assert run(args) == 2
+    assert not out.exists()
+    bg = fixture_path("succession.bglex")
+    assert capsys.readouterr().err == (
+        f"templex: error: {bg}:34: bank/noun/s2: LANDFORM collapses to ZZZ, "
+        "which is not an ontology class\n")
 
 
 def test_unknown_background_classes_name_their_lines_in_file_order(tmp_path, capsys):

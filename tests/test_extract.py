@@ -78,10 +78,13 @@ def test_resolve_salient_none_when_no_candidate(analyses, tags, onto):
 
 
 def test_explicit_salient_binding_resolved(analyses, fg, tags, onto):
-    from templex import SALIENT
+    # a required role bound UNFILLED is resolved by salience
+    from templex import UNFILLED
     from templex.wsd import FgMatch
-    match = FgMatch("d04", 1, 4, fg.senses("sack", "verb")[0],
-                    {"org": SALIENT, "person": 2},
+    sack = fg.senses("sack", "verb")[0]
+    assert next(a for a in sack.effective.args if a.role == "org").required
+    match = FgMatch("d04", 1, 4, sack,
+                    {"org": UNFILLED, "person": 2},
                     passive_implicature=True, trigger_lemma="sack")
     inst = fill_templates([match], tags, analyses, onto)[0]
     assert inst.fillers["ORGANIZATION"].source == "salient"

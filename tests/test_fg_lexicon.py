@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from templex import (CycleError, ParseError, load_fg_lexicon,
                      parse_fg_lexicon, resolve_inheritance, validate)
 from templex.fg_lexicon import StateAssertion
-from helpers import merge_oracle, random_hierarchy
+from helpers import merge_oracle, random_hierarchy, render_fg_lexicon
 
 MINI = """\
 concept DISMISS-EVENT
@@ -156,34 +158,41 @@ def test_override_unknown_role_rejected():
         load_fg_lexicon(bad)
 
 
-def test_override_arg_without_restriction_names_the_word():
-    # only a hand-built RawArg can lack a restriction
-    from templex.fg_lexicon import RawArg
-    raw = parse_fg_lexicon(MINI)
-    raw.realizations[0].overrides.args = [RawArg("org", None)]
-    with pytest.raises(ParseError,
-                       match="^<string>:8: word sack/verb: arg org has no restriction$"):
-        resolve_inheritance(raw)
-
-
 def test_resolution_idempotent_on_flat_lexicon():
     rng = random.Random(3)
     raw = random_hierarchy(rng, 40)
     lex = resolve_inheritance(raw)
     # feed the flattened result back through as parentless raw nodes
-    from templex.fg_lexicon import RawArg, RawConcept, RawLexicon
+    from templex.fg_lexicon import RawConcept, RawLexicon
     flat = RawLexicon()
     for cid, node in lex.concepts.items():
         flat.concepts[cid] = RawConcept(
-            cid, None, node.schema,
-            [RawArg(a.role, a.restriction,
-                    a.slot_binding[1] if a.slot_binding else None, a.required)
-             for a in node.args],
-            list(node.assertions), node.instigator,
-            [(r.sense_id, r.kind, r.value) for r in node.discriminators],
-            node.line)
+            cid, None, node.schema, list(node.args), list(node.assertions),
+            node.instigator, list(node.discriminators), node.line)
     again = resolve_inheritance(flat)
     assert again.concepts == lex.concepts
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+def test_parser_reads_back_a_rendered_hierarchy(seed, n):
+    # the DSL text of a random lexicon resolves to the same concepts and
+    # effective senses as the records it was written from, line numbers aside
+    raw = random_hierarchy(random.Random(seed), n, with_realizations=True)
+    parsed = parse_fg_lexicon(render_fg_lexicon(raw))
+    want, got = resolve_inheritance(raw), resolve_inheritance(parsed)
+
+    def unlined(node):
+        return node._replace(line=0)
+
+    assert {cid: unlined(c) for cid, c in got.concepts.items()} \
+        == {cid: unlined(c) for cid, c in want.concepts.items()}
+
+    def senses(lex):
+        return {key: [(r.sense_id, r.concept, r.complement_map, unlined(r.effective))
+                      for r in reals] for key, reals in lex.realizations.items()}
+
+    assert senses(got) == senses(want)
 
 
 def test_inheritance_matches_field_merge_oracle():

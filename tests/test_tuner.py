@@ -124,6 +124,15 @@ def test_file_roundtrip_bit_exact(tuned):
         == [("s1", "ORGANISATION")]
 
 
+def test_a_corpus_name_with_a_hash_roundtrips(bg):
+    # a tuned lexicon has no comments: `#` on the corpus line is part of the name
+    text = save_tuned_lexicon(TunedLexicon(bg, corpus_id="a#b.vrt"))
+    assert text.splitlines()[1] == "corpus a#b.vrt"
+    again = load_tuned_lexicon(text)
+    assert again.corpus_id == "a#b.vrt"
+    assert save_tuned_lexicon(again) == text
+
+
 def test_golden_tuned_lexicon_resaves_byte_identically():
     text = fixture_text("succession_min2.tunedlex")
     assert save_tuned_lexicon(load_tuned_lexicon(text, "g.tl")) == text
