@@ -21,9 +21,8 @@ _EXPORTS = {
     "errors": ("CycleError", "ParseError"),
     "extract": ("SlotFiller", "TemplateInstance", "fill_templates",
                 "resolve_salient", "write_output"),
-    "fg_lexicon": ("ArgSpec", "ConceptNode", "Diagnostic", "FgLexicon",
-                   "Realization", "StateAssertion", "load_fg_lexicon",
-                   "parse_fg_lexicon", "resolve_inheritance", "validate"),
+    "fg_lexicon": ("ArgSpec", "ConceptNode", "FgLexicon", "Realization", "StateAssertion",
+                   "load_fg_lexicon", "parse_fg_lexicon", "resolve_inheritance", "validate"),
     "ontology": ("Ontology", "SemClass", "SlotSpec", "TemplateSchema",
                  "dump_ontology", "load_ontology"),
     "textpipe": ("Chunk", "DocAnalysis", "Document", "GrRelation", "SenseTag", "Token",
@@ -34,7 +33,7 @@ _EXPORTS = {
     "workbench": ("KwicLine", "PatternQuery", "PatternReportEntry", "format_kwic",
                   "format_report", "kwic", "log_likelihood_ratio", "parse_query",
                   "pattern_report"),
-    "wsd": ("BayesModel", "FgMatch", "UNFILLED",
+    "wsd": ("BayesModel", "Diagnostic", "FgMatch", "UNFILLED",
             "apply_foreground_priority", "apply_ospd", "classify_bayes",
             "disambiguate_background", "dump_tagged_corpus", "match_foreground",
             "surviving_sense_count", "train_bayes"),

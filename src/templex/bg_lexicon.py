@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, raise_or_list
 
 if TYPE_CHECKING:
     from .ontology import Ontology
@@ -200,14 +200,17 @@ def coarse_class_for(fine: str, cmap: CollapseMap, onto: Ontology) -> str | None
     return None
 
 
-def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
+def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology,
+             problems: list[ParseError] | None = None) -> BgLexicon:
     """Rewrite every sense onto its coarse class, merging coarse duplicates.
 
     Idempotent; the input lexicon is left untouched.  A sense whose class
     has no image in its part of speech's scheme, or one the ontology lacks,
-    is a ParseError at its line.
+    is a ParseError at its line: the first in file order is raised, or,
+    given a `problems` list, each is added to it and its sense left out.
     """
     out = BgLexicon(collapsed=True)
+    found: list[ParseError] = []
     images: dict[tuple[str, str], str] = {}  # (fine class, pos) -> its checked image
     for key, ss in lex.senses_by_key.items():
         lemma, pos = key
@@ -227,8 +230,9 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
                     problem = (f"{s.fine_class} collapses to {coarse}, "
                                f"which is not an ontology class")
                 if problem is not None:
-                    raise ParseError(f"{lemma}/{pos}/{s.sense_id}: {problem}",
-                                     path=lex.path, line=lex.lines.get(s))
+                    found.append(ParseError(f"{lemma}/{pos}/{s.sense_id}: {problem}",
+                                            path=lex.path, line=lex.lines.get(s)))
+                    continue
                 images[s.fine_class, pos] = coarse
             kept = by_coarse.get(coarse)
             if kept is None or s.sense_id < kept.sense_id:
@@ -238,5 +242,7 @@ def collapse(lex: BgLexicon, cmap: CollapseMap, onto: Ontology) -> BgLexicon:
         if len(merged) > 1:
             merged.sort(key=lambda s: s.sense_id)
         out.senses_by_key[key] = merged
+    found.sort(key=lambda p: p.line or 0)
+    raise_or_list(found, problems)
     return out
 

@@ -3,7 +3,10 @@
 Subcommands: validate, tune, wsd, extract, kwic, patterns.  Each takes only
 the settings it reads.  Every run is a deterministic function of its input
 files and flags, and echoes the settings that shaped its output into it.
-Exit codes: 0 success, 1 diagnostics with errors, 2 usage or I/O errors.
+`validate`, `tune`, `wsd` and `extract` read and cross-check their input
+files through the same `_load_*` functions: a run raises the first problem,
+a ParseError naming path and line; `validate` lists them all.  Exit codes:
+0 success, 1 `validate` found errors, 2 usage, input or I/O errors.
 
 `wsd`, `tune` and `extract` run a document shard per CPU or per `--jobs`
 (`templex.shards`); each shard reads and counts its own documents.
@@ -18,7 +21,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
-from .errors import CycleError, ParseError, parse_number, read_text
+from .errors import CycleError, ParseError, parse_number, raise_or_list, read_text
 
 if TYPE_CHECKING:
     from . import ontology as ontomod
@@ -38,7 +41,7 @@ _SETTINGS = {
     "ontology": (str, None, "input", "validate tune wsd extract", None),
     "fg_lexicon": (str, None, "input", "validate wsd extract", None),
     "bg_lexicon": (str, None, "input", "validate tune wsd extract", None),
-    "collapse_map": (str, None, "input", "tune wsd extract", None),
+    "collapse_map": (str, None, "input", "validate tune wsd extract", None),
     "corpus": (str, None, "input", "tune wsd extract kwic patterns", None),
     "raw": (bool, False, None, "tune wsd extract kwic patterns",
             "corpus is raw text, not vertical format"),
@@ -166,69 +169,52 @@ def _load_ontology(cfg: argparse.Namespace) -> ontomod.Ontology:
     return ontomod.load_ontology(read_text(cfg.ontology), cfg.ontology)
 
 
-def _read_background(path: str):
-    """The `--bg-lexicon` file as (lexicon, tuned): a tuned lexicon's base and
-    the tuned lexicon if its first line is `tunedlex v1`, the test that
-    `load_tuned_lexicon` makes, else the background lexicon and None."""
-    text = read_text(path)
-    head = text.partition("\n")[0].splitlines()  # the first line, as splitlines ends it
-    if head and head[0].strip() == "tunedlex v1":
-        from . import tuner as tunemod
-        tuned = tunemod.load_tuned_lexicon(text, path)
-        return tuned.base, tuned
-    from . import bg_lexicon as bgmod
-    return bgmod.load_bg_lexicon(text, path), None
+def _load_foreground(cfg: argparse.Namespace, onto: ontomod.Ontology, problems=None):
+    """The resolved `--fg-lexicon`, checked against the ontology; each of
+    these loaders takes `problems` as `raise_or_list` does."""
+    from . import fg_lexicon as fgmod
+    fg = fgmod.load_fg_lexicon(read_text(cfg.fg_lexicon), cfg.fg_lexicon)
+    raise_or_list(fgmod.validate(fg, onto), problems)
+    return fg
 
 
-def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology):
-    """Collapsed background lexicon; a tuned lexicon is collapsed already, so
-    with one the collapse map is not read."""
+def _load_background(cfg: argparse.Namespace, onto: ontomod.Ontology, problems=None):
+    """The collapsed `--bg-lexicon`.  A tuned lexicon, told by a first line
+    `tunedlex v1` as `load_tuned_lexicon` tells it, is collapsed already, so
+    with one the collapse map is not read.  One that `validate` finds an
+    error in is not collapsed."""
     from . import bg_lexicon as bgmod
     _require(cfg, "bg_lexicon")
-    bg, tuned = _read_background(cfg.bg_lexicon)
-    problems = bgmod.validate_bg(bg, onto)
-    if problems:
-        raise problems[0]
-    if tuned is not None:
+    text = read_text(cfg.bg_lexicon)
+    head = text.partition("\n")[0].splitlines()  # the first line, as splitlines ends it
+    tuned = None
+    if head and head[0].strip() == "tunedlex v1":
         from . import tuner as tunemod
+        tuned = tunemod.load_tuned_lexicon(text, cfg.bg_lexicon)
+    bg = bgmod.load_bg_lexicon(text, cfg.bg_lexicon) if tuned is None else tuned.base
+    if raise_or_list(bgmod.validate_bg(bg, onto), problems):
+        return None
+    if tuned is not None:
         return tunemod.apply_tuning(tuned)
     if cfg.collapse_map:
         cmap = bgmod.load_collapse_map(read_text(cfg.collapse_map), cfg.collapse_map)
     else:
         cmap = bgmod.default_collapse_map()
-    return bgmod.collapse(bg, cmap, onto)
-
-
-def _load_foreground(cfg: argparse.Namespace, onto: ontomod.Ontology):
-    """The resolved `--fg-lexicon`, or None if `validate` finds an error:
-    then each of its diagnostics is printed to stderr."""
-    from . import fg_lexicon as fgmod
-    fg = fgmod.load_fg_lexicon(read_text(cfg.fg_lexicon), cfg.fg_lexicon)
-    diags = fgmod.validate(fg, onto)
-    if any(d.severity == "error" for d in diags):
-        for d in diags:
-            print(d, file=sys.stderr)
-        return None
-    return fg
+    return bgmod.collapse(bg, cmap, onto, problems)
 
 
 # ------------------------------------------------------------ subcommands
 
 def _cmd_validate(cfg: argparse.Namespace) -> int:
-    from . import bg_lexicon as bgmod
-    from . import fg_lexicon as fgmod
-
     _require(cfg, "ontology", "fg_lexicon")
+    problems: list[ParseError] = []
     onto = _load_ontology(cfg)
-    fg = fgmod.load_fg_lexicon(read_text(cfg.fg_lexicon), cfg.fg_lexicon)
-    diags = fgmod.validate(fg, onto)
+    _load_foreground(cfg, onto, problems)
     if cfg.bg_lexicon:
-        bg, _ = _read_background(cfg.bg_lexicon)
-        for problem in bgmod.validate_bg(bg, onto):
-            diags.append(fgmod.Diagnostic("error", f"{problem.path}:{problem.line}",
-                                          problem.message))
-    _write_out(cfg, "".join(f"{d}\n" for d in diags) + f"{len(diags)} diagnostic(s)\n")
-    return 1 if any(d.severity == "error" for d in diags) else 0
+        _load_background(cfg, onto, problems)
+    _write_out(cfg, "".join(f"{p.severity}: {p}\n" for p in problems)
+               + f"{len(problems)} diagnostic(s)\n")
+    return 1 if any(p.severity == "error" for p in problems) else 0
 
 
 def _cmd_tune(cfg: argparse.Namespace) -> int:
@@ -256,11 +242,7 @@ def _cmd_wsd(cfg: argparse.Namespace) -> int:
 
     _require(cfg, "ontology", "corpus")
     onto = _load_ontology(cfg)
-    fg = None
-    if cfg.fg_lexicon:
-        fg = _load_foreground(cfg, onto)
-        if fg is None:
-            return 1
+    fg = _load_foreground(cfg, onto) if cfg.fg_lexicon else None
     bg = _load_background(cfg, onto)
 
     def render(shard, analyses, tags, matches):
@@ -285,8 +267,6 @@ def _cmd_extract(cfg: argparse.Namespace) -> int:
     _require(cfg, "ontology", "fg_lexicon", "corpus")
     onto = _load_ontology(cfg)
     fg = _load_foreground(cfg, onto)
-    if fg is None:
-        return 1
     bg = _load_background(cfg, onto)
     cfg.jobs = cfg.jobs or 1  # one process unless asked (docs/formats.md)
 

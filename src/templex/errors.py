@@ -5,19 +5,23 @@ from __future__ import annotations
 
 
 class ParseError(ValueError):
-    """Malformed input in one of the line-oriented file formats."""
+    """Malformed input in a line-oriented file, or a cross-check's problem at
+    a file's line; `validate` lists a "warning" one, which no run raises."""
 
-    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
+    def __init__(self, message: str, *, path: str | None = None, line: int | None = None,
+                 severity: str = "error"):
         self.message = message
         self.path = path
         self.line = line
+        self.severity = severity
         where = path or "<input>"
         if line is not None:
             where += f":{line}"
         super().__init__(f"{where}: {message}")
 
     def __reduce__(self):
-        return _rebuild, (type(self), (self.message,), {"path": self.path, "line": self.line})
+        return _rebuild, (type(self), (self.message,),
+                          {"path": self.path, "line": self.line, "severity": self.severity})
 
 
 class CycleError(ValueError):
@@ -36,6 +40,17 @@ def _rebuild(cls, args, kwargs):
     # exceptions with keyword-only fields pickle through here, so one raised
     # in a shard worker reaches the parent with its message intact
     return cls(*args, **kwargs)
+
+
+def raise_or_list(found: list[ParseError], problems: list | None = None) -> bool:
+    """Whether a check `found` an error.  A run passes no `problems` list and
+    gets the first error raised; `validate` passes one and gets every problem."""
+    errors = [p for p in found if p.severity == "error"]
+    if problems is not None:
+        problems += found
+    elif errors:
+        raise errors[0]
+    return bool(errors)
 
 
 def parse_number(kind: type, text: str, *, path: str | None, line: int):

@@ -114,27 +114,20 @@ class RawLexicon:
 
 
 class FgLexicon:
-    """Inheritance-resolved foreground lexicon, indexed by (lemma, pos, lang)."""
+    """Inheritance-resolved foreground lexicon of file `path`, by (lemma, pos, lang)."""
 
-    __slots__ = ("concepts", "realizations")
+    __slots__ = ("concepts", "realizations", "path")
 
     def __init__(self, concepts: dict[str, ConceptNode] | None = None,
-                 realizations: dict[tuple[str, str, str], list[Realization]] | None = None):
+                 realizations: dict[tuple[str, str, str], list[Realization]] | None = None,
+                 path: str = "<string>"):
         self.concepts = {} if concepts is None else concepts
         self.realizations = {} if realizations is None else realizations
+        self.path = path
 
     def senses(self, lemma: str, pos: str, lang: str = "en") -> list[Realization]:
         """All realizations for the key, in declaration order; empty if unknown."""
         return list(self.realizations.get((lemma.lower(), pos, lang), ()))
-
-
-class Diagnostic(NamedTuple):
-    severity: str  # error | warning
-    location: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.location}: {self.message}"
 
 
 # ---------------------------------------------------------------- parsing
@@ -211,6 +204,8 @@ def _parse_field(node: RawConcept, parts: list[str], path: str,
         return
     if head == "arg":
         name, item = "args", _parse_arg(rest, path, lineno)
+        if item.role in {a.role for a in node.args}:
+            raise ParseError(f"duplicate {prefix}arg {item.role!r}", path=path, line=lineno)
     elif head == "assert":
         name, item = "assertions", _parse_assert(rest, path, lineno)
     elif head == "discriminate":
@@ -357,7 +352,7 @@ def resolve_inheritance(raw: RawLexicon) -> FgLexicon:
         concepts[cid] = _build_node(cid, _merge_chain(chain), node.line, f"concept {cid}",
                                     raw.path, node.line)
 
-    lex = FgLexicon(concepts=concepts)
+    lex = FgLexicon(concepts=concepts, path=raw.path)
     for real in raw.realizations:
         effective = concepts[real.concept]
         if not real.overrides.empty():
@@ -382,57 +377,52 @@ def load_fg_lexicon(text: str, path: str = "<string>") -> FgLexicon:
 
 # ------------------------------------------------------------- validation
 
-def validate(lex: FgLexicon, onto: Ontology) -> list[Diagnostic]:
+def validate(lex: FgLexicon, onto: Ontology) -> list[ParseError]:
     """Cross-check every reference against the ontology.
 
-    Returns an empty list when every restriction, schema, slot, role
-    reference and assertion role resolves.
+    Each problem is a ParseError at the line of the concept, or of the word
+    with overrides, whose resolved node it is in, in file order; an empty
+    list when every restriction, schema, slot and role reference resolves.
     """
-    diags: list[Diagnostic] = []
+    problems: list[ParseError] = []
 
-    def err(loc: str, msg: str) -> None:
-        diags.append(Diagnostic("error", loc, msg))
+    def report(at: tuple[int, str], msg: str, severity: str = "error") -> None:
+        problems.append(ParseError(f"{at[1]}: {msg}", path=lex.path, line=at[0],
+                                   severity=severity))
 
-    def warn(loc: str, msg: str) -> None:
-        diags.append(Diagnostic("warning", loc, msg))
-
-    def check_node(node: ConceptNode, loc: str) -> None:
+    def check_node(node: ConceptNode, at: tuple[int, str]) -> None:
         schema = onto.schemas.get(node.schema)
         if schema is None:
-            err(loc, f"unknown template {node.schema}")
+            report(at, f"unknown template {node.schema}")
         for a in node.args:
             if a.restriction not in onto.classes:
-                err(loc, f"arg {a.role}: unknown class {a.restriction}")
+                report(at, f"arg {a.role}: unknown class {a.restriction}")
             if a.slot is not None and schema is not None:
                 slot = schema.slot(a.slot)
                 if slot is None:
-                    err(loc, f"arg {a.role}: template {node.schema} has no slot {a.slot}")
+                    report(at, f"arg {a.role}: template {node.schema} has no slot {a.slot}")
                 elif (a.restriction in onto.classes
                       and slot.filler_class in onto.classes
                       and not onto.compatible(a.restriction, slot.filler_class)):
-                    warn(loc, f"arg {a.role}: restriction {a.restriction} incompatible "
-                              f"with slot {a.slot} class {slot.filler_class}")
+                    report(at, f"arg {a.role}: restriction {a.restriction} incompatible "
+                               f"with slot {a.slot} class {slot.filler_class}", "warning")
         roles = node.roles()
         for asrt in node.assertions:
             for role in asrt.role_args:
                 if role not in roles:
-                    err(loc, f"assertion {asrt.predicate}: unknown role {role}")
+                    report(at, f"assertion {asrt.predicate}: unknown role {role}")
         if node.instigator is not None and node.instigator not in roles:
-            err(loc, f"instigator role {node.instigator} not among args")
+            report(at, f"instigator role {node.instigator} not among args")
 
     for node in lex.concepts.values():
-        check_node(node, f"concept {node.id}")
-    for key, reals in lex.realizations.items():
-        lemma, pos, lang = key
+        check_node(node, (node.line, f"concept {node.id}"))
+    for (lemma, pos, lang), reals in lex.realizations.items():
         for r in reals:
-            loc = f"word {lemma}/{pos}/{lang}/{r.sense_id}"
+            at = (r.line, f"word {lemma}/{pos}/{lang}/{r.sense_id}")
             if r.effective is not lex.concepts.get(r.concept):
-                check_node(r.effective, loc)
-            for gr, role in r.complement_map.items():
-                if role not in r.effective.roles():
-                    err(loc, f"mapping {gr}: unknown role {role}")
+                check_node(r.effective, at)
             for rule in r.effective.discriminators:
-                if not any(s.sense_id == rule.sense_id
-                           for s in lex.realizations.get(key, [])):
-                    warn(loc, f"discriminator names unknown sense {rule.sense_id}")
-    return diags
+                if not any(s.sense_id == rule.sense_id for s in reals):
+                    report(at, f"discriminator names unknown sense {rule.sense_id}", "warning")
+    problems.sort(key=lambda p: p.line)
+    return problems

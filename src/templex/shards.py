@@ -189,7 +189,7 @@ def shard_texts(cfg, onto, bg, fg, render, *, on_demand: bool = False) -> list:
         if cfg.raw:
             docs = [textpipe.tag_fallback(d) for d in docs]
         text = None  # read: free the corpus text before the run builds its records
-        model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha, share=share)
+        model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha, share=share, path=cfg.corpus)
         tags = (wsdmod._TagsOnDemand(docs, bg, model, cfg.ospd) if on_demand
                 else wsdmod.disambiguate_background(model, docs, bg))
         if cfg.ospd and not on_demand:

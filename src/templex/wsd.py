@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .decisionlist import DecisionList, DLInstance, apply_decision_list, strict_majority
+from .errors import ParseError
 # load_tagged_corpus is re-exported: it reads the tagged corpus in textpipe
 from .textpipe import (LEXICON_POS, VERBAL, DocAnalysis, Document, SenseTag, Token,
                        TokenKey, is_passive_vg, load_tagged_corpus)
 
 if TYPE_CHECKING:
     from .bg_lexicon import BgLexicon, BgSense
-    from .fg_lexicon import Diagnostic, FgLexicon, Realization
+    from .fg_lexicon import FgLexicon, Realization
     from .ontology import Ontology
 
 UNFILLED = "UNFILLED"
@@ -106,6 +107,14 @@ class FgMatch:
         return self.realization.sense_id
 
 
+class Diagnostic(NamedTuple):
+    """A matcher abstention: "warning", its `doc_id:sent_idx` and why."""
+
+    severity: str
+    location: str
+    message: str
+
+
 # ------------------------------------------------------------ training
 
 def _lemma_row(flat: list[Token]) -> list[str | None]:
@@ -179,7 +188,7 @@ def merge_counts(parts: list) -> tuple:
 
 
 def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
-                alpha: float = 0.1, *, share=None) -> BayesModel:
+                alpha: float = 0.1, *, share=None, path: str | None = None) -> BayesModel:
     """Train from coarse-unambiguous anchor tokens; no annotation needed.
 
     weight(w, c) compares how often w appears within +/-window of class-c
@@ -187,13 +196,14 @@ def train_bayes(docs: list[Document], bg: BgLexicon, window: int = 10,
     distribution, with add-alpha smoothing on both sides.  Only the
     observed (w, c) counts are stored; weights are computed on first use.
     `share`, given, maps the counts of `docs`, part of a corpus, to the
-    whole corpus's counts, which the model is built from.
+    whole corpus's counts, which the model is built from.  No anchors is a
+    ParseError at `path`, the corpus file's.
     """
     counts = count_training(docs, bg, window)
     anchors, contexts, unigram, sentences = counts if share is None else share(counts)
     if not anchors:
-        raise ValueError("no training anchors found (corpus/lexicon mismatch)"
-                         if sentences else "empty corpus")
+        raise ParseError("no training anchors found (corpus/lexicon mismatch)"
+                         if sentences else "empty corpus", path=path)
     classes = bg.coarse_classes()
     total_anchors = sum(anchors.values())
     priors = {c: (anchors.get(c, 0) + alpha) / (total_anchors + alpha * len(classes))
@@ -461,8 +471,6 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
     discriminator rules; a remaining tie abstains with a diagnostic.
     `tags` is only read through `tags.get`.
     """
-    from .fg_lexicon import Diagnostic
-
     matches: list[FgMatch] = []
     diagnostics: list[Diagnostic] = []
     # verb lemma -> its general senses: one lexicon lookup per lemma, not per verb

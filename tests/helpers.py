@@ -575,13 +575,13 @@ def collapse_cases(draw):
 
 def collapse_oracle(lex, cmap, onto, text):
     """`collapse` by hand, sense by sense: each fine class's image is the
-    first mapped class up its parent chain; the first sense in list order
-    without one, with one outside its part of speech's scheme, or with one
-    the ontology lacks, fails at the line of `text` that declares it.  Each
-    coarse class keeps its lowest sense id, and the key's senses are in
+    first mapped class up its parent chain; of the senses without one, with
+    one outside its part of speech's scheme, or with one the ontology lacks,
+    the first in file order fails at the line of `text` that declares it.
+    Each coarse class keeps its lowest sense id, and the key's senses are in
     sense-id order."""
     line_of = {tuple(line.split()[:3]): n for n, line in enumerate(text.splitlines(), 1)}
-    out = {}
+    out, problems = {}, []
     for (lemma, pos), senses in lex.senses_by_key.items():
         images = []
         for s in senses:
@@ -591,22 +591,25 @@ def collapse_oracle(lex, cmap, onto, text):
                 cur = onto.classes[cur].parent if cur in onto.classes else None
             where = f"{lemma}/{pos}/{s.sense_id}"
             at = {"path": "<string>", "line": line_of[(lemma, pos, s.sense_id)]}
-            if coarse is None:
-                raise ParseError(f"{where}: fine class {s.fine_class} has no coarse "
-                                 f"image (even via ancestors)", **at)
             scheme = {"noun": cmap.noun_classes, "verb": cmap.verb_classes}.get(pos)
-            if scheme is not None and coarse not in scheme:
-                raise ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
-                                 f"which is not in the {pos} scheme", **at)
-            if coarse not in onto.classes:
-                raise ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
-                                 f"which is not an ontology class", **at)
-            images.append(s._replace(coarse_class=coarse))
+            if coarse is None:
+                problems.append(ParseError(f"{where}: fine class {s.fine_class} has no "
+                                           f"coarse image (even via ancestors)", **at))
+            elif scheme is not None and coarse not in scheme:
+                problems.append(ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
+                                           f"which is not in the {pos} scheme", **at))
+            elif coarse not in onto.classes:
+                problems.append(ParseError(f"{where}: {s.fine_class} collapses to {coarse}, "
+                                           f"which is not an ontology class", **at))
+            else:
+                images.append(s._replace(coarse_class=coarse))
         lowest = {}
         for s in images:
             if s.coarse_class not in lowest or s.sense_id < lowest[s.coarse_class].sense_id:
                 lowest[s.coarse_class] = s
         out[(lemma, pos)] = sorted(lowest.values(), key=lambda s: s.sense_id)
+    if problems:
+        raise min(problems, key=lambda p: p.line)
     return out
 
 

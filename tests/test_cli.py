@@ -25,14 +25,16 @@ def run(args):
 
 
 def base_args(tmp_path, command, out_name, extra=()):
-    """A run over the succession fixture; `tune` takes no foreground lexicon."""
+    """A run over the succession fixture; `tune` takes no foreground lexicon,
+    and `validate` no corpus."""
     out = tmp_path / out_name
     args = [command,
             "--ontology", fixture_path("succession.onto"),
             "--bg-lexicon", fixture_path("succession.bglex"),
             "--collapse-map", fixture_path("succession.collapse"),
-            "--corpus", fixture_path("succession.vrt"),
             "--output", str(out)]
+    if command != "validate":
+        args += ["--corpus", fixture_path("succession.vrt")]
     if command != "tune":
         args += ["--fg-lexicon", fixture_path("succession.fglex")]
     args.extend(extra)
@@ -157,20 +159,29 @@ def test_validate_typo_exit_one(tmp_path, capsys):
 
 
 def test_wsd_checks_the_foreground_lexicon_as_extract_does(tmp_path, capsys):
-    # a class typo is a list of diagnostics and exit 1 from both runs, not
-    # an unknown-class error in mid-match
+    # a class typo is the first problem `validate` lists, raised at its
+    # concept's line with exit 2 by both runs, not an error in mid-match
     bad = tmp_path / "bad.fglex"
     bad.write_text(fixture_text("succession.fglex").replace("EMPLOYER", "EMPLOYR"))
-    errs = []
     for command in ("extract", "wsd"):
         args, out = base_args(tmp_path, command, "out")
         args[args.index("--fg-lexicon") + 1] = str(bad)
-        assert run(args) == 1
+        assert run(args) == 2
         assert not out.exists()
-        errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1]
-    assert "error: concept DISMISS-EVENT: arg org: unknown class EMPLOYR\n" in errs[0]
-    assert "'unknown class:" not in errs[0]
+        assert capsys.readouterr().err == (f"templex: error: {bad}:5: concept "
+                                           "SUCCESSION-EVENT: arg org: unknown class EMPLOYR\n")
+
+
+def test_validate_lists_every_foreground_problem_at_its_line(tmp_path, capsys):
+    # DISMISS-EVENT (line 13) inherits the typo; REMOVE-FROM-POST (line 17) restates it
+    bad = tmp_path / "bad.fglex"
+    bad.write_text(fixture_text("succession.fglex").replace("EMPLOYER", "EMPLOYR"))
+    assert run(["validate", "--ontology", fixture_path("succession.onto"),
+                "--fg-lexicon", str(bad)]) == 1
+    assert capsys.readouterr().out == "".join(
+        f"error: {bad}:{line}: concept {cid}: arg org: unknown class EMPLOYR\n"
+        for line, cid in ((5, "SUCCESSION-EVENT"), (13, "DISMISS-EVENT"),
+                          (17, "REMOVE-FROM-POST"))) + "3 diagnostic(s)\n"
 
 
 def test_missing_file_exit_two(capsys):
@@ -215,7 +226,18 @@ def test_validate_unknown_parent_concept_exit_two(tmp_path, capsys):
     assert f"{bad}:1: unknown parent concept B" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["tune", "wsd", "extract"])
+def _fails_at_load(capsys, command, args, out, problem):
+    """`validate` lists `problem` alone and exits 1; a run raises it, exit 2."""
+    if command == "validate":
+        assert run(args) == 1
+        assert out.read_text() == f"error: {problem}\n1 diagnostic(s)\n"
+    else:
+        assert run(args) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"templex: error: {problem}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "tune", "wsd", "extract"])
 @pytest.mark.parametrize("sense, message", [
     ("widget noun s1 ORPHAN", "widget/noun/s1: fine class ORPHAN has no coarse image "
                               "(even via ancestors)"),
@@ -232,14 +254,13 @@ def test_collapse_error_names_the_lexicon_line(tmp_path, capsys, command, sense,
     text = fixture_text("succession.bglex")
     assert len(text.splitlines()) == 74
     bg.write_text(text + sense + "\n")
-    args, _ = base_args(tmp_path, command, "out")
+    args, out = base_args(tmp_path, command, "out")
     args[args.index("--ontology") + 1] = str(onto)
     args[args.index("--bg-lexicon") + 1] = str(bg)
-    assert run(args) == 2
-    assert capsys.readouterr().err == f"templex: error: {bg}:75: {message}\n"
+    _fails_at_load(capsys, command, args, out, f"{bg}:75: {message}")
 
 
-@pytest.mark.parametrize("command", ["tune", "wsd", "extract"])
+@pytest.mark.parametrize("command", ["validate", "tune", "wsd", "extract"])
 def test_collapse_to_a_class_the_ontology_lacks_names_the_lexicon_line(tmp_path, capsys,
                                                                        command):
     # ZZZ is a scheme class but no ontology class; bank/noun/s2 (line 34)
@@ -251,12 +272,9 @@ def test_collapse_to_a_class_the_ontology_lacks_names_the_lexicon_line(tmp_path,
                     .replace("map LANDFORM -> LOCATION", "map LANDFORM -> ZZZ"))
     args, out = base_args(tmp_path, command, "out")
     args[args.index("--collapse-map") + 1] = str(cmap)
-    assert run(args) == 2
-    assert not out.exists()
-    bg = fixture_path("succession.bglex")
-    assert capsys.readouterr().err == (
-        f"templex: error: {bg}:34: bank/noun/s2: LANDFORM collapses to ZZZ, "
-        "which is not an ontology class\n")
+    _fails_at_load(capsys, command, args, out,
+                   f"{fixture_path('succession.bglex')}:34: bank/noun/s2: LANDFORM "
+                   "collapses to ZZZ, which is not an ontology class")
 
 
 def test_unknown_background_classes_name_their_lines_in_file_order(tmp_path, capsys):

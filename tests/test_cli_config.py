@@ -53,7 +53,7 @@ _OPTIONS = {row[1]: row for row in [
 _PIPELINE = "ontology fg_lexicon bg_lexicon collapse_map corpus raw output " \
             "window alpha ospd passive_implicature order jobs lang"
 TAKES = {
-    "validate": "config ontology fg_lexicon bg_lexicon output",
+    "validate": "config ontology fg_lexicon bg_lexicon collapse_map output",
     "tune": "config ontology bg_lexicon collapse_map corpus raw output "
             "window alpha min_occurrences ospd jobs",
     "wsd": "config " + _PIPELINE,
@@ -86,9 +86,9 @@ def test_parser_surface_is_pinned():
                        a.required, a.nargs, a.help) for a in p._actions]
                for name, p in sub.choices.items()}
     assert surface == SURFACE
-    # 64 options in all, not counting --help
+    # 65 options in all, not counting --help
     assert {name: len(options) - 1 for name, options in surface.items()} == {
-        "validate": 5, "tune": 12, "wsd": 15, "extract": 15, "kwic": 8, "patterns": 9}
+        "validate": 6, "tune": 12, "wsd": 15, "extract": 15, "kwic": 8, "patterns": 9}
 
 
 # a value for each option, or None for a bare switch
@@ -327,9 +327,11 @@ def test_config_file_input_must_exist(tmp_path, capsys):
     assert main(["tune", "--config", str(cfg), "--output", str(tmp_path / "t")]) == 2
     assert (f"collapse-map file not found: {tmp_path / 'nope.collapse'}"
             in capsys.readouterr().err)
-    # `validate` reads no collapse map, so it does not look for one
+    # `validate` reads the collapse map too, so one file checks what runs read
     assert main(["validate", "--config", str(cfg), "--fg-lexicon",
-                 fixture_path("succession.fglex"), "--output", str(tmp_path / "v")]) == 0
+                 fixture_path("succession.fglex"), "--output", str(tmp_path / "v")]) == 2
+    assert (f"collapse-map file not found: {tmp_path / 'nope.collapse'}"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------- out-of-range numbers

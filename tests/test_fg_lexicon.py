@@ -63,6 +63,21 @@ def test_duplicate_sense_key_rejected():
         parse_fg_lexicon(text)
 
 
+@pytest.mark.parametrize("block, line, message", [
+    # a concept block: the second `arg org` is line 4
+    (MINI.replace("  arg person", "  arg org : PERSON\n  arg person", 1), 4,
+     "duplicate arg 'org'"),
+    # an override block may restate a concept's role once, not twice
+    (MINI + "word oust verb sense fg1 -> DISMISS-EVENT\n"
+            "  override arg org : EMPLOYER -> ORGANIZATION\n"
+            "  override arg org : PERSON\n", 19, "duplicate override arg 'org'"),
+])
+def test_second_arg_for_a_role_is_rejected_at_its_line(block, line, message):
+    with pytest.raises(ParseError) as info:
+        load_fg_lexicon(block, "f.fglex")
+    assert str(info.value) == f"f.fglex:{line}: {message}"
+
+
 def test_parent_cycle_detected():
     text = "concept A isa B\n  template T\nconcept B isa A\n  template T\n"
     with pytest.raises(CycleError):
@@ -214,6 +229,23 @@ def test_validate_reports_unknown_class(onto):
     diags = validate(lex, onto)
     errors = [d for d in diags if d.severity == "error"]
     assert any("EMPLOYR" in d.message for d in errors)
+
+
+def test_validate_names_the_line_of_each_failing_node_in_file_order(onto):
+    # `oust` (line 17) is read after `sack`'s senses, but comes first in the file
+    text = (MINI + "word oust verb sense fg1 -> DISMISS-EVENT\n"
+                   "  override template NOSUCH\n"
+                   "  override discriminate fg9 when left:board\n"
+                   "word sack verb sense fg2 -> DISMISS-EVENT\n"
+                   "  override template OTHER\n")
+    problems = validate(load_fg_lexicon(text.replace("EMPLOYER", "EMPLOYR"), "m.fglex"), onto)
+    assert [(p.severity, str(p)) for p in problems] == [
+        ("error", "m.fglex:1: concept DISMISS-EVENT: arg org: unknown class EMPLOYR"),
+        ("error", "m.fglex:17: word oust/verb/en/fg1: unknown template NOSUCH"),
+        ("error", "m.fglex:17: word oust/verb/en/fg1: arg org: unknown class EMPLOYR"),
+        ("warning", "m.fglex:17: word oust/verb/en/fg1: discriminator names unknown sense fg9"),
+        ("error", "m.fglex:20: word sack/verb/en/fg2: unknown template OTHER"),
+        ("error", "m.fglex:20: word sack/verb/en/fg2: arg org: unknown class EMPLOYR")]
 
 
 def test_validate_reports_missing_slot(onto):

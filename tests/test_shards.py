@@ -437,7 +437,7 @@ def test_tune_errors_are_judged_on_the_whole_corpus(tmp_path, pools, capsys, cas
     path = tmp_path / "t.vrt"
     path.write_text("\n".join(lines) + "\n")
     errors = errors_at_each_jobs("tune", path, tmp_path, capsys)
-    assert errors == [f"templex: error: {message}\n"] * 3
+    assert errors == [f"templex: error: {path}: {message}\n"] * 3
     assert pools == [2, 3]
 
 
