@@ -446,6 +446,19 @@ def test_raw_mode_end_to_end(tmp_path):
     assert '"lemma": "school"' in lines[1]
 
 
+@pytest.mark.parametrize("command, gold", [
+    ("wsd", "succession_raw_wsd_gold.vrt"),
+    ("extract", "succession_raw_gold.jsonl"),
+])
+def test_raw_runs_match_golden(tmp_path, command, gold):
+    # the fixture's 7 documents as raw text, one paragraph each: one document,
+    # tagged by the fallback tagger as it is read
+    args, out = base_args(tmp_path, command, "out", ["--raw"])
+    args[args.index("--corpus") + 1] = fixture_path("succession_raw.txt")
+    assert run(args) == 0
+    assert out.read_bytes() == Path(fixture_path(gold)).read_bytes()
+
+
 def test_pipeline_order_is_a_config_point(tmp_path):
     import json
     args1, out1 = base_args(tmp_path, "extract", "bgf.jsonl", ["--order", "bg-first"])
