@@ -27,7 +27,7 @@ _EXPORTS = {
                  "dump_ontology", "load_ontology"),
     "textpipe": ("Chunk", "DocAnalysis", "Document", "GrRelation", "SenseTag", "Token",
                  "analyze", "analyze_corpus", "chunk", "grammatical_relations",
-                 "load_tagged_corpus", "read_corpus", "tag_fallback"),
+                 "load_tagged_corpus", "read_corpus"),
     "tuner": ("TunedLexicon", "TuneParams", "apply_tuning", "load_tuned_lexicon",
               "save_tuned_lexicon", "tune"),
     "workbench": ("KwicLine", "PatternQuery", "PatternReportEntry", "format_kwic",

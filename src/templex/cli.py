@@ -212,6 +212,9 @@ def _cmd_validate(cfg: argparse.Namespace) -> int:
     _load_foreground(cfg, onto, problems)
     if cfg.bg_lexicon:
         _load_background(cfg, onto, problems)
+    elif cfg.collapse_map:  # no lexicon to collapse: the map is still read
+        from .bg_lexicon import load_collapse_map
+        load_collapse_map(read_text(cfg.collapse_map), cfg.collapse_map)
     _write_out(cfg, "".join(f"{p.severity}: {p}\n" for p in problems)
                + f"{len(problems)} diagnostic(s)\n")
     return 1 if any(p.severity == "error" for p in problems) else 0
@@ -286,9 +289,8 @@ def _load_query_corpus(cfg: argparse.Namespace, with_tags: bool = True):
         return textpipe.load_tagged_corpus(read_text(cfg.tagged), cfg.tagged,
                                            with_tags=with_tags)
     _require(cfg, "corpus")
-    docs = textpipe.read_corpus(read_text(cfg.corpus), raw=cfg.raw,
-                                doc_id=textpipe.doc_id_of(cfg.corpus), path=cfg.corpus)
-    return [textpipe.tag_fallback(d) for d in docs] if cfg.raw else docs, None
+    return textpipe.read_corpus(read_text(cfg.corpus), raw=cfg.raw,
+                                doc_id=textpipe.doc_id_of(cfg.corpus), path=cfg.corpus), None
 
 
 def _cmd_kwic(cfg: argparse.Namespace) -> int:

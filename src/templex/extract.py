@@ -73,8 +73,8 @@ def resolve_salient(analysis: DocAnalysis, tags: dict[TokenKey, SenseTag],
             if tag is None:
                 continue
             if restriction in onto.classes and onto.compatible(tag.coarse_class, restriction):
-                head = sa.tokens[c.head_idx]
-                return head.lemma, _np_span(analysis, si, c.head_idx), tag.coarse_class
+                span = " ".join(t.surface for t in sa.tokens[c.start:c.end])
+                return sa.tokens[c.head_idx].lemma, span, tag.coarse_class
     return None
 
 

@@ -186,8 +186,6 @@ def shard_texts(cfg, onto, bg, fg, render, *, on_demand: bool = False) -> list:
         docs = textpipe.read_corpus(text[start:cuts[hi]], raw=cfg.raw, doc_id=doc_id,
                                     path=cfg.corpus,
                                     first_line=len(text[:start].splitlines()) + 1)
-        if cfg.raw:
-            docs = [textpipe.tag_fallback(d) for d in docs]
         text = None  # read: free the corpus text before the run builds its records
         model = wsdmod.train_bayes(docs, bg, cfg.window, cfg.alpha, share=share, path=cfg.corpus)
         tags = (wsdmod._TagsOnDemand(docs, bg, model, cfg.ospd) if on_demand

@@ -1,10 +1,10 @@
 """Shallow text analysis: tokens, chunks and local grammatical relations.
 
-The primary input path is pre-tagged vertical text.  Raw text gets a
-closed-class-list + suffix-heuristic fallback tagger; gold results always
-come from tagged fixtures.  Chunking and relation finding are deliberately
-rule-based and local: errors surface as extraction misses, which the
-acceptance fixtures bound.
+The primary input path is pre-tagged vertical text.  Raw text is tagged as
+it is read, by a closed-class-list + suffix-heuristic fallback tagger; gold
+results always come from tagged fixtures.  Chunking and relation finding
+are deliberately rule-based and local: errors surface as extraction
+misses, which the acceptance fixtures bound.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def read_corpus(text: str, *, raw: bool = False, doc_id: str = "d1",
     Vertical mode: `#DOC <id>` opens a document, a blank line ends a
     sentence, other `#` lines are comments.  `text` may be a run of lines
     that starts at line `first_line` of `path`.  Raw mode yields one
-    document with pos="UNK" and lowercased-surface lemmas; run
-    tag_fallback() to get heuristic tags and stemmed lemmas.
+    document, tagged as it is read by the fallback tagger: heuristic tags
+    from TAGSET and suffix-stripped lemmas (docs/formats.md, "Raw mode").
     """
     if raw:
         return [_read_raw(text, doc_id)]
@@ -215,14 +215,19 @@ def _check_field(name: str, value: str, path: str, lineno: int) -> None:
 
 
 def _read_raw(text: str, doc_id: str) -> Document:
+    """One document of fallback-tagged tokens: each tag is guessed from the
+    surface and the previous tag in its sentence; the lemma is the lowercased
+    surface for NNP, PRON and PUNCT, and the suffix-stripped one otherwise."""
     doc = Document(doc_id)
     sent: list[Token] = []
+    tag: str | None = None  # the previous tag in the sentence: None at its start
     for surface in _RAW_TOKEN.findall(text):
-        sent.append(Token(surface, surface.lower(), "UNK", doc_id,
-                          len(doc.sentences), len(sent)))
+        tag = _guess_tag(surface, tag, tag is None)
+        lemma = surface.lower() if tag in ("NNP", "PRON", "PUNCT") else strip_suffix(surface)
+        sent.append(Token(surface, lemma, tag, doc_id, len(doc.sentences), len(sent)))
         if surface in _SENT_END:
             doc.sentences.append(sent)
-            sent = []
+            sent, tag = [], None
     if sent:
         doc.sentences.append(sent)
     return doc
@@ -295,22 +300,6 @@ def _guess_tag(surface: str, prev_tag: str | None, sent_initial: bool) -> str:
     return "NN"
 
 
-def tag_fallback(doc: Document) -> Document:
-    """Heuristic tags plus suffix-stripped lemmas for a raw-mode document."""
-    out = Document(doc.doc_id)
-    for sent in doc.sentences:
-        tagged: list[Token] = []
-        prev_tag: str | None = None
-        for i, tok in enumerate(sent):
-            tag = _guess_tag(tok.surface, prev_tag, i == 0)
-            lemma = tok.surface.lower() if tag in ("NNP", "PRON", "PUNCT") \
-                else strip_suffix(tok.surface)
-            tagged.append(tok._replace(pos=tag, lemma=lemma))
-            prev_tag = tag
-        out.sentences.append(tagged)
-    return out
-
-
 # ----------------------------------------------------------------- chunks
 
 def chunk(tokens: list[Token]) -> list[Chunk]:
@@ -343,10 +332,7 @@ def chunk(tokens: list[Token]) -> list[Chunk]:
                 chunks.append(Chunk("NP", i, k, k - 1))
                 i = k
                 continue
-            chunks.append(Chunk("O", i, i + 1, i))
-            i += 1
-            continue
-        if pos in VERBAL:
+        elif pos in VERBAL:
             j = i
             last_verb = i
             while j < n:
@@ -366,24 +352,17 @@ def chunk(tokens: list[Token]) -> list[Chunk]:
             chunks.append(Chunk("VG", i, last_verb + 1, last_verb))
             i = last_verb + 1
             continue
-        if pos == "PREP":
+        elif pos == "PREP":
             chunks.append(Chunk("PP", i, i + 1, i))
             i += 1
             continue
-        chunks.append(Chunk("O", i, i + 1, i))
-        i += 1
-    return _merge_o(chunks)
-
-
-def _merge_o(chunks: list[Chunk]) -> list[Chunk]:
-    merged: list[Chunk] = []
-    for c in chunks:
-        if merged and c.kind == "O" and merged[-1].kind == "O" and merged[-1].end == c.start:
-            prev = merged.pop()
-            merged.append(Chunk("O", prev.start, c.end, c.end - 1))
+        # anything else, and a DET/ADJ/NUM run with no noun, extends an O run
+        if chunks and chunks[-1].kind == "O":
+            chunks[-1] = Chunk("O", chunks[-1].start, i + 1, i)
         else:
-            merged.append(c)
-    return merged
+            chunks.append(Chunk("O", i, i + 1, i))
+        i += 1
+    return chunks
 
 
 def is_passive_vg(tokens: list[Token], vg: Chunk) -> bool:

@@ -479,9 +479,12 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
 
     for analysis in analyses:
         doc = analysis.doc
-        positions = None  # the document's flat tokens and their index, on first need
+        flat = None  # the document's tokens in one list, on first need
+        end = 0  # the document position just past this sentence
         for sa in analysis.sentences:
             tokens = sa.tokens
+            start = end
+            end += len(tokens)
             # a verb group's head is verbal: without a verbal foreground lemma, skip
             if not any(t.pos in VERBAL and t.lemma.lower() in fg_verbs for t in tokens):
                 continue
@@ -514,12 +517,9 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
                 if len(fits) == 1:
                     chosen = fits[0]
                 else:
-                    if positions is None:
+                    if flat is None:
                         flat = list(doc.tokens())
-                        positions = flat, {(t.sent_idx, t.tok_idx): i
-                                           for i, t in enumerate(flat)}
-                    chosen = _discriminate(fits, *positions,
-                                           (sent_idx, vg.head_idx), window)
+                    chosen = _discriminate(fits, flat, start + vg.head_idx, window)
                     if chosen is None:
                         diagnostics.append(Diagnostic(
                             "warning",
@@ -537,12 +537,12 @@ def match_foreground(analyses: list[DocAnalysis], fg: FgLexicon,
     return matches, diagnostics
 
 
-def _discriminate(fits, flat, flat_pos, verb_key, window):
-    # every fitting sense's rules in order: the first one whose feature occurs wins
+def _discriminate(fits, flat, i, window):
+    # every fitting sense's rules in order: the first one whose feature occurs
+    # wins; `i` is the verb's position in `flat`, the document's tokens
     rules = [rule for real, _, _ in fits for rule in real.effective.discriminators]
     if not rules:
         return None
-    i = flat_pos[verb_key]
     lo = max(0, i - window)
     hi = min(len(flat), i + window + 1)
     inst = DLInstance(tuple(t.lemma for t in flat[lo:hi]), i - lo)

@@ -158,6 +158,20 @@ def test_validate_typo_exit_one(tmp_path, capsys):
     assert "EMPLOYR" in capsys.readouterr().out
 
 
+def test_validate_reads_the_collapse_map_without_a_background_lexicon(tmp_path, capsys):
+    bogus = tmp_path / "bogus.collapse"
+    bogus.write_text("bogus line\n")
+    args = ["validate",
+            "--ontology", fixture_path("succession.onto"),
+            "--fg-lexicon", fixture_path("succession.fglex"),
+            "--collapse-map", str(bogus)]
+    # the same error whether or not a lexicon is there to collapse
+    for extra in ([], ["--bg-lexicon", fixture_path("succession.bglex")]):
+        assert run(args + extra) == 2
+        assert capsys.readouterr().err == \
+            f"templex: error: {bogus}:1: unknown directive 'bogus'\n"
+
+
 def test_wsd_checks_the_foreground_lexicon_as_extract_does(tmp_path, capsys):
     # a class typo is the first problem `validate` lists, raised at its
     # concept's line with exit 2 by both runs, not an error in mid-match

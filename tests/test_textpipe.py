@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from templex import (DocAnalysis, ParseError, SenseTag, chunk, grammatical_relations,
                      load_tagged_corpus, pattern_report, read_corpus)
-from templex.textpipe import (TAGSET, Token, analyze, is_passive_vg, strip_suffix,
-                              tag_fallback)
+from templex.textpipe import (_RAW_TOKEN, _SENT_END, NOMINAL, TAGSET, VERBAL, Token,
+                              _guess_tag, analyze, is_passive_vg, strip_suffix)
 from helpers import make_doc, tagged_vertical_corpora, two_pass_tagged_read
 
 
@@ -71,7 +71,7 @@ def test_raw_mode_tokenizes_terminal_period():
     assert [t.surface for t in sent] == ["The", "school", "dismissed",
                                          "the", "teacher", "."]
     assert len(docs[0].sentences) == 1
-    assert all(t.pos == "UNK" for t in sent)
+    assert all(t.pos in TAGSET for t in sent)  # tagged as read
     assert sent[0].lemma == "the"
 
 
@@ -85,18 +85,47 @@ def test_raw_mode_tokens_are_the_source_without_whitespace():
 
 
 def test_fallback_tagger_on_fixture_sentence():
-    doc = read_corpus("The school dismissed the teacher.", raw=True)[0]
-    tagged = tag_fallback(doc)
-    sent = tagged.sentences[0]
+    sent = read_corpus("The school dismissed the teacher.", raw=True)[0].sentences[0]
     assert [t.pos for t in sent] == ["DET", "NN", "VBD", "DET", "NN", "PUNCT"]
     assert sent[2].lemma == "dismiss"
 
 
 def test_fallback_passive_participle_after_be():
-    doc = read_corpus("She was sacked.", raw=True)[0]
-    sent = tag_fallback(doc).sentences[0]
+    sent = read_corpus("She was sacked.", raw=True)[0].sentences[0]
     assert [t.pos for t in sent] == ["PRON", "BE", "VBN", "PUNCT"]
     assert sent[2].lemma == "sack"
+
+
+_RAW_PIECES = st.one_of(
+    st.from_regex(r"[a-z]+(?:[-'][a-z]+)*", fullmatch=True),  # words and compounds
+    st.from_regex(r"[A-Z][a-z]*(?:-[A-Z]?[a-z]+)?", fullmatch=True),  # capitalised
+    st.sampled_from(["was", "is", "been", "the", "she", "of", "and", "very", "sacked",
+                     "Sacked", "Was", "hiring", "studies", "one"]),
+    st.from_regex(r"\d+(?:[.,]\d+)?", fullmatch=True),  # numbers
+    st.sampled_from(list(".!?,;:-'\"()")))  # punctuation
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.tuples(_RAW_PIECES, st.sampled_from(["", " ", "  ", "\t", "\n",
+                                                               " \n\n", "\t "])),
+                       max_size=30))
+def test_raw_reader_tags_each_token_as_it_reads(pieces):
+    text = "".join(piece + space for piece, space in pieces)
+    (doc,) = read_corpus(text, raw=True, doc_id="r")
+    assert [t.surface for t in doc.tokens()] == _RAW_TOKEN.findall(text)
+    # a sentence ends exactly after `.`, `!` or `?`
+    for si, sent in enumerate(doc.sentences):
+        assert sent and all(t.surface not in _SENT_END for t in sent[:-1])
+        assert sent[-1].surface in _SENT_END or si == len(doc.sentences) - 1
+        prev = None
+        for ti, t in enumerate(sent):
+            assert (t.doc_id, t.sent_idx, t.tok_idx) == ("r", si, ti)
+            # the tag from the surface, the previous tag in this sentence and
+            # whether it is the sentence's first token
+            assert t.pos in TAGSET and t.pos == _guess_tag(t.surface, prev, ti == 0)
+            assert t.lemma == (t.surface.lower() if t.pos in ("NNP", "PRON", "PUNCT")
+                               else strip_suffix(t.surface))
+            prev = t.pos
 
 
 def test_suffix_table():
@@ -142,19 +171,21 @@ def test_chunk_adverb_inside_verb_group():
     assert is_passive_vg(sent, chunks[0])
 
 
-def test_chunk_spans_partition_random_sentences():
-    tags = ["NN", "NNP", "VB", "VBD", "VBN", "DET", "ADJ", "PREP", "PRON",
-            "CONJ", "NUM", "ADV", "PUNCT", "OTHER", "BE"]
-    rng = random.Random(5)
-    for _ in range(300):
-        sent = toks(*[(f"w{i}", rng.choice(tags))
-                      for i in range(rng.randint(1, 12))])
-        chunks = chunk(sent)
-        covered = []
-        for c in chunks:
-            assert c.start <= c.head_idx < c.end
-            covered.extend(range(c.start, c.end))
-        assert covered == list(range(len(sent)))
+@settings(max_examples=500, deadline=None)
+@given(tags=st.lists(st.sampled_from(sorted(TAGSET)), min_size=1, max_size=14))
+def test_chunk_spans_partition_random_sentences(tags):
+    sent = toks(*[(f"w{i}", tag) for i, tag in enumerate(tags)])
+    chunks = chunk(sent)
+    # in order, with no gap or overlap
+    assert [c.start for c in chunks] == [0, *(c.end for c in chunks[:-1])]
+    assert chunks[-1].end == len(sent)
+    for c, nxt in zip(chunks, chunks[1:] + [None]):
+        assert c.start <= c.head_idx < c.end
+        assert not (c.kind == "O" and nxt is not None and nxt.kind == "O")
+        if c.kind == "NP":
+            assert tags[c.head_idx] in NOMINAL | {"PRON"}
+        if c.kind == "VG":
+            assert tags[c.head_idx] in VERBAL
 
 
 def test_relations_active():
